@@ -1,6 +1,6 @@
 //! Kill-and-restore chaos harness: the end-to-end recovery check.
 //!
-//! The parent process runs an uninterrupted restartable-stencil run as
+//! The parent process runs an uninterrupted chunked stencil run as
 //! the reference, then repeatedly spawns a worker child (this same
 //! binary with `--worker`) that steps the identically-configured run
 //! under injected transient faults, checkpointing every iteration. The
@@ -18,8 +18,7 @@
 use bench::{emit, ms, Scale, Table};
 use hetmem::{MemError, SeededFaults, Topology};
 use hetrt_core::{OocConfig, Placement, StrategyKind};
-use kernels::restart::RestartableStencil;
-use kernels::stencil::StencilConfig;
+use kernels::stencil::{StencilConfig, StencilDriver};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,7 +64,7 @@ fn run_worker(scale: Scale, path: &Path) -> ! {
     let cfg = cfg(scale, true);
     let iterations = cfg.iterations as u64;
     let driver = if path.exists() {
-        match RestartableStencil::resume(cfg, path) {
+        match StencilDriver::resume(cfg, path) {
             Ok(d) => {
                 eprintln!(
                     "worker: resumed from iteration {}",
@@ -80,7 +79,7 @@ fn run_worker(scale: Scale, path: &Path) -> ! {
         }
     } else {
         eprintln!("worker: fresh start");
-        RestartableStencil::new(cfg)
+        StencilDriver::new(cfg)
     };
     while driver.completed_iterations() < iterations {
         std::thread::sleep(Duration::from_millis(WORKER_STEP_DELAY_MS));
@@ -153,7 +152,7 @@ fn main() {
     // bitwise identical — faults only add retries — so the clean run
     // is the ground truth for every recovery below).
     let t0 = Instant::now();
-    let reference = RestartableStencil::new(StencilConfig {
+    let reference = StencilDriver::new(StencilConfig {
         ooc: OocConfig::default(),
         ..cfg(scale, false)
     });
@@ -206,7 +205,7 @@ fn main() {
 
     // Restore in-process and run to completion.
     let t0 = Instant::now();
-    let resumed = RestartableStencil::resume(cfg(scale, true), &path).expect("in-process restore");
+    let resumed = StencilDriver::resume(cfg(scale, true), &path).expect("in-process restore");
     let from = resumed.completed_iterations();
     assert!(from > 0, "restore must resume mid-run, not from scratch");
     assert!(
@@ -235,7 +234,7 @@ fn main() {
     bytes[mid] ^= 0xff;
     let bad = ckpt_dir().join("stencil-corrupt.ckpt");
     std::fs::write(&bad, &bytes).expect("write corrupted copy");
-    match RestartableStencil::resume(cfg(scale, false), &bad) {
+    match StencilDriver::resume(cfg(scale, false), &bad) {
         Err(MemError::CheckpointCorrupted { .. } | MemError::CheckpointVersionMismatch { .. }) => {
             table.row(vec![
                 "corrupted checkpoint".into(),

@@ -3,27 +3,57 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Internal atomic counters shared between strategies and the engine.
-#[derive(Debug, Default)]
-pub struct StatCells {
-    fetches: AtomicU64,
-    fetch_bytes: AtomicU64,
-    evictions: AtomicU64,
-    evict_bytes: AtomicU64,
-    no_space_events: AtomicU64,
-    intercepted: AtomicU64,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    queue_wait_ns: AtomicU64,
-    transient_retries: AtomicU64,
-    degraded_tasks: AtomicU64,
-    io_restarts: AtomicU64,
-    io_panics: AtomicU64,
-    rejected_tasks: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_bytes: AtomicU64,
-    restores: AtomicU64,
+/// Declares [`StatCells`] with one atomic per listed [`OocStats`]
+/// field, plus the `adopt`/`snapshot` conversions between the two. A
+/// new counter is one field on `OocStats` and one name in the list.
+macro_rules! stat_cells {
+    ($($field:ident),* $(,)?) => {
+        /// Internal atomic counters shared between strategies and the engine.
+        #[derive(Debug, Default)]
+        pub struct StatCells {
+            $($field: AtomicU64,)*
+        }
+
+        impl StatCells {
+            /// Overwrite every counter with the values in `s` — used once,
+            /// right after a restore, so cumulative statistics survive a
+            /// kill-and-restore instead of restarting from zero. The restore
+            /// itself is *not* included in `s`; bump it afterwards.
+            pub(crate) fn adopt(&self, s: &OocStats) {
+                $(self.$field.store(s.$field, Ordering::Relaxed);)*
+            }
+
+            /// Snapshot the counters. `violations` is not a cell: the
+            /// runtime fills it from the attached checker.
+            pub fn snapshot(&self) -> OocStats {
+                OocStats {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                    violations: 0,
+                }
+            }
+        }
+    };
 }
+
+stat_cells!(
+    fetches,
+    fetch_bytes,
+    evictions,
+    evict_bytes,
+    no_space_events,
+    intercepted,
+    admitted,
+    completed,
+    queue_wait_ns,
+    transient_retries,
+    degraded_tasks,
+    io_restarts,
+    io_panics,
+    rejected_tasks,
+    checkpoints,
+    checkpoint_bytes,
+    restores,
+);
 
 impl StatCells {
     pub(crate) fn bump_fetches(&self, bytes: u64) {
@@ -83,59 +113,6 @@ impl StatCells {
 
     pub(crate) fn bump_restore(&self) {
         self.restores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Overwrite every counter with the values in `s` — used once,
-    /// right after a restore, so cumulative statistics survive a
-    /// kill-and-restore instead of restarting from zero. The restore
-    /// itself is *not* included in `s`; bump it afterwards.
-    pub(crate) fn adopt(&self, s: &OocStats) {
-        self.fetches.store(s.fetches, Ordering::Relaxed);
-        self.fetch_bytes.store(s.fetch_bytes, Ordering::Relaxed);
-        self.evictions.store(s.evictions, Ordering::Relaxed);
-        self.evict_bytes.store(s.evict_bytes, Ordering::Relaxed);
-        self.no_space_events
-            .store(s.no_space_events, Ordering::Relaxed);
-        self.intercepted.store(s.intercepted, Ordering::Relaxed);
-        self.admitted.store(s.admitted, Ordering::Relaxed);
-        self.completed.store(s.completed, Ordering::Relaxed);
-        self.queue_wait_ns.store(s.queue_wait_ns, Ordering::Relaxed);
-        self.transient_retries
-            .store(s.transient_retries, Ordering::Relaxed);
-        self.degraded_tasks
-            .store(s.degraded_tasks, Ordering::Relaxed);
-        self.io_restarts.store(s.io_restarts, Ordering::Relaxed);
-        self.io_panics.store(s.io_panics, Ordering::Relaxed);
-        self.rejected_tasks
-            .store(s.rejected_tasks, Ordering::Relaxed);
-        self.checkpoints.store(s.checkpoints, Ordering::Relaxed);
-        self.checkpoint_bytes
-            .store(s.checkpoint_bytes, Ordering::Relaxed);
-        self.restores.store(s.restores, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> OocStats {
-        OocStats {
-            fetches: self.fetches.load(Ordering::Relaxed),
-            fetch_bytes: self.fetch_bytes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            evict_bytes: self.evict_bytes.load(Ordering::Relaxed),
-            no_space_events: self.no_space_events.load(Ordering::Relaxed),
-            intercepted: self.intercepted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            queue_wait_ns: self.queue_wait_ns.load(Ordering::Relaxed),
-            transient_retries: self.transient_retries.load(Ordering::Relaxed),
-            degraded_tasks: self.degraded_tasks.load(Ordering::Relaxed),
-            io_restarts: self.io_restarts.load(Ordering::Relaxed),
-            io_panics: self.io_panics.load(Ordering::Relaxed),
-            rejected_tasks: self.rejected_tasks.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
-            restores: self.restores.load(Ordering::Relaxed),
-            violations: 0,
-        }
     }
 }
 

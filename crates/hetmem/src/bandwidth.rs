@@ -159,30 +159,6 @@ impl BandwidthRegulator {
         }
     }
 
-    /// Try to reserve `bytes` without blocking: succeeds only if the pipe
-    /// is currently idle (cursor in the past). Used by opportunistic
-    /// prefetchers that must not stall a worker.
-    pub fn try_charge(&self, bytes: u64) -> Option<ChargeOutcome> {
-        let now = self.clock.now();
-        let dur = self.service_ns(bytes, 1.0) + self.overhead_ns;
-        {
-            let mut cursor = self.cursor.lock();
-            if *cursor > now {
-                return None;
-            }
-            *cursor = now + dur;
-        }
-        self.clock.sleep_until(now + dur);
-        self.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        self.charges.fetch_add(1, Ordering::Relaxed);
-        self.total_wait_ns.fetch_add(dur, Ordering::Relaxed);
-        Some(ChargeOutcome {
-            bytes,
-            issued_at: now,
-            completed_at: now + dur,
-        })
-    }
-
     /// Total bytes charged so far.
     pub fn bytes_charged(&self) -> u64 {
         self.bytes_charged.load(Ordering::Relaxed)
@@ -286,18 +262,6 @@ mod tests {
         }
         assert!(clock.now() >= 8_000_000, "clock={}", clock.now());
         assert_eq!(r.bytes_charged(), 8_000_000);
-    }
-
-    #[test]
-    fn try_charge_fails_when_pipe_busy() {
-        let clock = Arc::new(VirtualClock::new());
-        let r = BandwidthRegulator::new(1_000_000_000, 1 << 20, clock.clone());
-        // Reserve the pipe far into the future without sleeping.
-        *r.cursor.lock() = 10_000;
-        assert!(r.try_charge(100).is_none());
-        clock.advance_to(10_001);
-        let out = r.try_charge(100).expect("pipe idle after advance");
-        assert_eq!(out.duration_ns(), 100);
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //!   chare (i,j) accumulates `C[i][j] += A[i][k] · B[k][j]` over k
 //!   steps; A and B blocks are `readonly` dependences shared across
 //!   chares (the paper's node-level nodegroup cache), C is `readwrite`.
-//! * [`restart`] — externally-stepped, checkpointable variants of the
-//!   stencil and matmul drivers: the driver owns the iteration loop,
-//!   quiesces at every boundary, checkpoints every N iterations and
-//!   resumes from a checkpoint with bitwise-identical results.
+//!
+//! Each of the two has one driver ([`StencilDriver`], [`MatmulDriver`])
+//! that runs its iterations in chunks: message-driven inside a chunk,
+//! quiescent at the chunk's end. With
+//! [`hetrt_core::OocConfig::checkpoint_every`] set and a checkpoint
+//! path given, each chunk ends with a checkpoint, and a killed run
+//! resumes from it bitwise identical. Otherwise the run is one chunk.
+//!
 //! * [`dgemm`] — the cache-blocked dgemm kernel used by `matmul`
 //!   (stands in for MKL's `cblas_dgemm`, whose internal HBM allocation
 //!   the paper disables anyway).
@@ -25,14 +29,13 @@
 //!   the block *currently* resides on, which is precisely why placement
 //!   and prefetching matter.
 
+mod chunk;
 pub mod dgemm;
 pub mod matmul;
-pub mod restart;
 pub mod stencil;
 pub mod stream;
 pub mod traffic;
 
-pub use matmul::{MatmulConfig, MatmulReport};
-pub use restart::{RestartableMatmul, RestartableStencil};
-pub use stencil::{StencilConfig, StencilReport};
+pub use matmul::{MatmulConfig, MatmulDriver, MatmulReport};
+pub use stencil::{StencilConfig, StencilDriver, StencilReport};
 pub use stream::{StreamConfig, StreamKernel, StreamReport};

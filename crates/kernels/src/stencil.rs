@@ -16,24 +16,38 @@
 //! and writes to independent data blocks in each iteration"), which is
 //! why the single-IO-thread strategy suffers here: no reuse, every task
 //! needs its own fetch.
+//!
+//! [`StencilDriver`] runs the iterations in chunks (see [`crate::chunk`]):
+//! a chunk's Start message names its end iteration, and at that
+//! iteration each chare stops sending halos. The next Start re-extracts
+//! the boundary planes from the quiescent block, which are the planes
+//! the pipelined run would have sent, so any chunking is bitwise equal
+//! to one chunk. [`run_stencil`] is one chunk.
 
+use crate::chunk::{build_runtime, chunk_end, run_chunk, run_to_end};
 use converse::{ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, Mapping};
-use hetmem::{AccessMode, Memory, Topology};
+use hetmem::{AccessMode, BlockId, MemError, Memory, Topology};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use projections::TraceSummary;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Entry: halo plane delivery (plain entry method).
 pub const EP_HALO: EntryId = EntryId(0);
 /// Entry: the bandwidth-sensitive update (`entry [prefetch]`).
 pub const EP_COMPUTE: EntryId = EntryId(1);
-/// Entry: kick-off (send initial halos).
+/// Entry: chunk kick-off (send the current halos).
 pub const EP_START: EntryId = EntryId(2);
 
 /// Messages between stencil chares.
 pub enum StencilMsg {
-    /// Kick off iteration 0.
-    Start,
+    /// Start a chunk: iterate up to `end`, then count `latch` down.
+    Start {
+        /// Iteration at which the chunk ends.
+        end: usize,
+        /// Counted down once per chare at the chunk's end.
+        latch: Arc<CompletionLatch>,
+    },
     /// A neighbour's boundary plane for `iter`.
     Halo {
         /// Iteration the plane belongs to.
@@ -102,9 +116,14 @@ impl StencilConfig {
         self.chares.0 * self.chares.1 * self.chares.2
     }
 
+    /// Elements per block.
+    fn elems(&self) -> usize {
+        self.block.0 * self.block.1 * self.block.2
+    }
+
     /// Bytes per block.
     pub fn block_bytes(&self) -> usize {
-        self.block.0 * self.block.1 * self.block.2 * 8
+        self.elems() * 8
     }
 
     /// Total working-set bytes (the paper's "total working set size").
@@ -138,14 +157,16 @@ struct StencilChare {
     block: IoHandle<f64>,
     mem: Arc<Memory>,
     array: Option<ArrayId>,
-    latch: Arc<CompletionLatch>,
-    iterations: usize,
+    /// The current chunk's latch and end iteration, set by Start.
+    latch: Option<Arc<CompletionLatch>>,
+    end: usize,
     iter: usize,
-    /// Set once EP_START has sent this chare's initial halo planes.
-    /// The first compute must not fire before then: halos can arrive
-    /// *before* our own Start message (the driver's send loop races
-    /// with already-running workers), and computing early would make
-    /// Start extract post-update planes for the neighbours.
+    /// Set once this chunk's Start has sent the chare's halo planes,
+    /// cleared at the chunk's end. A compute must not fire before then:
+    /// halos can arrive *before* our own Start message (the driver's
+    /// send loop races with already-running workers), and computing
+    /// early would make Start extract post-update planes for the
+    /// neighbours.
     started: bool,
     /// Halo planes, double-buffered by iteration parity.
     halos: [Vec<Option<Vec<f64>>>; 2],
@@ -155,10 +176,7 @@ struct StencilChare {
 }
 
 /// Face order: 0:-x 1:+x 2:-y 3:+y 4:-z 5:+z. `face ^ 1` is opposite.
-pub(crate) fn neighbors_of(
-    coord: (usize, usize, usize),
-    dims: (usize, usize, usize),
-) -> Vec<(usize, usize)> {
+fn neighbors_of(coord: (usize, usize, usize), dims: (usize, usize, usize)) -> Vec<(usize, usize)> {
     let (x, y, z) = coord;
     let (cx, cy, cz) = dims;
     let idx = |x: usize, y: usize, z: usize| (z * cy + y) * cx + x;
@@ -184,7 +202,7 @@ pub(crate) fn neighbors_of(
     out
 }
 
-pub(crate) fn plane_len(face: usize, (bx, by, bz): (usize, usize, usize)) -> usize {
+fn plane_len(face: usize, (bx, by, bz): (usize, usize, usize)) -> usize {
     match face / 2 {
         0 => by * bz,
         1 => bx * bz,
@@ -193,7 +211,7 @@ pub(crate) fn plane_len(face: usize, (bx, by, bz): (usize, usize, usize)) -> usi
 }
 
 /// Extract the boundary plane of `block` facing `face`.
-pub(crate) fn extract_plane(face: usize, dims: (usize, usize, usize), block: &[f64]) -> Vec<f64> {
+fn extract_plane(face: usize, dims: (usize, usize, usize), block: &[f64]) -> Vec<f64> {
     let (bx, by, bz) = dims;
     let at = |x: usize, y: usize, z: usize| block[(z * by + y) * bx + x];
     let mut out = Vec::with_capacity(plane_len(face, dims));
@@ -228,7 +246,7 @@ pub(crate) fn extract_plane(face: usize, dims: (usize, usize, usize), block: &[f
 
 /// 7-point Jacobi update of `block` given optional halo planes per
 /// face; missing halos (domain boundary) reuse the cell's own value.
-pub(crate) fn jacobi_update(
+fn jacobi_update(
     dims: (usize, usize, usize),
     block: &mut [f64],
     scratch: &mut Vec<f64>,
@@ -321,27 +339,11 @@ impl Chare for StencilChare {
 
     fn execute(&mut self, entry: EntryId, msg: StencilMsg, ctx: &mut ExecCtx<'_>) {
         match (entry, msg) {
-            (EP_START, StencilMsg::Start) => {
+            (EP_START, StencilMsg::Start { end, latch }) => {
                 assert!(!self.started, "duplicate Start");
-                let planes = self.block.read(|xs| {
-                    self.neighbors
-                        .iter()
-                        .map(|&(face, _)| extract_plane(face, self.bdims, xs))
-                        .collect::<Vec<_>>()
-                });
-                let array = self.array.expect("array id set");
-                for (&(face, nbr), data) in self.neighbors.iter().zip(planes) {
-                    ctx.send(
-                        array,
-                        nbr,
-                        EP_HALO,
-                        StencilMsg::Halo {
-                            iter: 0,
-                            face: face ^ 1,
-                            data,
-                        },
-                    );
-                }
+                assert!(self.iter < end, "empty chunk");
+                (self.end, self.latch) = (end, Some(latch));
+                self.block.read(|xs| self.send_halos(self.iter, ctx, xs));
                 self.started = true;
                 self.maybe_fire_compute(ctx);
             }
@@ -394,9 +396,10 @@ impl Chare for StencilChare {
                 }
                 self.received[parity] = 0;
                 self.iter += 1;
-                if self.iter == self.iterations {
+                if self.iter == self.end {
                     drop(guard);
-                    self.latch.count_down();
+                    self.started = false;
+                    self.latch.take().expect("latch set by Start").count_down();
                 } else {
                     self.send_halos(self.iter, ctx, guard.as_slice::<f64>());
                     drop(guard);
@@ -413,129 +416,283 @@ impl Chare for StencilChare {
     }
 }
 
-/// Run a stencil experiment and return per-block sums (debug helper
-/// used by cross-validation tests against a serial reference).
-pub fn run_stencil_block_sums(cfg: &StencilConfig) -> Vec<f64> {
-    run_stencil_inner(cfg).1
+/// A stencil run driven in chunks, with checkpoint/resume at chunk
+/// boundaries.
+pub struct StencilDriver {
+    cfg: StencilConfig,
+    ooc: OocRuntime,
+    blocks: Vec<IoHandle<f64>>,
+    array: ArrayId,
 }
 
-/// Run a stencil experiment and return full per-block contents
-/// (cross-validation against a serial reference).
-pub fn run_stencil_blocks(cfg: &StencilConfig) -> Vec<Vec<f64>> {
-    run_stencil_inner(cfg).2
-}
+impl StencilDriver {
+    /// Start a fresh run: allocate and deterministically initialise
+    /// every block.
+    pub fn new(cfg: StencilConfig) -> Self {
+        let ooc = runtime(&cfg);
+        let blocks = (0..cfg.chare_count())
+            .map(|i| {
+                let h = IoHandle::new(
+                    ooc.memory(),
+                    cfg.elems(),
+                    cfg.placement,
+                    cfg.ooc.hbm,
+                    cfg.ooc.ddr,
+                    format!("stencil{i}"),
+                )
+                .expect("stencil block allocation");
+                h.write(|xs| {
+                    for (j, v) in xs.iter_mut().enumerate() {
+                        *v = ((i * 31 + j * 7) % 1000) as f64 / 1000.0;
+                    }
+                });
+                h
+            })
+            .collect();
+        Self::assemble(cfg, ooc, blocks)
+    }
 
-/// Run a stencil experiment end to end.
-pub fn run_stencil(cfg: &StencilConfig) -> StencilReport {
-    run_stencil_inner(cfg).0
-}
+    /// Resume from a checkpoint written by a run of the same
+    /// configuration: blocks are restored (ids `0..chare_count` in
+    /// allocation order) and the run picks up at the checkpoint's
+    /// iteration.
+    pub fn resume(cfg: StencilConfig, checkpoint: &Path) -> Result<Self, MemError> {
+        let ooc = runtime(&cfg);
+        ooc.restore(checkpoint)?;
+        let blocks = (0..cfg.chare_count())
+            .map(|i| IoHandle::attach(ooc.memory(), BlockId(i as u32), cfg.elems()))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(cfg, ooc, blocks))
+    }
 
-fn run_stencil_inner(cfg: &StencilConfig) -> (StencilReport, Vec<f64>, Vec<Vec<f64>>) {
-    let mem = match &cfg.faults {
-        Some(f) => Memory::with_faults(cfg.topology.clone(), Arc::clone(f)),
-        None => Memory::new(cfg.topology.clone()),
-    };
-    let ooc = OocRuntime::new(Arc::clone(&mem), cfg.pes, cfg.strategy, cfg.ooc);
-    let rt = ooc.runtime();
-
-    let n = cfg.chare_count();
-    let (cx, cy, _) = cfg.chares;
-    let elems = cfg.block.0 * cfg.block.1 * cfg.block.2;
-    let latch = Arc::new(CompletionLatch::new(n));
-
-    // Allocate and deterministically initialise every block.
-    let blocks: Vec<IoHandle<f64>> = (0..n)
-        .map(|i| {
-            let h = IoHandle::new(
-                &mem,
-                elems,
-                cfg.placement,
-                cfg.ooc.hbm,
-                cfg.ooc.ddr,
-                format!("stencil{i}"),
-            )
-            .expect("stencil block allocation");
-            h.write(|xs| {
-                for (j, v) in xs.iter_mut().enumerate() {
-                    *v = ((i * 31 + j * 7) % 1000) as f64 / 1000.0;
+    fn assemble(cfg: StencilConfig, ooc: OocRuntime, blocks: Vec<IoHandle<f64>>) -> Self {
+        let (cx, cy, _) = cfg.chares;
+        let (mem, blocks2, cfg2) = (Arc::clone(ooc.memory()), blocks.clone(), cfg.clone());
+        let iter = ooc.iteration() as usize;
+        let rt = ooc.runtime();
+        let array = rt
+            .array_builder::<StencilChare>()
+            .entry(EP_HALO, EntryOptions::default())
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .entry(EP_START, EntryOptions::default())
+            .mapping(Mapping::Block)
+            .build(cfg.chare_count(), move |i| {
+                let coord = (i % cx, (i / cx) % cy, i / (cx * cy));
+                StencilChare {
+                    bdims: cfg2.block,
+                    compute_passes: cfg2.compute_passes,
+                    block: blocks2[i].clone(),
+                    mem: Arc::clone(&mem),
+                    array: None,
+                    latch: None,
+                    end: iter,
+                    iter,
+                    started: false,
+                    halos: [vec![None; 6], vec![None; 6]],
+                    received: [0, 0],
+                    neighbors: neighbors_of(coord, cfg2.chares),
+                    scratch: Vec::with_capacity(cfg2.elems()),
                 }
             });
-            h
-        })
-        .collect();
+        let arr = rt.array::<StencilChare>(array);
+        for i in 0..cfg.chare_count() {
+            arr.with_chare(i, |c| c.array = Some(array));
+        }
+        Self {
+            cfg,
+            ooc,
+            blocks,
+            array,
+        }
+    }
 
-    let (latch2, blocks2) = (Arc::clone(&latch), blocks.clone());
-    let (mem2, cfg2) = (Arc::clone(&mem), cfg.clone());
-    let array = rt
-        .array_builder::<StencilChare>()
-        .entry(EP_HALO, EntryOptions::default())
-        .entry(EP_COMPUTE, EntryOptions::prefetch())
-        .entry(EP_START, EntryOptions::default())
-        .mapping(Mapping::Block)
-        .build(n, move |i| {
-            let coord = (i % cx, (i / cx) % cy, i / (cx * cy));
-            let neighbors = neighbors_of(coord, cfg2.chares);
-            StencilChare {
-                bdims: cfg2.block,
-                compute_passes: cfg2.compute_passes,
-                block: blocks2[i].clone(),
-                mem: Arc::clone(&mem2),
-                array: None,
-                latch: Arc::clone(&latch2),
-                iterations: cfg2.iterations,
-                iter: 0,
-                started: false,
-                halos: [vec![None; 6], vec![None; 6]],
-                received: [0, 0],
-                neighbors,
-                scratch: Vec::with_capacity(elems),
+    /// The underlying runtime (stats, trace, checkpoint).
+    pub fn ooc(&self) -> &OocRuntime {
+        &self.ooc
+    }
+
+    /// Iterations completed so far.
+    pub fn completed_iterations(&self) -> u64 {
+        self.ooc.iteration()
+    }
+
+    /// Run iterations up to `end` as one pipelined chunk; returns its
+    /// makespan in ns.
+    fn chunk(&self, end: u64) -> u64 {
+        let rt = self.ooc.runtime();
+        run_chunk(&self.ooc, self.cfg.chare_count(), end, |latch| {
+            for i in 0..self.cfg.chare_count() {
+                let latch = Arc::clone(latch);
+                let end = end as usize;
+                rt.send(self.array, i, EP_START, StencilMsg::Start { end, latch });
             }
-        });
-
-    let arr = rt.array::<StencilChare>(array);
-    for i in 0..n {
-        arr.with_chare(i, |c| c.array = Some(array));
+        })
     }
 
-    let t0 = mem.clock().now();
-    for i in 0..n {
-        rt.send(array, i, EP_START, StencilMsg::Start);
+    /// Run the next chunk: up to the next multiple of
+    /// [`OocConfig::checkpoint_every`], or to the end when that is 0.
+    /// Returns the chunk's makespan in ns.
+    pub fn step(&self) -> u64 {
+        let total = self.cfg.iterations as u64;
+        self.chunk(chunk_end(&self.ooc, self.cfg.ooc.checkpoint_every, total))
     }
-    assert!(
-        latch.wait_timeout_ms(600_000),
-        "stencil run did not complete"
-    );
-    let total_ns = mem.clock().now().saturating_sub(t0);
-    assert!(ooc.wait_quiescence_ms(60_000), "runtime not quiescent");
 
-    let block_contents: Vec<Vec<f64>> = blocks.iter().map(|b| b.read(<[f64]>::to_vec)).collect();
-    let block_sums: Vec<f64> = block_contents.iter().map(|b| b.iter().sum()).collect();
-    let checksum: f64 = block_sums.iter().sum();
+    /// Run to `cfg.iterations`. With a `checkpoint` path, every chunk
+    /// ends with a checkpoint there; without one the rest of the run is
+    /// one chunk.
+    pub fn run(&self, checkpoint: Option<&Path>) -> Result<(), MemError> {
+        run_to_end(&self.ooc, self.cfg.iterations as u64, checkpoint, |end| {
+            self.chunk(end)
+        })
+    }
+
+    /// Full per-block contents (bitwise comparison across runs).
+    pub fn block_contents(&self) -> Vec<Vec<f64>> {
+        self.blocks
+            .iter()
+            .map(|b| b.read(<[f64]>::to_vec))
+            .collect()
+    }
+
+    /// Sum over all grid values, per block and then over blocks.
+    pub fn checksum(&self) -> f64 {
+        self.blocks
+            .iter()
+            .map(|b| b.read(|xs| xs.iter().sum::<f64>()))
+            .sum()
+    }
+
+    /// Stop the runtime. Also runs on drop.
+    pub fn shutdown(&self) {
+        self.ooc.shutdown();
+    }
+}
+
+fn runtime(cfg: &StencilConfig) -> OocRuntime {
+    build_runtime(
+        &cfg.topology,
+        cfg.faults.as_ref(),
+        cfg.pes,
+        cfg.strategy,
+        cfg.ooc,
+    )
+}
+
+/// Run a stencil experiment end to end, as one chunk.
+pub fn run_stencil(cfg: &StencilConfig) -> StencilReport {
+    let driver = StencilDriver::new(cfg.clone());
+    let total_ns = driver.chunk(cfg.iterations as u64);
+    let checksum = driver.checksum();
+    let ooc = driver.ooc();
     let stats = ooc.stats();
     let trace = ooc.finish_trace();
-    let timeline = projections::render::render_ascii(&trace, 96);
-    let summary = trace.summarize();
-    let mem_stats = mem.stats();
-    ooc.shutdown();
-
-    (
-        StencilReport {
-            total_ns,
-            per_iteration_ns: total_ns as f64 / cfg.iterations as f64,
-            checksum,
-            stats,
-            summary,
-            timeline,
-            mem_stats,
-        },
-        block_sums,
-        block_contents,
-    )
+    let mem_stats = ooc.memory().stats();
+    driver.shutdown();
+    StencilReport {
+        total_ns,
+        per_iteration_ns: total_ns as f64 / cfg.iterations as f64,
+        checksum,
+        stats,
+        summary: trace.summarize(),
+        timeline: projections::render::render_ascii(&trace, 96),
+        mem_stats,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    fn ckpt(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("kernels-stencil-tests");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir.join(format!("{name}-{}.ckpt", std::process::id()))
+    }
+
+    fn chunked_cfg(iterations: usize, checkpoint_every: u64) -> StencilConfig {
+        StencilConfig {
+            iterations,
+            strategy: StrategyKind::single_io(),
+            placement: Placement::DdrOnly,
+            ooc: OocConfig {
+                checkpoint_every,
+                ..OocConfig::default()
+            },
+            ..StencilConfig::tiny()
+        }
+    }
+
+    fn one_chunk_contents(cfg: StencilConfig) -> Vec<Vec<f64>> {
+        let driver = StencilDriver::new(cfg);
+        driver.run(None).unwrap();
+        let contents = driver.block_contents();
+        driver.shutdown();
+        contents
+    }
+
+    #[test]
+    fn chunked_run_is_bitwise_equal_to_one_chunk() {
+        // (iterations, checkpoint_every, chunks): 5 iterations every 2
+        // ends with a partial chunk.
+        for (iterations, every, chunks) in [(6, 2, 3), (6, 0, 1), (5, 2, 3)] {
+            let cfg = chunked_cfg(iterations, every);
+            let want = one_chunk_contents(cfg.clone());
+            let driver = StencilDriver::new(cfg.clone());
+            let mut steps = 0;
+            while driver.completed_iterations() < iterations as u64 {
+                driver.step();
+                steps += 1;
+            }
+            assert_eq!(steps, chunks, "{iterations} iterations every {every}");
+            assert_eq!(driver.block_contents(), want, "every {every}");
+            assert_eq!(driver.checksum(), run_stencil(&cfg).checksum);
+            driver.shutdown();
+        }
+    }
+
+    #[test]
+    fn checkpointed_run_ends_each_full_chunk_with_a_checkpoint() {
+        let path = ckpt("partial");
+        let cfg = chunked_cfg(5, 2);
+        let driver = StencilDriver::new(cfg.clone());
+        driver.run(Some(&path)).unwrap();
+        assert_eq!(driver.completed_iterations(), 5);
+        assert_eq!(driver.ooc().stats().checkpoints, 2, "at 2 and 4, not 5");
+        assert_eq!(driver.block_contents(), one_chunk_contents(cfg));
+        driver.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stencil_restored_mid_run_finishes_bitwise_identical() {
+        let path = ckpt("midrun");
+        let cfg = chunked_cfg(6, 2);
+        let want = one_chunk_contents(chunked_cfg(6, 0));
+
+        // "Crashing" run: checkpoint after the first chunk, then lose
+        // the second chunk's work with the crash.
+        let crashed = StencilDriver::new(cfg.clone());
+        crashed.step();
+        crashed.ooc().checkpoint(&path).unwrap();
+        crashed.step();
+        crashed.shutdown();
+        drop(crashed);
+
+        // Resume from the checkpoint and run to completion.
+        let resumed = StencilDriver::resume(cfg, &path).unwrap();
+        assert_eq!(resumed.completed_iterations(), 2);
+        resumed.run(Some(&path)).unwrap();
+        assert_eq!(resumed.completed_iterations(), 6);
+        assert_eq!(
+            resumed.block_contents(),
+            want,
+            "restart must be bitwise exact"
+        );
+        assert!(resumed.ooc().stats().restores >= 1);
+        resumed.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
 
     #[test]
     fn neighbors_enumeration() {

@@ -115,14 +115,14 @@ mod tests {
             lanes: vec![LaneTrace {
                 lane: LaneId::worker(0),
                 spans: vec![
-                    span(SpanKind::QueueWait, 0, 50),
+                    span(SpanKind::BlockWait, 0, 50),
                     span(SpanKind::Compute, 50, 100),
                 ],
             }],
         };
         let art = render_ascii(&trace, 10);
         let row = art.lines().nth(1).unwrap();
-        assert!(row.contains('w'));
+        assert!(row.contains('b'));
         assert!(row.contains('#'));
     }
 

@@ -15,18 +15,10 @@ pub enum SpanKind {
     Compute,
     /// Non-prefetch entry methods (halo exchange handling etc.).
     Entry,
-    /// Pre-processing of a `[prefetch]` entry (dependence checks, task
-    /// wrapping — synchronous fetches land in `Fetch`).
-    Preprocess,
-    /// Post-processing (eviction decisions — synchronous evictions land
-    /// in `Evict`).
-    Postprocess,
     /// Moving a block into HBM.
     Fetch,
     /// Moving a block back to DDR4.
     Evict,
-    /// Waiting on a wait-queue or run-queue lock, or for queue signals.
-    QueueWait,
     /// Waiting on a data-block lock/state (e.g. block mid-migration).
     BlockWait,
     /// Scheduler idle: no ready task.
@@ -43,14 +35,11 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// All kinds, in display order.
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 9] = [
         SpanKind::Compute,
         SpanKind::Entry,
-        SpanKind::Preprocess,
-        SpanKind::Postprocess,
         SpanKind::Fetch,
         SpanKind::Evict,
-        SpanKind::QueueWait,
         SpanKind::BlockWait,
         SpanKind::Idle,
         SpanKind::Degraded,
@@ -63,11 +52,8 @@ impl SpanKind {
     pub fn is_overhead(self) -> bool {
         matches!(
             self,
-            SpanKind::Preprocess
-                | SpanKind::Postprocess
-                | SpanKind::Fetch
+            SpanKind::Fetch
                 | SpanKind::Evict
-                | SpanKind::QueueWait
                 | SpanKind::BlockWait
                 | SpanKind::Degraded
                 | SpanKind::Checkpoint
@@ -80,11 +66,8 @@ impl SpanKind {
         match self {
             SpanKind::Compute => "compute",
             SpanKind::Entry => "entry",
-            SpanKind::Preprocess => "pre",
-            SpanKind::Postprocess => "post",
             SpanKind::Fetch => "fetch",
             SpanKind::Evict => "evict",
-            SpanKind::QueueWait => "qwait",
             SpanKind::BlockWait => "bwait",
             SpanKind::Idle => "idle",
             SpanKind::Degraded => "degraded",
@@ -98,11 +81,8 @@ impl SpanKind {
         match self {
             SpanKind::Compute => '#',
             SpanKind::Entry => '+',
-            SpanKind::Preprocess => 'p',
-            SpanKind::Postprocess => 'q',
             SpanKind::Fetch => 'F',
             SpanKind::Evict => 'E',
-            SpanKind::QueueWait => 'w',
             SpanKind::BlockWait => 'b',
             SpanKind::Idle => '.',
             SpanKind::Degraded => 'D',
@@ -193,10 +173,7 @@ mod tests {
         for k in [
             SpanKind::Fetch,
             SpanKind::Evict,
-            SpanKind::QueueWait,
             SpanKind::BlockWait,
-            SpanKind::Preprocess,
-            SpanKind::Postprocess,
             SpanKind::Degraded,
             SpanKind::Checkpoint,
             SpanKind::Restore,

@@ -203,7 +203,7 @@ mod tests {
                     lane: LaneId::worker(0),
                     spans: vec![
                         span(SpanKind::Compute, 0, 60),
-                        span(SpanKind::QueueWait, 60, 80),
+                        span(SpanKind::BlockWait, 60, 80),
                         span(SpanKind::Idle, 80, 100),
                     ],
                 },
@@ -228,7 +228,7 @@ mod tests {
         let s = sample_trace().summarize();
         assert_eq!(s.total.get(SpanKind::Compute), 60);
         assert_eq!(s.total.get(SpanKind::Fetch), 40);
-        assert_eq!(s.total.overhead_ns(), 60); // 20 qwait + 40 fetch
+        assert_eq!(s.total.overhead_ns(), 60); // 20 bwait + 40 fetch
         assert_eq!(s.total.total_ns(), 140);
         let w = &s.lanes[0];
         assert_eq!(w.span_count, 3);

@@ -10,7 +10,7 @@
 
 use hetrt::core::{OocConfig, Placement, StrategyKind};
 use hetrt::hetmem::Topology;
-use hetrt::kernels::stencil::{run_stencil, run_stencil_blocks, StencilConfig};
+use hetrt::kernels::stencil::{run_stencil, StencilConfig, StencilDriver};
 
 /// Serial reference: same block decomposition, same 7-point Jacobi
 /// update, Neumann (own-value) domain boundaries — executed
@@ -120,7 +120,10 @@ fn base_cfg() -> StencilConfig {
 #[test]
 fn baseline_matches_serial_reference_cell_for_cell() {
     let cfg = base_cfg();
-    let got = run_stencil_blocks(&cfg);
+    let driver = StencilDriver::new(cfg.clone());
+    driver.run(None).unwrap();
+    let got = driver.block_contents();
+    driver.shutdown();
     let want = reference_full(&cfg);
     for (b, (g, w)) in got.iter().zip(&want).enumerate() {
         for (j, (gv, wv)) in g.iter().zip(w).enumerate() {
