@@ -44,7 +44,6 @@ pub(crate) trait ArrayDispatch: Send + Sync {
     fn deps_of(&self, env: &Envelope) -> Vec<Dep>;
     fn home_pe(&self, index: ChareIndex) -> usize;
     fn entry_options(&self, entry: EntryId) -> EntryOptions;
-    fn count(&self) -> usize;
 }
 
 /// A registered array of chares of type `C`.
@@ -112,10 +111,6 @@ impl<C: Chare> ArrayDispatch for ChareArray<C> {
 
     fn entry_options(&self, entry: EntryId) -> EntryOptions {
         self.entries.get(&entry).copied().unwrap_or_default()
-    }
-
-    fn count(&self) -> usize {
-        self.chares.len()
     }
 }
 

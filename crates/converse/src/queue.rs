@@ -3,6 +3,7 @@
 //! "Tasks are picked up in FIFO order from the run queue and scheduled"
 //! (§IV-B). Each PE owns one [`RunQueue`]; worker loops park on the
 //! queue's condvar when it is empty and record the park time as idle.
+//! A push notifies only when a worker is actually parked.
 
 use crate::envelope::Envelope;
 use parking_lot::{Condvar, Mutex};
@@ -20,6 +21,8 @@ pub enum Pop {
 struct State {
     queue: VecDeque<Envelope>,
     shutdown: bool,
+    /// Poppers parked on the condvar.
+    sleepers: usize,
 }
 
 /// A FIFO queue of envelopes with condvar parking.
@@ -35,21 +38,15 @@ impl RunQueue {
         Self::default()
     }
 
-    /// Enqueue at the back.
+    /// Enqueue at the back, waking a parked popper if there is one.
     pub fn push(&self, env: Envelope) {
         let mut s = self.state.lock();
         s.queue.push_back(env);
+        let wake = s.sleepers > 0;
         drop(s);
-        self.cv.notify_one();
-    }
-
-    /// Enqueue at the front (used to resume a deferred message with
-    /// priority; Charm++ has similar high-priority delivery).
-    pub fn push_front(&self, env: Envelope) {
-        let mut s = self.state.lock();
-        s.queue.push_front(env);
-        drop(s);
-        self.cv.notify_one();
+        if wake {
+            self.cv.notify_one();
+        }
     }
 
     /// Blocking pop: waits until work arrives or shutdown is signalled.
@@ -63,13 +60,10 @@ impl RunQueue {
             if s.shutdown {
                 return Pop::Shutdown;
             }
+            s.sleepers += 1;
             self.cv.wait(&mut s);
+            s.sleepers -= 1;
         }
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<Envelope> {
-        self.state.lock().queue.pop_front()
     }
 
     /// Signal shutdown; wakes all waiters.
@@ -117,17 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn push_front_takes_priority() {
-        let q = RunQueue::new();
-        q.push(env(1));
-        q.push_front(env(9));
-        match q.pop() {
-            Pop::Work(e) => assert_eq!(e.index, 9),
-            Pop::Shutdown => panic!(),
-        }
-    }
-
-    #[test]
     fn shutdown_drains_then_reports() {
         let q = RunQueue::new();
         q.push(env(5));
@@ -155,8 +138,41 @@ mod tests {
         assert!(q.is_empty());
         q.push(env(0));
         assert_eq!(q.len(), 1);
-        let _ = q.try_pop();
+        assert!(matches!(q.pop(), Pop::Work(_)));
         assert!(q.is_empty());
-        assert!(q.try_pop().is_none());
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_across_many_handoffs() {
+        // Ping-pong between two queues: each hand-off lands on a popper
+        // that has usually just parked, so a push that skipped a needed
+        // notify would wedge the exchange.
+        const N: usize = 100_000;
+        let (ping, pong) = (Arc::new(RunQueue::new()), Arc::new(RunQueue::new()));
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            std::thread::spawn(move || {
+                while let Pop::Work(e) = ping.pop() {
+                    pong.push(e);
+                }
+            })
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            for i in 0..N {
+                ping.push(env(i));
+                match pong.pop() {
+                    Pop::Work(e) => assert_eq!(e.index, i),
+                    Pop::Shutdown => panic!("unexpected shutdown"),
+                }
+            }
+            ping.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("hand-offs wedged: a wake-up was lost");
+        driver.join().unwrap();
+        echo.join().unwrap();
     }
 }

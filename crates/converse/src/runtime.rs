@@ -6,13 +6,18 @@
 //! diverted to the installed [`SchedulerHook`] (§IV-B); everything else
 //! executes directly. Admitted messages trigger the hook's
 //! post-processing after execution.
+//!
+//! Nothing on the per-envelope path takes a shared lock: the array
+//! table is append-only with lock-free lookups, each worker caches the
+//! hook and re-reads it only when the hook epoch moves, and the pause
+//! gate is an atomic flag that is locked only while paused.
 
 use crate::array::{ArrayBuilder, ArrayDispatch, ChareArray, Mapping};
 use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 use crate::hook::{ExecutedTask, SchedulerHook};
 use crate::queue::{Pop, RunQueue};
-use hetmem::{Clock, MonotonicClock};
-use parking_lot::{Condvar, Mutex, RwLock};
+use hetmem::{AppendTable, Clock, MonotonicClock};
+use parking_lot::{Condvar, Mutex};
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::any::Any;
 use std::collections::HashMap;
@@ -122,14 +127,15 @@ impl RuntimeBuilder {
             queues,
             clock,
             collector,
-            arrays: RwLock::new(Vec::new()),
-            array_objects: RwLock::new(Vec::new()),
-            hook: RwLock::new(None),
+            arrays: AppendTable::new(),
+            hook: Mutex::new(None),
+            hook_epoch: AtomicU64::new(0),
             sent: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             threads: Mutex::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
-            paused: Mutex::new(false),
+            paused: AtomicBool::new(false),
+            pause_gate: Mutex::new(()),
             pause_cv: Condvar::new(),
         });
         let mut threads = rt.threads.lock();
@@ -148,21 +154,62 @@ impl RuntimeBuilder {
     }
 }
 
+/// One registered chare array: the scheduler's type-erased view and
+/// the typed object behind it (the same allocation).
+struct ArrayEntry {
+    dispatch: Arc<dyn ArrayDispatch>,
+    object: Arc<dyn Any + Send + Sync>,
+}
+
 /// The message-driven runtime.
 pub struct Runtime {
     pes: usize,
     queues: Vec<Arc<RunQueue>>,
     clock: Arc<dyn Clock>,
     collector: Arc<TraceCollector>,
-    arrays: RwLock<Vec<Arc<dyn ArrayDispatch>>>,
-    array_objects: RwLock<Vec<Arc<dyn Any + Send + Sync>>>,
-    hook: RwLock<Option<Arc<dyn SchedulerHook>>>,
+    arrays: AppendTable<ArrayEntry>,
+    /// The installed hook. Workers read it through a [`HookCache`], so
+    /// this lock is taken only when `hook_epoch` moves.
+    hook: Mutex<Option<Arc<dyn SchedulerHook>>>,
+    /// Bumped (Release) after every change of `hook` (install,
+    /// shutdown); a worker that reads a new epoch (Acquire) re-reads
+    /// the slot.
+    hook_epoch: AtomicU64,
     sent: AtomicU64,
     processed: AtomicU64,
     threads: Mutex<Vec<JoinHandle<()>>>,
     shutting_down: AtomicBool,
-    paused: Mutex<bool>,
+    /// The pause gate; `pause_gate` and `pause_cv` park workers only
+    /// while it is closed.
+    paused: AtomicBool,
+    pause_gate: Mutex<()>,
     pause_cv: Condvar,
+}
+
+/// A worker's copy of the installed hook, refreshed when the runtime's
+/// hook epoch moves. The copy dies with the worker thread, so joining
+/// the workers and clearing the slot breaks the runtime↔hook cycle.
+struct HookCache {
+    epoch: u64,
+    hook: Option<Arc<dyn SchedulerHook>>,
+}
+
+impl HookCache {
+    fn new() -> Self {
+        Self {
+            epoch: 0,
+            hook: None,
+        }
+    }
+
+    fn get(&mut self, rt: &Runtime) -> Option<&Arc<dyn SchedulerHook>> {
+        let epoch = rt.hook_epoch.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.hook = rt.installed_hook();
+            self.epoch = epoch;
+        }
+        self.hook.as_ref()
+    }
 }
 
 impl Runtime {
@@ -181,10 +228,20 @@ impl Runtime {
         &self.collector
     }
 
-    /// Install the memory-aware scheduler hook. Must happen before any
-    /// `[prefetch]` message is sent.
+    /// Install the memory-aware scheduler hook, once. Must happen
+    /// before any `[prefetch]` message is sent. Panics if a hook is
+    /// already installed.
     pub fn set_hook(&self, hook: Arc<dyn SchedulerHook>) {
-        *self.hook.write() = Some(hook);
+        let mut slot = self.hook.lock();
+        assert!(slot.is_none(), "a scheduler hook is already installed");
+        *slot = Some(hook);
+        drop(slot);
+        self.hook_epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// The installed hook, cloned out of its slot (off the hot path).
+    fn installed_hook(&self) -> Option<Arc<dyn SchedulerHook>> {
+        self.hook.lock().clone()
     }
 
     /// Register a chare array (usually via [`ArrayBuilder`]).
@@ -195,16 +252,21 @@ impl Runtime {
         count: usize,
         factory: impl FnMut(usize) -> C,
     ) -> ArrayId {
-        let mut arrays = self.arrays.write();
-        let id = ArrayId(arrays.len() as u32);
-        let array = Arc::new(ChareArray::<C>::new(
-            id, count, mapping, self.pes, entries, factory,
-        ));
-        arrays.push(array.clone() as Arc<dyn ArrayDispatch>);
-        self.array_objects
-            .write()
-            .push(array as Arc<dyn Any + Send + Sync>);
-        id
+        let id = self.arrays.push_with(|id| {
+            let array = Arc::new(ChareArray::<C>::new(
+                ArrayId(id as u32),
+                count,
+                mapping,
+                self.pes,
+                entries,
+                factory,
+            ));
+            ArrayEntry {
+                dispatch: Arc::clone(&array) as Arc<dyn ArrayDispatch>,
+                object: array,
+            }
+        });
+        ArrayId(id as u32)
     }
 
     /// Fluent array registration.
@@ -214,14 +276,19 @@ impl Runtime {
 
     /// Typed view of a registered array (setup / result inspection).
     pub fn array<C: Chare>(&self, id: ArrayId) -> Arc<ChareArray<C>> {
-        self.array_objects.read()[id.0 as usize]
-            .clone()
+        Arc::clone(&self.entry(id).object)
             .downcast::<ChareArray<C>>()
             .expect("array type mismatch")
     }
 
-    fn dispatch(&self, id: ArrayId) -> Arc<dyn ArrayDispatch> {
-        self.arrays.read()[id.0 as usize].clone()
+    fn entry(&self, id: ArrayId) -> &ArrayEntry {
+        self.arrays
+            .get(id.0 as usize)
+            .unwrap_or_else(|| panic!("unregistered array {id:?}"))
+    }
+
+    fn dispatch(&self, id: ArrayId) -> &dyn ArrayDispatch {
+        &*self.entry(id).dispatch
     }
 
     /// Send a message to a chare's entry method. The envelope lands on
@@ -256,11 +323,6 @@ impl Runtime {
         (0..self.pes)
             .min_by_key(|&pe| self.queues[pe].len())
             .unwrap_or(0)
-    }
-
-    /// Number of chares in an array.
-    pub fn array_len(&self, array: ArrayId) -> usize {
-        self.dispatch(array).count()
     }
 
     /// Home PE of a chare.
@@ -310,7 +372,7 @@ impl Runtime {
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
         let mut backoff = BACKOFF_START;
         loop {
-            let hook_pending = self.hook.read().as_ref().map_or(0, |h| h.pending());
+            let hook_pending = self.installed_hook().map_or(0, |h| h.pending());
             let queued: usize = self.queues.iter().map(|q| q.len()).sum();
             let processed = self.processed_count();
             let sent = self.sent_count();
@@ -319,7 +381,7 @@ impl Runtime {
                 std::thread::sleep(std::time::Duration::from_micros(300));
                 let stable = self.processed_count() == self.sent_count()
                     && self.queues.iter().all(|q| q.is_empty())
-                    && self.hook.read().as_ref().map_or(0, |h| h.pending()) == 0;
+                    && self.installed_hook().map_or(0, |h| h.pending()) == 0;
                 if stable {
                     return true;
                 }
@@ -344,35 +406,45 @@ impl Runtime {
     /// gate then guarantees nothing starts executing while the
     /// snapshot reads block payloads.
     pub fn pause(&self) {
-        *self.paused.lock() = true;
-        if let Some(h) = self.hook.read().as_ref() {
+        self.set_paused(true);
+        if let Some(h) = self.installed_hook() {
             h.on_pause();
         }
     }
 
     /// Lift the [`Runtime::pause`] gate and wake the PE workers.
     pub fn resume(&self) {
-        {
-            let mut paused = self.paused.lock();
-            *paused = false;
-            self.pause_cv.notify_all();
-        }
-        if let Some(h) = self.hook.read().as_ref() {
+        self.set_paused(false);
+        if let Some(h) = self.installed_hook() {
             h.on_resume();
+        }
+    }
+
+    /// Close or open the pause gate. The flag changes under the gate
+    /// lock, so a worker checking it in [`Runtime::pause_point`] cannot
+    /// miss the wake-up.
+    fn set_paused(&self, paused: bool) {
+        let _gate = self.pause_gate.lock();
+        self.paused.store(paused, Ordering::Release);
+        if !paused {
+            self.pause_cv.notify_all();
         }
     }
 
     /// Whether the pause gate is currently closed.
     pub fn is_paused(&self) -> bool {
-        *self.paused.lock()
+        self.paused.load(Ordering::Acquire)
     }
 
     /// Block while the pause gate is closed (worker threads call this
-    /// between envelopes).
+    /// between envelopes). An open gate costs one atomic load.
     fn pause_point(&self) {
-        let mut paused = self.paused.lock();
-        while *paused {
-            self.pause_cv.wait(&mut paused);
+        if !self.is_paused() {
+            return;
+        }
+        let mut gate = self.pause_gate.lock();
+        while self.is_paused() {
+            self.pause_cv.wait(&mut gate);
         }
     }
 
@@ -382,11 +454,7 @@ impl Runtime {
             return;
         }
         // A paused runtime must wake its workers or the join wedges.
-        {
-            let mut paused = self.paused.lock();
-            *paused = false;
-            self.pause_cv.notify_all();
-        }
+        self.set_paused(false);
         for q in &self.queues {
             q.shutdown();
         }
@@ -395,8 +463,10 @@ impl Runtime {
             let _ = t.join();
         }
         drop(threads);
-        // Break the runtime↔hook reference cycle so both can drop.
-        *self.hook.write() = None;
+        // Break the runtime↔hook reference cycle so both can drop: the
+        // workers' cached copies died with them, this is the last one.
+        *self.hook.lock() = None;
+        self.hook_epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -410,6 +480,7 @@ impl Drop for Runtime {
 }
 
 fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
+    let mut hooks = HookCache::new();
     loop {
         let idle_start = rt.clock.now();
         match rt.queues[pe].pop() {
@@ -420,20 +491,19 @@ fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
                 if now > idle_start {
                     tracer.record(SpanKind::Idle, idle_start, now, pe as u32);
                 }
-                process(&rt, pe, env, &tracer);
+                process(&rt, pe, env, &tracer, &mut hooks);
             }
         }
     }
 }
 
-fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Arc<Tracer>) {
+fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Tracer, hooks: &mut HookCache) {
     let dispatch = rt.dispatch(env.array);
     let opts = dispatch.entry_options(env.entry);
 
     // §IV-B interception: unadmitted [prefetch] messages go to the hook.
     if opts.prefetch && !env.admitted {
-        let hook = rt.hook.read().clone();
-        if let Some(hook) = hook {
+        if let Some(hook) = hooks.get(rt) {
             hook.on_intercept(pe, env);
             return;
         }
@@ -457,18 +527,14 @@ fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Arc<Tracer>) {
     // Admitted tasks execute inside the hook's begin/end bracket so
     // task-scoped analyses (hetcheck) can attribute block accesses to
     // the running task's token on this worker thread.
-    let hook = if was_admitted {
-        rt.hook.read().clone()
-    } else {
-        None
-    };
-    if let Some(hook) = &hook {
+    let hook = if was_admitted { hooks.get(rt) } else { None };
+    if let Some(hook) = hook {
         hook.on_execute_begin(pe, &env);
     }
     let t0 = rt.clock.now();
     dispatch.execute(env, rt, pe);
     let t1 = rt.clock.now();
-    if let Some(hook) = &hook {
+    if let Some(hook) = hook {
         hook.on_execute_end(pe, &done);
     }
     tracer.record(kind, t0, t1, done.index as u32);
@@ -698,7 +764,6 @@ mod tests {
             "{elapsed:?}"
         );
         assert!(elapsed < std::time::Duration::from_secs(2), "{elapsed:?}");
-        *rt.hook.write() = None;
         rt.shutdown();
     }
 
@@ -792,7 +857,6 @@ mod tests {
         rt.resume();
         assert_eq!(spy.pauses.load(Ordering::SeqCst), 1);
         assert_eq!(spy.resumes.load(Ordering::SeqCst), 1);
-        *rt.hook.write() = None;
         rt.shutdown();
     }
 

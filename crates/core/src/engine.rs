@@ -139,6 +139,23 @@ impl FetchEngine {
         }
     }
 
+    /// Roll back a refused admission: release the task's references
+    /// and evict its unreferenced blocks, as after a completion.
+    /// Returns whether the task held the last reference to a block that
+    /// was not in DDR4 — HBM space it pinned during the attempt, which
+    /// a concurrent admission may have been refused for.
+    pub(crate) fn roll_back(&self, deps: &[Dep], tracer: &Tracer, tag: u32) -> bool {
+        let registry = self.mem.registry();
+        let mut unpinned = false;
+        for d in deps {
+            if registry.release_ref(d.block) == 0 {
+                unpinned |= registry.node_of(d.block) != Some(self.config.ddr);
+            }
+        }
+        self.evict_unreferenced(deps, tracer, tag);
+        unpinned
+    }
+
     /// Bring every dependence of a task into HBM. Returns `Ok(())` when
     /// all blocks are resident in HBM; `Err(NoSpace)` if capacity ran
     /// out part-way (already-fetched blocks stay resident — the paper's

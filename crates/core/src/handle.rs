@@ -125,7 +125,7 @@ impl<T: Pod> IoHandle<T> {
     /// Checked access for a kernel. The returned guard pins residency
     /// and enforces reader/writer discipline; use
     /// [`hetmem::AccessGuard::as_slice`] / `as_mut_slice` for the data.
-    pub fn access(&self, mode: AccessMode) -> hetmem::block::AccessGuard {
+    pub fn access(&self, mode: AccessMode) -> hetmem::block::AccessGuard<'_> {
         self.mem.registry().access(self.block, mode)
     }
 

@@ -364,4 +364,60 @@ mod tests {
         ooc.shutdown();
         ooc.shutdown();
     }
+
+    #[test]
+    fn shutdown_and_drop_free_the_runtime_and_memory() {
+        use crate::{IoHandle, Placement};
+        use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx};
+        use hetmem::{AccessMode, DDR4, HBM};
+
+        struct Touch {
+            data: IoHandle<f64>,
+            latch: Arc<CompletionLatch>,
+        }
+        impl Chare for Touch {
+            type Msg = ();
+            fn execute(&mut self, _e: EntryId, _m: (), _c: &mut ExecCtx<'_>) {
+                self.data.write(|xs| xs[0] += 1.0);
+                self.latch.count_down();
+            }
+            fn deps(&self, _e: EntryId, _m: &()) -> Vec<Dep> {
+                vec![self.data.dep(AccessMode::ReadWrite)]
+            }
+        }
+
+        for strategy in [StrategyKind::SyncFetch, StrategyKind::multi_io(2)] {
+            let mem = Memory::new(Topology::knl_flat_scaled_with(8 << 10, 1 << 24));
+            let ooc = OocRuntime::new(Arc::clone(&mem), 2, strategy, OocConfig::default());
+            let latch = Arc::new(CompletionLatch::new(16));
+            let blocks: Vec<IoHandle<f64>> = (0..4)
+                .map(|i| {
+                    IoHandle::new(&mem, 512, Placement::DdrOnly, HBM, DDR4, format!("t{i}"))
+                        .unwrap()
+                })
+                .collect();
+            let l2 = Arc::clone(&latch);
+            let array = ooc
+                .runtime()
+                .array_builder::<Touch>()
+                .entry(EntryId(0), EntryOptions::prefetch())
+                .build(4, move |i| Touch {
+                    data: blocks[i].clone(),
+                    latch: Arc::clone(&l2),
+                });
+            for i in 0..16 {
+                ooc.runtime().send(array, i % 4, EntryId(0), ());
+            }
+            assert!(latch.wait_timeout_ms(30_000), "{strategy:?}");
+            assert!(ooc.wait_quiescence_ms(10_000), "{strategy:?}");
+            let (rt, mem_weak) = (Arc::downgrade(ooc.runtime()), Arc::downgrade(&mem));
+            drop(mem);
+            ooc.shutdown();
+            drop(ooc);
+            // The hook holds the runtime and the runtime held the hook;
+            // shutdown broke that cycle, so nothing keeps either alive.
+            assert!(rt.upgrade().is_none(), "{strategy:?}: runtime leaked");
+            assert!(mem_weak.upgrade().is_none(), "{strategy:?}: memory leaked");
+        }
+    }
 }

@@ -114,6 +114,23 @@ impl StatCells {
     pub(crate) fn bump_restore(&self) {
         self.restores.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// [`OocStats::in_flight`] from the three counters it needs, without
+    /// a full snapshot (quiescence polls this).
+    pub(crate) fn in_flight(&self) -> u64 {
+        in_flight(
+            self.intercepted.load(Ordering::Relaxed),
+            self.completed.load(Ordering::Relaxed),
+            self.rejected_tasks.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// Tasks intercepted but neither completed nor rejected.
+fn in_flight(intercepted: u64, completed: u64, rejected: u64) -> u64 {
+    intercepted
+        .saturating_sub(completed)
+        .saturating_sub(rejected)
 }
 
 /// Point-in-time statistics of the memory-aware runtime.
@@ -171,9 +188,7 @@ impl OocStats {
     /// intercepted but will never run — they are not outstanding work,
     /// and quiescence must not wait on them.
     pub fn in_flight(&self) -> u64 {
-        self.intercepted
-            .saturating_sub(self.completed)
-            .saturating_sub(self.rejected_tasks)
+        in_flight(self.intercepted, self.completed, self.rejected_tasks)
     }
 
     /// Mean wait-queue delay per admitted task, in milliseconds.
@@ -252,6 +267,10 @@ mod tests {
         c.bump_intercepted();
         c.bump_completed();
         assert_eq!(c.snapshot().in_flight(), 1);
+        assert_eq!(c.in_flight(), 1);
+        c.bump_intercepted();
+        c.bump_rejected();
+        assert_eq!(c.in_flight(), 1);
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         };
         if let Some(old) = occupant {
             // Write the victim back to DDR4 (demand eviction).
-            match evict_block(shared, old, &tracer, tag) {
+            match evict_block(shared, old, tracer, tag) {
                 Ok(()) => {
                     cache.conflict_evictions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -126,7 +126,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         // Fill on the critical path (cache mode has no prefetch).
         match shared
             .engine
-            .fetch_all(std::slice::from_ref(dep), &tracer, tag)
+            .fetch_all(std::slice::from_ref(dep), tracer, tag)
         {
             Ok(()) => {
                 cache.misses.fetch_add(1, Ordering::Relaxed);

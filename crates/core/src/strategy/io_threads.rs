@@ -344,10 +344,10 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
                 Ok(()) => {
                     made_progress = true;
                 }
-                Err(task) => {
+                Err(refused) => {
                     // HBM is full: put the task back at the head and go
                     // to sleep until a completion evicts something.
-                    shared.waitq.push_front(task);
+                    shared.waitq.push_front(refused.task);
                     blocked = true;
                     break;
                 }

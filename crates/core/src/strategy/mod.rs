@@ -33,7 +33,7 @@ use converse::{EntryId, Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
 use hetmem::Memory;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A task refused by the admission guard under
@@ -55,6 +55,14 @@ pub struct RejectedTask {
     pub capacity: u64,
 }
 
+/// A task [`Shared::try_admit`] found no space for, handed back.
+pub(crate) struct Refused {
+    pub task: OocTask,
+    /// The rollback unpinned HBM space (see [`FetchEngine::roll_back`])
+    /// and bumped [`Shared::released`] for it.
+    pub unpinned: bool,
+}
+
 /// State shared by every strategy flavour.
 pub(crate) struct Shared {
     pub rt: Arc<Runtime>,
@@ -63,18 +71,24 @@ pub(crate) struct Shared {
     pub waitq: Arc<WaitQueues>,
     pub stats: Arc<StatCells>,
     pub collector: Arc<TraceCollector>,
+    /// Worker-lane tracers, one per PE, taken from the collector once.
+    worker_tracers: Vec<Arc<Tracer>>,
     pub node_level_run_queue: bool,
     /// Attached hetcheck checker: receives task admission/completion
     /// events and brackets entry-method execution with a sanitizer
     /// scope. Block-level events reach it separately, as the block
     /// registry's observer.
     pub checker: Option<Arc<Checker>>,
-    /// Serialises the "failed admit → park in wait queue" decision
-    /// against the "evict → rescan wait queues" step of strategies
-    /// without a backstop thread (SyncFetch). Without it the last
-    /// completion's rescan can miss a task parked a moment later and
-    /// strand it forever. Fetches themselves run outside this lock.
+    /// Orders SyncFetch's "failed admit → park in wait queue" decision
+    /// against a completion's wait-queue scan (see `sync_fetch`). Held
+    /// only around the park and as a barrier; never across a fetch.
     pub admission: parking_lot::Mutex<()>,
+    /// Counts events that can make a refused task fit: completions
+    /// (after their eviction) and refused admissions whose rollback
+    /// unpinned HBM space. SyncFetch retries or rescans when it moves.
+    /// Bumped with Release after the space is freed and read with
+    /// Acquire, so an attempt that reads a bump sees the freed space.
+    pub released: AtomicU64,
     /// Structured records of tasks refused by the admission guard
     /// (see [`RejectedTask`]).
     pub rejected: parking_lot::Mutex<Vec<RejectedTask>>,
@@ -86,8 +100,8 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Worker-lane tracer for `pe`.
-    pub fn worker_tracer(&self, pe: usize) -> Arc<Tracer> {
-        self.collector.tracer(LaneId::worker(pe as u32))
+    pub fn worker_tracer(&self, pe: usize) -> &Tracer {
+        &self.worker_tracers[pe]
     }
 
     /// Wrap an intercepted envelope as an [`OocTask`].
@@ -103,12 +117,13 @@ impl Shared {
     }
 
     /// Reference, fetch and (on success) admit a task. On `NoSpace` the
-    /// references are released, the task's own already-fetched blocks
-    /// are evicted back (so a stalled fetch cannot strand HBM
-    /// capacity), and the task is returned to the caller. A fetch whose
-    /// transient-fault retry budget is exhausted degrades instead of
-    /// failing: the task runs from DDR4 rather than wedging its queue.
-    pub fn try_admit(&self, task: OocTask, tracer: &Tracer) -> Result<(), OocTask> {
+    /// attempt is rolled back — references released, the task's own
+    /// already-fetched blocks evicted back, so a stalled fetch cannot
+    /// strand HBM capacity — and the task is returned to the caller. A
+    /// fetch whose transient-fault retry budget is exhausted degrades
+    /// instead of failing: the task runs from DDR4 rather than wedging
+    /// its queue.
+    pub fn try_admit(&self, task: OocTask, tracer: &Tracer) -> Result<(), Refused> {
         let tag = task.env.index as u32;
         let t0 = self.rt.clock().now();
         self.engine.add_refs(&task.deps);
@@ -118,9 +133,11 @@ impl Shared {
                 Ok(())
             }
             Err(FetchError::NoSpace) => {
-                self.engine.release_refs(&task.deps);
-                self.engine.evict_unreferenced(&task.deps, tracer, tag);
-                Err(task)
+                let unpinned = self.engine.roll_back(&task.deps, tracer, tag);
+                if unpinned {
+                    self.released.fetch_add(1, Ordering::AcqRel);
+                }
+                Err(Refused { task, unpinned })
             }
             Err(FetchError::Exhausted { .. }) => {
                 // Refs stay held; any deps that did land in HBM are
@@ -242,7 +259,8 @@ impl Shared {
         let tracer = self.worker_tracer(done.pe);
         self.engine.release_refs(&deps);
         self.engine
-            .evict_unreferenced(&deps, &tracer, done.index as u32);
+            .evict_unreferenced(&deps, tracer, done.index as u32);
+        self.released.fetch_add(1, Ordering::AcqRel);
         // Count the task completed only after its eviction finished, so
         // quiescence covers the whole post-processing step.
         self.stats.bump_completed();
@@ -319,14 +337,19 @@ impl OocHook {
             io_threads.max(1),
         ));
         let collector = Arc::clone(rt.collector());
+        let worker_tracers = (0..rt.pes())
+            .map(|pe| collector.tracer(LaneId::worker(pe as u32)))
+            .collect();
         let shared = Arc::new(Shared {
             engine: FetchEngine::new(mem, config, Arc::clone(&stats)),
             tasks: TaskRegistry::new(),
             waitq,
             stats,
             collector,
+            worker_tracers,
             node_level_run_queue: config.node_level_run_queue,
             admission: parking_lot::Mutex::new(()),
+            released: AtomicU64::new(0),
             rejected: parking_lot::Mutex::new(Vec::new()),
             paused: AtomicBool::new(false),
             checker,
@@ -427,7 +450,7 @@ impl SchedulerHook for OocHook {
             match self.shared.engine.config().oversize_policy {
                 OversizePolicy::Degrade => {
                     let tracer = self.shared.worker_tracer(pe);
-                    self.shared.admit_degraded(task, &tracer);
+                    self.shared.admit_degraded(task, tracer);
                 }
                 OversizePolicy::Reject => self.shared.reject(task, needed, capacity),
             }
@@ -469,7 +492,7 @@ impl SchedulerHook for OocHook {
     }
 
     fn pending(&self) -> usize {
-        self.shared.stats.snapshot().in_flight() as usize
+        self.shared.stats.in_flight() as usize
     }
 
     fn on_pause(&self) {

@@ -14,39 +14,60 @@
 //! full cost lands in the task's critical path — the ~20 ms
 //! pre-processing stalls visible in the paper's Figure 6a. The upside
 //! over a single IO thread is parallelism: every worker fetches its own
-//! data concurrently.
+//! data concurrently, and no lock is held across a fetch.
+//!
+//! # Admission protocol
+//!
+//! There is no backstop IO thread here, so a task parked in a wait
+//! queue is only ever admitted by some later completion's scan. Two
+//! pieces of shared state keep that from stranding a task:
+//!
+//! * `Shared::released` counts the events that can make a refused task
+//!   fit: every completion (bumped after its eviction) and every
+//!   refused admission whose rollback unpinned HBM space.
+//! * `Shared::admission` is a mutex held only around the decision to
+//!   park a freshly refused task, and taken (then dropped at once) by a
+//!   completion as a barrier before it scans. No fetch runs under it.
+//!
+//! An attempt "misses" a release if the release happens after the
+//! attempt read `released` but the attempt fails anyway. Both parking
+//! paths re-read `released` after failing and retry on any release
+//! other than their own rollback, so a refused task is parked only if
+//! nothing was released during its attempt, or if a scan that starts
+//! after the park will see it. See [`intercept`] and [`after_complete`]
+//! for the two halves of the argument.
 
 use super::Shared;
 use crate::task::OocTask;
+use std::sync::atomic::Ordering;
 
-/// Pre-processing on the worker thread.
+/// Pre-processing on the worker thread: fetch the task's data right
+/// here and admit it, or park it in its PE's wait queue.
 ///
-/// Parking a task that failed admission races against the *last*
-/// completion's wait-queue rescan: if the rescan runs between our
-/// failed fetch and our push, nobody ever wakes the task again (there
-/// is no backstop IO thread in this strategy). The admission lock plus
-/// the completion-counter check close that window — a completion that
-/// sneaks in between the failed fetch and the lock is detected and the
-/// fetch retried — while the fetch itself stays outside the lock so
-/// workers still fetch their own data concurrently (the point of this
-/// strategy over a single IO thread).
+/// A refused task is parked under the `admission` lock, and only if
+/// `released` has not moved (beyond this attempt's own rollback) since
+/// the attempt began; otherwise the attempt is retried with the freed
+/// space. A completion bumps `released` *before* its barrier on the
+/// same lock, so for every completion `C` racing this park, either the
+/// park's check sees `C`'s bump (and retries), or the park's critical
+/// section precedes `C`'s barrier and `C`'s scan finds the task.
 pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
     let tracer = shared.worker_tracer(task.pe);
     loop {
-        let completed = shared.stats.snapshot().completed;
+        let seen = shared.released.load(Ordering::Acquire);
         // Synchronous fetch: runs right here, on the PE's thread.
-        match shared.try_admit(task, &tracer) {
+        match shared.try_admit(task, tracer) {
             Ok(()) => return,
-            Err(t) => {
+            Err(refused) => {
+                task = refused.task;
                 let _gate = shared.admission.lock();
-                if shared.stats.snapshot().completed != completed {
-                    // A task completed (and evicted) since the failed
-                    // fetch began; its rescan may have already missed
+                if shared.released.load(Ordering::Acquire) != seen + u64::from(refused.unpinned) {
+                    // Space was released since the attempt began; the
+                    // scan that goes with it may already have missed
                     // us. Retry with the freed space.
-                    task = t;
                     continue;
                 }
-                shared.waitq.push(t);
+                shared.waitq.push(task);
                 return;
             }
         }
@@ -54,7 +75,8 @@ pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
 }
 
 /// Post-processing on the worker thread: after this task's eviction
-/// (done in `Shared::finish_task`), admit whatever now fits.
+/// (done in `Shared::finish_task`, which also bumped `released`), admit
+/// whatever now fits.
 ///
 /// The paper checks only the finishing task's own PE's wait queue. That
 /// is almost always sufficient (every PE continuously completes tasks),
@@ -63,28 +85,44 @@ pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
 /// *starting with* the finishing PE, and stop at the first queue head
 /// that does not fit — preserving the paper's behaviour in the common
 /// case while guaranteeing liveness.
+///
+/// The scan first takes `admission` as a barrier: a concurrent
+/// [`intercept`] that decided to park has parked by then, and one that
+/// decides later sees this completion's bump and retries instead.
+/// Scans then run concurrently with each other and with intercepts,
+/// fetching outside any lock, so a scan can find a queue empty or
+/// showing a later head while another scan holds its head out for an
+/// attempt. Such a holder re-parks a head that did not fit at the front
+/// and re-reads `released`: the queue lock orders the other scan's pop
+/// (which came after its bump) before the re-park, so the holder sees
+/// that release and rescans with its space. Likewise two attempts
+/// refused only because each pinned space the other needed both
+/// release it on rollback, and the one whose check comes second in the
+/// counter's order sees the other's bump and rescans. A scan that sees
+/// no foreign release since it began returns: any later release brings
+/// its own scan.
 pub(super) fn after_complete(shared: &Shared, pe: usize) {
-    // Taken after `finish_task` bumped `completed`, so a concurrent
-    // failed admission either sees the bump (and retries) or parked
-    // its task before we got the lock (and the scan below finds it).
-    let _gate = shared.admission.lock();
+    drop(shared.admission.lock());
     let nqueues = shared.waitq.queue_count();
+    let first = shared.waitq.queue_for_pe(pe);
     let tracer = shared.worker_tracer(pe);
-    for offset in 0..nqueues {
-        let q = (shared.waitq.queue_for_pe(pe) + offset) % nqueues;
-        // Drain this queue until a head does not fit.
-        loop {
-            let Some(task) = shared.waitq.pop(q) else {
-                break;
-            };
-            match shared.try_admit(task, &tracer) {
-                Ok(()) => continue,
-                Err(task) => {
-                    shared.waitq.push_front(task);
-                    return; // no space; later completions will retry
+    'scan: loop {
+        let seen = shared.released.load(Ordering::Acquire);
+        for offset in 0..nqueues {
+            let q = (first + offset) % nqueues;
+            // Drain this queue until a head does not fit.
+            while let Some(task) = shared.waitq.pop(q) {
+                if let Err(refused) = shared.try_admit(task, tracer) {
+                    shared.waitq.push_front(refused.task);
+                    let own = u64::from(refused.unpinned);
+                    if shared.released.load(Ordering::Acquire) != seen + own {
+                        continue 'scan;
+                    }
+                    return; // no space; later releases will retry
                 }
             }
         }
+        return;
     }
 }
 
@@ -263,5 +301,70 @@ mod tests {
         assert_eq!(stats.completed, n as u64);
         hook.shutdown();
         rt.shutdown();
+    }
+
+    #[test]
+    fn one_block_of_hbm_never_strands_a_parked_task() {
+        // HBM holds one block, so every admission but one is refused
+        // and four workers on this host's cores race to park, scan and
+        // re-park. A lost release would leave a task in a wait queue
+        // with nothing left to complete and rescan.
+        const PES: usize = 4;
+        const CHARES: usize = 64;
+        const SENDS: usize = 4;
+        let block_elems = 512usize;
+        let block_bytes = (block_elems * 8) as u64;
+        for run in 0..20 {
+            let topo = Topology::knl_flat_scaled_with(block_bytes, 1 << 24);
+            let mem = Memory::new(topo);
+            let rt = RuntimeBuilder::new(PES)
+                .clock(Arc::clone(mem.clock()))
+                .build();
+            let latch = Arc::new(CompletionLatch::new(CHARES * SENDS));
+            let handles: Vec<IoHandle<f64>> = (0..CHARES)
+                .map(|i| {
+                    IoHandle::new(
+                        &mem,
+                        block_elems,
+                        Placement::DdrOnly,
+                        HBM,
+                        DDR4,
+                        format!("b{i}"),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let (l2, hs) = (Arc::clone(&latch), handles.clone());
+            let array = rt
+                .array_builder::<Summer>()
+                .entry(EP_COMPUTE, EntryOptions::prefetch())
+                .build(CHARES, move |i| Summer {
+                    data: hs[i].clone(),
+                    latch: Arc::clone(&l2),
+                    sum: 0.0,
+                });
+            let hook = OocHook::new(
+                Arc::clone(&rt),
+                Arc::clone(&mem),
+                StrategyKind::SyncFetch,
+                OocConfig::default(),
+            )
+            .unwrap();
+            rt.set_hook(hook.clone());
+            for _ in 0..SENDS {
+                for i in 0..CHARES {
+                    rt.send(array, i, EP_COMPUTE, ());
+                }
+            }
+            assert!(latch.wait_timeout_ms(60_000), "run {run}: tasks stranded");
+            assert!(rt.wait_quiescence_ms(10_000), "run {run}: not quiescent");
+            let stats = hook.stats();
+            assert_eq!(stats.completed, (CHARES * SENDS) as u64, "run {run}");
+            assert_eq!(stats.in_flight(), 0, "run {run}");
+            assert!(hook.wait_queue_lengths().iter().all(|&n| n == 0));
+            assert!(mem.stats().nodes[HBM.index()].peak_used_bytes <= block_bytes);
+            hook.shutdown();
+            rt.shutdown();
+        }
     }
 }

@@ -26,33 +26,6 @@ pub struct OocTask {
     pub enqueued_at: u64,
 }
 
-impl OocTask {
-    /// Total bytes of dependences *not yet* resident on `node` — what a
-    /// fetch still has to move.
-    ///
-    /// Panics if a dependence names a block `registry` has never seen:
-    /// a dangling `BlockId` in a dep list is a wiring bug (the chare
-    /// declared a block from a different `Memory`, or one that was
-    /// never registered), and silently pricing it as "missing" would
-    /// wedge the fetch engine on an unfetchable task.
-    pub fn missing_bytes(&self, registry: &hetmem::BlockRegistry, node: hetmem::NodeId) -> u64 {
-        self.deps
-            .iter()
-            .inspect(|d| {
-                assert!(
-                    registry.contains(d.block),
-                    "dependence of chare {} names unregistered {:?} — \
-                     declared blocks must be registered with this runtime's Memory",
-                    self.env.index,
-                    d.block
-                );
-            })
-            .filter(|d| registry.node_of(d.block) != Some(node))
-            .map(|d| registry.size_of(d.block) as u64)
-            .sum()
-    }
-}
-
 impl std::fmt::Debug for OocTask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OocTask")
@@ -119,7 +92,6 @@ impl TaskRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use converse::{ArrayId, EntryId};
     use hetmem::{AccessMode, BlockId};
 
     fn dep(b: u32) -> Dep {
@@ -224,51 +196,5 @@ mod tests {
             assert!(reg.complete(tok).is_some());
         }
         assert_eq!(reg.in_flight(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "names unregistered")]
-    fn missing_bytes_rejects_unregistered_blocks() {
-        let topo = hetmem::Topology::knl_flat_scaled();
-        let mem = hetmem::Memory::new(topo);
-        let task = OocTask {
-            env: Envelope::new(ArrayId(0), 0, EntryId(0), Box::new(())),
-            deps: vec![Dep {
-                block: BlockId(999),
-                mode: AccessMode::ReadOnly,
-            }],
-            pe: 0,
-            enqueued_at: 0,
-        };
-        task.missing_bytes(mem.registry(), hetmem::HBM);
-    }
-
-    #[test]
-    fn missing_bytes_counts_non_resident_deps() {
-        let topo = hetmem::Topology::knl_flat_scaled();
-        let mem = hetmem::Memory::new(topo);
-        let on_ddr = mem
-            .registry()
-            .register(mem.alloc_on_node(100, hetmem::DDR4).unwrap(), "d");
-        let on_hbm = mem
-            .registry()
-            .register(mem.alloc_on_node(40, hetmem::HBM).unwrap(), "h");
-        let task = OocTask {
-            env: Envelope::new(ArrayId(0), 0, EntryId(0), Box::new(())),
-            deps: vec![
-                Dep {
-                    block: on_ddr,
-                    mode: AccessMode::ReadWrite,
-                },
-                Dep {
-                    block: on_hbm,
-                    mode: AccessMode::ReadOnly,
-                },
-            ],
-            pe: 0,
-            enqueued_at: 0,
-        };
-        assert_eq!(task.missing_bytes(mem.registry(), hetmem::HBM), 100);
-        assert_eq!(task.missing_bytes(mem.registry(), hetmem::DDR4), 40);
     }
 }

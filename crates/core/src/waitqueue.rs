@@ -12,14 +12,23 @@ use crate::task::OocTask;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
+/// A signal group's state: the generation counter bumped by every
+/// signal, and how many IO threads are parked waiting for it to move.
+#[derive(Default)]
+struct Signal {
+    generation: u64,
+    sleepers: usize,
+}
+
 /// A set of FIFO wait queues plus the condition variable IO threads
 /// sleep on.
 pub struct WaitQueues {
     topology: WaitQueueTopology,
     queues: Vec<Mutex<VecDeque<OocTask>>>,
     /// One condvar per IO-thread signal group; signalled on enqueue and
-    /// on eviction (both can unblock an IO thread).
-    signals: Vec<(Mutex<u64>, Condvar)>,
+    /// on eviction (both can unblock an IO thread). A signal always
+    /// bumps the generation but notifies only parked threads.
+    signals: Vec<(Mutex<Signal>, Condvar)>,
     shutdown: std::sync::atomic::AtomicBool,
 }
 
@@ -34,7 +43,7 @@ impl WaitQueues {
             topology,
             queues: (0..nqueues).map(|_| Mutex::new(VecDeque::new())).collect(),
             signals: (0..signal_groups.max(1))
-                .map(|_| (Mutex::new(0), Condvar::new()))
+                .map(|_| (Mutex::new(Signal::default()), Condvar::new()))
                 .collect(),
             shutdown: std::sync::atomic::AtomicBool::new(false),
         }
@@ -89,10 +98,13 @@ impl WaitQueues {
     /// Wake the IO thread responsible for signal group `group`.
     pub fn signal(&self, group: usize) {
         let (lock, cv) = &self.signals[group % self.signals.len()];
-        let mut gen = lock.lock();
-        *gen += 1;
-        drop(gen);
-        cv.notify_all();
+        let mut sig = lock.lock();
+        sig.generation += 1;
+        let wake = sig.sleepers > 0;
+        drop(sig);
+        if wake {
+            cv.notify_all();
+        }
     }
 
     /// Wake every IO thread.
@@ -102,36 +114,28 @@ impl WaitQueues {
         }
     }
 
-    /// Sleep until the group's signal generation moves past `seen` or
-    /// shutdown. Returns the new generation.
-    pub fn wait_signal(&self, group: usize, seen: u64) -> u64 {
-        let (lock, cv) = &self.signals[group % self.signals.len()];
-        let mut gen = lock.lock();
-        while *gen == seen && !self.is_shutdown() {
-            cv.wait(&mut gen);
-        }
-        *gen
-    }
-
-    /// Like [`WaitQueues::wait_signal`] but gives up after
-    /// `timeout_ms`. The timeout is a liveness backstop: even if a
-    /// wake-up signal is lost to a race, IO threads re-examine their
-    /// queues periodically.
+    /// Sleep until the group's signal generation moves past `seen`,
+    /// shutdown, or `timeout_ms` elapses. Returns the generation. The
+    /// timeout is a liveness backstop: IO threads re-examine their
+    /// queues periodically whatever the signals say.
     pub fn wait_signal_timeout(&self, group: usize, seen: u64, timeout_ms: u64) -> u64 {
         let (lock, cv) = &self.signals[group % self.signals.len()];
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        let mut gen = lock.lock();
-        while *gen == seen && !self.is_shutdown() {
-            if cv.wait_until(&mut gen, deadline).timed_out() {
+        let mut sig = lock.lock();
+        while sig.generation == seen && !self.is_shutdown() {
+            sig.sleepers += 1;
+            let timed_out = cv.wait_until(&mut sig, deadline).timed_out();
+            sig.sleepers -= 1;
+            if timed_out {
                 break;
             }
         }
-        *gen
+        sig.generation
     }
 
     /// Current signal generation for `group`.
     pub fn signal_generation(&self, group: usize) -> u64 {
-        *self.signals[group % self.signals.len()].0.lock()
+        self.signals[group % self.signals.len()].0.lock().generation
     }
 
     /// Tell IO threads to exit.
@@ -151,6 +155,7 @@ impl WaitQueues {
 mod tests {
     use super::*;
     use converse::{ArrayId, EntryId, Envelope};
+    use std::sync::Arc;
 
     fn task(pe: usize, tag: usize) -> OocTask {
         OocTask {
@@ -197,12 +202,16 @@ mod tests {
         assert_eq!(wq.pop(0).unwrap().env.index, 1);
     }
 
+    /// Far longer than any test waits: a waiter that returns wakes on
+    /// a signal or shutdown, not on the timeout.
+    const LONG_MS: u64 = 60_000;
+
     #[test]
     fn signals_wake_waiters() {
-        let wq = std::sync::Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 2, 2));
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 2, 2));
         let seen = wq.signal_generation(1);
-        let wq2 = std::sync::Arc::clone(&wq);
-        let h = std::thread::spawn(move || wq2.wait_signal(1, seen));
+        let wq2 = Arc::clone(&wq);
+        let h = std::thread::spawn(move || wq2.wait_signal_timeout(1, seen, LONG_MS));
         std::thread::sleep(std::time::Duration::from_millis(10));
         wq.signal(1);
         assert_eq!(h.join().unwrap(), seen + 1);
@@ -210,15 +219,69 @@ mod tests {
 
     #[test]
     fn shutdown_unblocks_waiters() {
-        let wq = std::sync::Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1, 1));
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1, 1));
         let seen = wq.signal_generation(0);
-        let wq2 = std::sync::Arc::clone(&wq);
+        let wq2 = Arc::clone(&wq);
         let h = std::thread::spawn(move || {
-            wq2.wait_signal(0, seen);
+            wq2.wait_signal_timeout(0, seen, LONG_MS);
             wq2.is_shutdown()
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
         wq.shutdown();
         assert!(h.join().unwrap());
+    }
+
+    #[test]
+    fn signals_bump_the_generation_without_sleepers() {
+        let wq = WaitQueues::new(WaitQueueTopology::PerPe, 1, 1);
+        let seen = wq.signal_generation(0);
+        wq.signal(0);
+        wq.signal(0);
+        assert_eq!(wq.signal_generation(0), seen + 2);
+        // A waiter arriving after the signals returns at once.
+        assert_eq!(wq.wait_signal_timeout(0, seen, LONG_MS), seen + 2);
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_across_many_handoffs() {
+        // Two groups ping-pong tasks: each hand-off pushes a task and
+        // signals a group whose thread has usually just parked, so a
+        // signal that skipped a needed notify would stall the exchange
+        // until the timeout.
+        const N: usize = 100_000;
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 2, 2));
+        let relay = |from: usize, to: usize, wq: Arc<WaitQueues>| {
+            move || {
+                let mut moved = 0;
+                while moved < N {
+                    let seen = wq.signal_generation(from);
+                    if let Some(mut t) = wq.pop(from) {
+                        t.pe = to;
+                        wq.push(t);
+                        wq.signal(to);
+                        moved += 1;
+                        continue;
+                    }
+                    wq.wait_signal_timeout(from, seen, LONG_MS);
+                }
+            }
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let a = std::thread::spawn(relay(0, 1, Arc::clone(&wq)));
+        let b = std::thread::spawn(relay(1, 0, Arc::clone(&wq)));
+        wq.push(task(0, 7));
+        wq.signal(0);
+        std::thread::spawn(move || {
+            a.join().unwrap();
+            b.join().unwrap();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("hand-offs wedged: a wake-up was lost");
+        assert_eq!(
+            wq.pop(0).expect("the task ends where it began").env.index,
+            7
+        );
     }
 }

@@ -16,11 +16,12 @@
 
 use crate::alloc::AlignedBuf;
 use crate::node::NodeId;
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::table::AppendTable;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -115,6 +116,9 @@ struct BlockMeta {
     writer: bool,
     last_touch: u64,
     label: String,
+    /// Threads parked on the slot's condvar; state changes notify only
+    /// when this is non-zero.
+    waiters: u32,
 }
 
 struct BlockSlot {
@@ -122,7 +126,25 @@ struct BlockSlot {
     cond: Condvar,
 }
 
-/// Passive observer of block lifecycle events, installed on a
+impl BlockSlot {
+    /// Park on the slot's condvar, counted in `waiters`.
+    fn wait(&self, m: &mut MutexGuard<'_, BlockMeta>) {
+        m.waiters += 1;
+        self.cond.wait(m);
+        m.waiters -= 1;
+    }
+
+    /// Release the slot lock and wake its waiters, if there are any.
+    fn unlock_and_notify(&self, m: MutexGuard<'_, BlockMeta>) {
+        let wake = m.waiters > 0;
+        drop(m);
+        if wake {
+            self.cond.notify_all();
+        }
+    }
+}
+
+/// Passive observer of block lifecycle events, installed once on a
 /// [`BlockRegistry`] via [`BlockRegistry::set_observer`].
 ///
 /// This is the attachment point for the `hetcheck` analysis passes
@@ -161,11 +183,13 @@ pub trait BlockObserver: Send + Sync {
     fn on_move_abort(&self, block: BlockId, node: NodeId) {}
 }
 
-/// The shared block metadata store.
+/// The shared block metadata store. Slots live in an append-only
+/// table and the observer is set once, so a registry op takes only the
+/// block's own slot lock.
 pub struct BlockRegistry {
-    slots: RwLock<Vec<Arc<BlockSlot>>>,
+    slots: AppendTable<BlockSlot>,
     touch_counter: AtomicU64,
-    observer: RwLock<Option<Arc<dyn BlockObserver>>>,
+    observer: OnceLock<Arc<dyn BlockObserver>>,
 }
 
 impl Default for BlockRegistry {
@@ -178,25 +202,26 @@ impl BlockRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self {
-            slots: RwLock::new(Vec::new()),
+            slots: AppendTable::new(),
             touch_counter: AtomicU64::new(0),
-            observer: RwLock::new(None),
+            observer: OnceLock::new(),
         }
     }
 
-    /// Install (or replace) the lifecycle observer. See
-    /// [`BlockObserver`] for the callback contract.
+    /// Install the lifecycle observer. See [`BlockObserver`] for the
+    /// callback contract. The observer is set once for the registry's
+    /// lifetime: installing the same observer again is a no-op, and
+    /// installing a different one panics.
     pub fn set_observer(&self, observer: Arc<dyn BlockObserver>) {
-        *self.observer.write() = Some(observer);
+        let installed = self.observer.get_or_init(|| Arc::clone(&observer));
+        assert!(
+            Arc::ptr_eq(installed, &observer),
+            "a different block observer is already installed"
+        );
     }
 
-    /// Remove the lifecycle observer, if any.
-    pub fn clear_observer(&self) {
-        *self.observer.write() = None;
-    }
-
-    fn observer(&self) -> Option<Arc<dyn BlockObserver>> {
-        self.observer.read().clone()
+    fn observer(&self) -> Option<&dyn BlockObserver> {
+        self.observer.get().map(|o| &**o)
     }
 
     /// Register a freshly allocated buffer as a tracked block.
@@ -212,35 +237,34 @@ impl BlockRegistry {
             writer: false,
             last_touch: 0,
             label: label.into(),
+            waiters: 0,
         };
-        let slot = Arc::new(BlockSlot {
+        let id = BlockId(self.slots.push(BlockSlot {
             meta: Mutex::new(meta),
             cond: Condvar::new(),
-        });
-        let mut slots = self.slots.write();
-        slots.push(slot);
-        let id = BlockId((slots.len() - 1) as u32);
-        drop(slots);
+        }) as u32);
         if let Some(obs) = self.observer() {
             obs.on_register(id, bytes, node);
         }
         id
     }
 
-    fn slot(&self, id: BlockId) -> Arc<BlockSlot> {
-        self.slots.read()[id.index()].clone()
+    fn slot(&self, id: BlockId) -> &BlockSlot {
+        self.slots
+            .get(id.index())
+            .unwrap_or_else(|| panic!("unregistered block {id}"))
     }
 
     /// Whether `id` names a registered block. Dependence lists that
     /// mention unknown ids are caller bugs; this is the cheap probe the
     /// error paths use before touching a slot.
     pub fn contains(&self, id: BlockId) -> bool {
-        id.index() < self.slots.read().len()
+        self.slots.get(id.index()).is_some()
     }
 
     /// Number of registered blocks.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots.len()
     }
 
     /// True if no blocks are registered.
@@ -299,8 +323,7 @@ impl BlockRegistry {
         if let Some(obs) = self.observer() {
             obs.on_release_ref(id, rc);
         }
-        drop(m);
-        slot.cond.notify_all();
+        slot.unlock_and_notify(m);
         rc
     }
 
@@ -346,7 +369,7 @@ impl BlockRegistry {
         // Wait out transient accessors; bail if the block becomes
         // referenced while we wait (a task got scheduled on it).
         while m.readers > 0 || m.writer {
-            slot.cond.wait(&mut m);
+            slot.wait(&mut m);
             if require_unreferenced && m.refcount > 0 {
                 return Err(crate::MemError::InvalidState {
                     block: id.0 as u64,
@@ -374,8 +397,7 @@ impl BlockRegistry {
         if let Some(obs) = self.observer() {
             obs.on_move_complete(id, node);
         }
-        drop(m);
-        slot.cond.notify_all();
+        slot.unlock_and_notify(m);
     }
 
     /// Abort a migration (e.g. destination allocation failed): restore
@@ -390,8 +412,7 @@ impl BlockRegistry {
         if let Some(obs) = self.observer() {
             obs.on_move_abort(id, node);
         }
-        drop(m);
-        slot.cond.notify_all();
+        slot.unlock_and_notify(m);
     }
 
     /// Block until the block is resident (not mid-move), returning its
@@ -403,7 +424,7 @@ impl BlockRegistry {
             if let Residency::Resident(n) = m.residency {
                 return n;
             }
-            slot.cond.wait(&mut m);
+            slot.wait(&mut m);
         }
     }
 
@@ -414,11 +435,11 @@ impl BlockRegistry {
     /// returns a guard exposing the raw bytes. Conflicting concurrent
     /// access — two writers, or a writer racing readers — panics: it
     /// means the scheduling discipline above this layer is broken.
-    pub fn access(&self, id: BlockId, mode: AccessMode) -> AccessGuard {
+    pub fn access(&self, id: BlockId, mode: AccessMode) -> AccessGuard<'_> {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
         while matches!(m.residency, Residency::Moving { .. }) {
-            slot.cond.wait(&mut m);
+            slot.wait(&mut m);
         }
         if mode.is_exclusive() {
             assert!(
@@ -455,7 +476,7 @@ impl BlockRegistry {
             node,
             observer: self.observer(),
         };
-        if let Some(obs) = &guard.observer {
+        if let Some(obs) = guard.observer {
             obs.on_access(id, mode);
         }
         guard
@@ -464,9 +485,8 @@ impl BlockRegistry {
     /// Blocks currently resident on `node`, least-recently-touched first
     /// (used by the LRU-eviction ablation).
     pub fn resident_on(&self, node: NodeId) -> Vec<BlockId> {
-        let slots = self.slots.read();
         let mut out: Vec<(u64, BlockId)> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
+        for (i, slot) in self.slots.iter() {
             let m = slot.meta.lock();
             if m.residency == Residency::Resident(node) {
                 out.push((m.last_touch, BlockId(i as u32)));
@@ -478,10 +498,9 @@ impl BlockRegistry {
 
     /// Total payload bytes resident on `node`.
     pub fn resident_bytes_on(&self, node: NodeId) -> u64 {
-        let slots = self.slots.read();
-        slots
+        self.slots
             .iter()
-            .map(|slot| {
+            .map(|(_, slot)| {
                 let m = slot.meta.lock();
                 if m.residency == Residency::Resident(node) {
                     m.size as u64
@@ -493,24 +512,27 @@ impl BlockRegistry {
     }
 }
 
-/// Checked access to one block's bytes. Releases the access registration
-/// on drop.
-pub struct AccessGuard {
-    slot: Arc<BlockSlot>,
+/// Checked access to one block's bytes, borrowed from its registry.
+/// Releases the access registration on drop.
+pub struct AccessGuard<'a> {
+    slot: &'a BlockSlot,
     id: BlockId,
     mode: AccessMode,
     ptr: NonNull<u8>,
     len: usize,
     node: NodeId,
-    observer: Option<Arc<dyn BlockObserver>>,
+    observer: Option<&'a dyn BlockObserver>,
 }
 
 // SAFETY: the guard's pointer stays valid while the guard is alive —
 // begin_move waits for readers/writer to drain before taking the buffer,
-// and the buffer is only dropped through a completed move.
-unsafe impl Send for AccessGuard {}
+// and the buffer is only dropped through a completed move. The other
+// fields are Send on their own: `slot` borrows a `BlockSlot`, whose
+// state sits behind its mutex (Sync), and `observer` borrows a
+// `BlockObserver`, which the trait requires to be Sync.
+unsafe impl Send for AccessGuard<'_> {}
 
-impl AccessGuard {
+impl AccessGuard<'_> {
     /// The block this guard accesses.
     pub fn id(&self) -> BlockId {
         self.id
@@ -561,13 +583,13 @@ impl AccessGuard {
     }
 }
 
-impl Drop for AccessGuard {
+impl Drop for AccessGuard<'_> {
     fn drop(&mut self) {
         // Notify before the registration is released: once the
         // registration drops, a waiting mover or conflicting accessor
         // may proceed, and the observer must have seen this access end
         // first to keep its event order consistent with reality.
-        if let Some(obs) = &self.observer {
+        if let Some(obs) = self.observer {
             obs.on_release(self.id, self.mode);
         }
         let mut m = self.slot.meta.lock();
@@ -578,8 +600,7 @@ impl Drop for AccessGuard {
             debug_assert!(m.readers > 0);
             m.readers -= 1;
         }
-        drop(m);
-        self.slot.cond.notify_all();
+        self.slot.unlock_and_notify(m);
     }
 }
 
@@ -917,10 +938,51 @@ mod tests {
                 format!("mv-abort {id} {DDR4:?}"),
             ]
         );
-        // Clearing the observer silences further events.
-        reg.clear_observer();
-        reg.add_ref(id);
-        assert_eq!(obs.events.lock().len(), 7);
+    }
+
+    #[test]
+    fn observer_is_set_once() {
+        let reg = BlockRegistry::new();
+        let obs: Arc<dyn BlockObserver> = Arc::new(Recorder::default());
+        reg.set_observer(Arc::clone(&obs));
+        // Re-installing the same observer is a no-op...
+        reg.set_observer(Arc::clone(&obs));
+        // ...but a second, different observer is refused.
+        let other: Arc<dyn BlockObserver> = Arc::new(Recorder::default());
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.set_observer(other);
+        }));
+        assert!(refused.is_err());
+    }
+
+    #[test]
+    fn wait_resident_wakes_when_a_move_completes() {
+        let alloc0 = NodeAllocator::new(1 << 20);
+        let alloc1 = NodeAllocator::new(1 << 20);
+        let reg = Arc::new(BlockRegistry::new());
+        let id = reg.register(alloc0.alloc(64, DDR4).unwrap(), "w");
+        for round in 0..200 {
+            let (to, alloc) = if round % 2 == 0 {
+                (HBM, &alloc1)
+            } else {
+                (DDR4, &alloc0)
+            };
+            let (src, _) = reg.begin_move(id, to, true).unwrap();
+            let reg2 = Arc::clone(&reg);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(reg2.wait_resident(id)).unwrap());
+            // Give the waiter a chance to park before the move finishes
+            // on some rounds, and race it on the others.
+            if round % 4 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            let mut dst = alloc.alloc(64, to).unwrap();
+            dst.as_mut_slice().copy_from_slice(src.as_slice());
+            drop(src);
+            reg.complete_move(id, dst);
+            let woke = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert_eq!(woke, Ok(to), "round {round}: waiter not woken");
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod migrate;
 pub mod node;
 pub mod pool;
 pub mod stats;
+pub mod table;
 pub mod topology;
 
 pub use alloc::{AlignedBuf, NodeAllocator};
@@ -64,6 +65,7 @@ pub use migrate::{MigrationEngine, MigrationStats};
 pub use node::{MemKind, NodeId, DDR4, HBM};
 pub use pool::MemoryPool;
 pub use stats::{MemStats, NodeStats};
+pub use table::AppendTable;
 pub use topology::{NodeSpec, Topology};
 
 use std::sync::Arc;

@@ -34,11 +34,9 @@ pub(crate) fn build_runtime(
 /// The end of the chunk starting at the current iteration: the next
 /// multiple of `every`, capped at `total` (`total` when `every` is 0).
 pub(crate) fn chunk_end(ooc: &OocRuntime, every: u64, total: u64) -> u64 {
-    let it = ooc.iteration();
-    if every == 0 {
-        total
-    } else {
-        (it / every + 1).saturating_mul(every).min(total)
+    match ooc.iteration().checked_div(every) {
+        Some(chunks) => (chunks + 1).saturating_mul(every).min(total),
+        None => total,
     }
 }
 

@@ -15,7 +15,7 @@ use hetmem::{AccessGuard, Memory};
 
 /// Charge `read_bytes` of read traffic and `write_bytes` of write
 /// traffic for the block behind `guard`, at its current node.
-pub fn charge_guard(mem: &Memory, guard: &AccessGuard, read_bytes: u64, write_bytes: u64) {
+pub fn charge_guard(mem: &Memory, guard: &AccessGuard<'_>, read_bytes: u64, write_bytes: u64) {
     let node = guard.node();
     if read_bytes > 0 {
         mem.regulator(node).charge(read_bytes);
@@ -27,13 +27,13 @@ pub fn charge_guard(mem: &Memory, guard: &AccessGuard, read_bytes: u64, write_by
 
 /// Charge one full read pass plus one full write pass over the block —
 /// the streaming profile of an in-place stencil update.
-pub fn charge_update_pass(mem: &Memory, guard: &AccessGuard) {
+pub fn charge_update_pass(mem: &Memory, guard: &AccessGuard<'_>) {
     let bytes = guard.len() as u64;
     charge_guard(mem, guard, bytes, bytes);
 }
 
 /// Charge a read-only pass over the block.
-pub fn charge_read_pass(mem: &Memory, guard: &AccessGuard) {
+pub fn charge_read_pass(mem: &Memory, guard: &AccessGuard<'_>) {
     charge_guard(mem, guard, guard.len() as u64, 0);
 }
 
