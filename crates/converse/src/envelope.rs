@@ -85,9 +85,12 @@ pub struct Envelope {
     /// True once the memory-aware hook has admitted this message: the
     /// scheduler must execute it rather than intercept it again.
     pub admitted: bool,
-    /// Opaque token the hook uses to find its task record at
-    /// post-processing time.
+    /// Opaque token the hook may stamp at admission; handed back in
+    /// [`crate::ExecutedTask`].
     pub token: u64,
+    /// Declared dependences, filled in by the hook at interception; they
+    /// ride with the admitted envelope into [`crate::ExecutedTask`].
+    pub deps: Vec<Dep>,
 }
 
 impl Envelope {
@@ -105,6 +108,7 @@ impl Envelope {
             payload,
             admitted: false,
             token: 0,
+            deps: Vec::new(),
         }
     }
 }
@@ -117,6 +121,7 @@ impl std::fmt::Debug for Envelope {
             .field("entry", &self.entry)
             .field("admitted", &self.admitted)
             .field("token", &self.token)
+            .field("deps", &self.deps.len())
             .finish()
     }
 }
@@ -138,6 +143,7 @@ mod tests {
         let e = Envelope::new(ArrayId(1), 7, EntryId(2), Box::new(42u32));
         assert!(!e.admitted);
         assert_eq!(e.token, 0);
+        assert!(e.deps.is_empty());
         assert_eq!(e.payload.downcast_ref::<u32>(), Some(&42));
         let dbg = format!("{e:?}");
         assert!(dbg.contains("ArrayId(1)"));

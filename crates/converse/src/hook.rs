@@ -10,26 +10,24 @@
 //! unadmitted `[prefetch]` envelope, the PE scheduler calls
 //! [`SchedulerHook::on_intercept`], transferring ownership of the
 //! message (the hook's pre-processing step). The hook re-injects the
-//! envelope — marked admitted and stamped with a token — once its data
+//! envelope — marked admitted, carrying its dependences — once its data
 //! dependences are in HBM. After an admitted envelope executes, the
 //! scheduler calls [`SchedulerHook::on_complete`] (the post-processing
 //! step, where eviction happens).
 
-use crate::envelope::{ArrayId, ChareIndex, EntryId, Envelope};
+use crate::envelope::{ChareIndex, Dep, Envelope};
 
 /// Identity of an executed, previously intercepted task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutedTask {
-    /// Array of the chare that ran.
-    pub array: ArrayId,
     /// Index of the chare that ran.
     pub index: ChareIndex,
-    /// Entry method that ran.
-    pub entry: EntryId,
     /// Token stamped by the hook at admission.
     pub token: u64,
     /// PE the task ran on.
     pub pe: usize,
+    /// The dependences the envelope carried (see [`Envelope::deps`]).
+    pub deps: Vec<Dep>,
 }
 
 /// Interception callbacks for `[prefetch]` entry methods.
@@ -39,21 +37,15 @@ pub trait SchedulerHook: Send + Sync {
     /// it via `Runtime::inject` with `admitted = true`.
     fn on_intercept(&self, pe: usize, env: Envelope);
 
-    /// An admitted message is about to execute on `pe`. Called on the
-    /// worker thread immediately before the entry method runs, with the
-    /// admission token still stamped in `env` — the attachment point
-    /// for task-scoped analysis (hetcheck's dependence-conformance
-    /// sanitizer enters its thread-local task scope here). Default:
-    /// no-op.
+    /// An admitted message is about to execute on `pe`: called on the
+    /// worker thread right before the entry method runs — the hook for
+    /// task-scoped analysis (hetcheck's sanitizer enters its task scope
+    /// here). Default: no-op.
     fn on_execute_begin(&self, _pe: usize, _env: &Envelope) {}
 
-    /// An admitted message finished its entry method on `pe`, before
-    /// [`SchedulerHook::on_complete`] post-processing. Called on the
-    /// same worker thread as [`SchedulerHook::on_execute_begin`].
-    /// Default: no-op.
-    fn on_execute_end(&self, _pe: usize, _done: &ExecutedTask) {}
-
-    /// An admitted message finished executing (post-processing).
+    /// An admitted message finished executing (post-processing). Called
+    /// on the same worker thread as [`SchedulerHook::on_execute_begin`],
+    /// right after the entry method returns.
     fn on_complete(&self, done: ExecutedTask);
 
     /// Number of intercepted-but-not-yet-completed tasks; the runtime's
@@ -76,6 +68,7 @@ pub trait SchedulerHook: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{ArrayId, EntryId};
     use parking_lot::Mutex;
     use std::sync::Arc;
 
@@ -105,11 +98,10 @@ mod tests {
         });
         hook.on_intercept(0, Envelope::new(ArrayId(0), 3, EntryId(1), Box::new(())));
         hook.on_complete(ExecutedTask {
-            array: ArrayId(0),
             index: 3,
-            entry: EntryId(1),
             token: 11,
             pe: 0,
+            deps: Vec::new(),
         });
         assert_eq!(hook.pending(), 0);
     }

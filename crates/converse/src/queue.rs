@@ -3,7 +3,7 @@
 //! "Tasks are picked up in FIFO order from the run queue and scheduled"
 //! (§IV-B). Each PE owns one [`RunQueue`]; worker loops park on the
 //! queue's condvar when it is empty and record the park time as idle.
-//! A push notifies only when a worker is actually parked.
+//! A push notifies only when a parked worker has no wake-up on its way.
 
 use crate::envelope::Envelope;
 use parking_lot::{Condvar, Mutex};
@@ -23,6 +23,9 @@ struct State {
     shutdown: bool,
     /// Poppers parked on the condvar.
     sleepers: usize,
+    /// Notifies sent to parked poppers that have not yet woken (at most
+    /// `sleepers`), so each parked popper is woken once.
+    wakes: usize,
 }
 
 /// A FIFO queue of envelopes with condvar parking.
@@ -38,11 +41,12 @@ impl RunQueue {
         Self::default()
     }
 
-    /// Enqueue at the back, waking a parked popper if there is one.
+    /// Enqueue at the back, waking a parked popper with no wake pending.
     pub fn push(&self, env: Envelope) {
         let mut s = self.state.lock();
         s.queue.push_back(env);
-        let wake = s.sleepers > 0;
+        let wake = s.sleepers > s.wakes;
+        s.wakes += usize::from(wake);
         drop(s);
         if wake {
             self.cv.notify_one();
@@ -63,6 +67,9 @@ impl RunQueue {
             s.sleepers += 1;
             self.cv.wait(&mut s);
             s.sleepers -= 1;
+            // Any wake-up (notify, shutdown or spurious) settles one
+            // pending wake, keeping `wakes <= sleepers`.
+            s.wakes = s.wakes.saturating_sub(1);
         }
     }
 
@@ -140,6 +147,47 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(matches!(q.pop(), Pop::Work(_)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_burst_of_pushes_wakes_every_sleeper() {
+        // Several poppers park on one queue; a burst of pushes must wake
+        // each of them, although every push after the first lands while
+        // earlier wake-ups are still pending.
+        const POPPERS: usize = 3;
+        for _ in 0..200 {
+            let q = Arc::new(RunQueue::new());
+            let (tx, rx) = std::sync::mpsc::channel();
+            let poppers: Vec<_> = (0..POPPERS)
+                .map(|_| {
+                    let (q, tx) = (Arc::clone(&q), tx.clone());
+                    std::thread::spawn(move || {
+                        if let Pop::Work(e) = q.pop() {
+                            tx.send(e.index).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            while q.state.lock().sleepers < POPPERS {
+                std::thread::yield_now();
+            }
+            for i in 0..POPPERS {
+                q.push(env(i));
+            }
+            let mut got: Vec<usize> = (0..POPPERS)
+                .map(|_| {
+                    rx.recv_timeout(std::time::Duration::from_secs(30))
+                        .expect("a parked popper was never woken")
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, (0..POPPERS).collect::<Vec<_>>());
+            for p in poppers {
+                p.join().unwrap();
+            }
+            let s = q.state.lock();
+            assert_eq!((s.sleepers, s.wakes), (0, 0));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::array::{ArrayBuilder, ArrayDispatch, ChareArray, Mapping};
 use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 use crate::hook::{ExecutedTask, SchedulerHook};
 use crate::queue::{Pop, RunQueue};
-use hetmem::{AppendTable, Clock, MonotonicClock};
+use hetmem::{AppendTable, Clock, MonotonicClock, TimeNs};
 use parking_lot::{Condvar, Mutex};
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::any::Any;
@@ -312,11 +312,6 @@ impl Runtime {
         self.queues[pe].push(env);
     }
 
-    /// Number of envelopes queued on a PE's run queue.
-    pub fn queue_len(&self, pe: usize) -> usize {
-        self.queues[pe].len()
-    }
-
     /// The PE with the shortest run queue (the paper's planned
     /// "node-level run queue" routes admitted tasks here).
     pub fn least_loaded_pe(&self) -> usize {
@@ -342,12 +337,13 @@ impl Runtime {
 
     /// Messages sent so far.
     pub fn sent_count(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
+        self.sent.load(Ordering::Acquire)
     }
 
-    /// Messages fully executed so far.
+    /// Messages fully processed so far: executed and, for admitted
+    /// `[prefetch]` messages, post-processed by the hook.
     pub fn processed_count(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
+        self.processed.load(Ordering::Acquire)
     }
 
     /// Account for an intercepted message the hook consumed without
@@ -355,12 +351,25 @@ impl Runtime {
     /// message would otherwise hold `processed < sent` forever and wedge
     /// [`Runtime::wait_quiescence_ms`].
     pub fn note_dropped(&self) {
-        self.processed.fetch_add(1, Ordering::Relaxed);
+        self.processed.fetch_add(1, Ordering::Release);
     }
 
-    /// Poll until the system is quiescent: every sent message executed,
-    /// no hook-pending tasks, all queues empty. Returns false on
+    /// Poll until the system is quiescent: no hook-pending tasks, all
+    /// run queues empty, every sent message processed. Returns false on
     /// timeout.
+    ///
+    /// Each poll is one pass, with no settle sleep. It reads hook
+    /// pending, the run queues, `processed`, then `sent`; `processed`
+    /// counts a message only after its hook post-processing returned.
+    /// Both counters only grow, and a message's `sent` increment happens
+    /// before its `processed` one (the run queue's lock orders them;
+    /// `processed` is bumped with Release, read with Acquire). So
+    /// `processed` equal to the later-read `sent` means nothing was sent
+    /// or processed between the reads and every message sent by then
+    /// was fully processed. Without senders outside the runtime, only an
+    /// executing message can send another, so nothing is left to run.
+    /// Hook pending, read first, covers work a hook holds outside any
+    /// message.
     ///
     /// Polling backs off exponentially — 20 µs doubling to a 2 ms cap —
     /// so a quiescence reached quickly is detected quickly, while a
@@ -372,21 +381,11 @@ impl Runtime {
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
         let mut backoff = BACKOFF_START;
         loop {
-            let hook_pending = self.installed_hook().map_or(0, |h| h.pending());
-            let queued: usize = self.queues.iter().map(|q| q.len()).sum();
-            let processed = self.processed_count();
-            let sent = self.sent_count();
-            if hook_pending == 0 && queued == 0 && processed == sent {
-                // Double-check after a beat: a message may be mid-flight.
-                std::thread::sleep(std::time::Duration::from_micros(300));
-                let stable = self.processed_count() == self.sent_count()
-                    && self.queues.iter().all(|q| q.is_empty())
-                    && self.installed_hook().map_or(0, |h| h.pending()) == 0;
-                if stable {
-                    return true;
-                }
-                // Near-miss: something was mid-flight. Poll finely again.
-                backoff = BACKOFF_START;
+            if self.installed_hook().map_or(0, |h| h.pending()) == 0
+                && self.queues.iter().all(|q| q.is_empty())
+                && self.processed_count() == self.sent_count()
+            {
+                return true;
             }
             let now = std::time::Instant::now();
             if now >= deadline {
@@ -479,25 +478,33 @@ impl Drop for Runtime {
     }
 }
 
+/// The scheduler loop. One envelope's end time starts the next idle
+/// span, so an executed envelope reads the clock at most three times:
+/// when its idle wait ends (also its start), when it returns and, if
+/// the hook post-processes it, after that.
 fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
     let mut hooks = HookCache::new();
-    loop {
-        let idle_start = rt.clock.now();
-        match rt.queues[pe].pop() {
-            Pop::Shutdown => break,
-            Pop::Work(env) => {
-                rt.pause_point();
-                let now = rt.clock.now();
-                if now > idle_start {
-                    tracer.record(SpanKind::Idle, idle_start, now, pe as u32);
-                }
-                process(&rt, pe, env, &tracer, &mut hooks);
-            }
+    let mut idle_start = rt.clock.now();
+    while let Pop::Work(env) = rt.queues[pe].pop() {
+        rt.pause_point();
+        let now = rt.clock.now();
+        if now > idle_start {
+            tracer.record(SpanKind::Idle, idle_start, now, pe as u32);
         }
+        idle_start = process(&rt, pe, env, now, &tracer, &mut hooks);
     }
 }
 
-fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Tracer, hooks: &mut HookCache) {
+/// Deliver one envelope whose idle wait ended at `start`; returns when
+/// its processing ended.
+fn process(
+    rt: &Arc<Runtime>,
+    pe: usize,
+    mut env: Envelope,
+    start: TimeNs,
+    tracer: &Tracer,
+    hooks: &mut HookCache,
+) -> TimeNs {
     let dispatch = rt.dispatch(env.array);
     let opts = dispatch.entry_options(env.entry);
 
@@ -505,44 +512,40 @@ fn process(rt: &Arc<Runtime>, pe: usize, env: Envelope, tracer: &Tracer, hooks: 
     if opts.prefetch && !env.admitted {
         if let Some(hook) = hooks.get(rt) {
             hook.on_intercept(pe, env);
-            return;
+            return rt.clock.now();
         }
         // No hook installed: fall through and execute directly (the
         // baseline configurations run this way).
     }
 
-    let done = ExecutedTask {
-        array: env.array,
-        index: env.index,
-        entry: env.entry,
-        token: env.token,
-        pe,
-    };
-    let was_admitted = env.admitted;
     let kind = if opts.prefetch {
         SpanKind::Compute
     } else {
         SpanKind::Entry
     };
-    // Admitted tasks execute inside the hook's begin/end bracket so
-    // task-scoped analyses (hetcheck) can attribute block accesses to
-    // the running task's token on this worker thread.
-    let hook = if was_admitted { hooks.get(rt) } else { None };
+    // Admitted tasks execute between the hook's `on_execute_begin` and
+    // `on_complete`, so task-scoped analyses (hetcheck) can attribute
+    // block accesses to the running task's token on this worker thread.
+    let hook = if env.admitted { hooks.get(rt) } else { None };
     if let Some(hook) = hook {
         hook.on_execute_begin(pe, &env);
     }
-    let t0 = rt.clock.now();
+    let done = ExecutedTask {
+        index: env.index,
+        token: env.token,
+        pe,
+        deps: std::mem::take(&mut env.deps),
+    };
     dispatch.execute(env, rt, pe);
-    let t1 = rt.clock.now();
-    if let Some(hook) = hook {
-        hook.on_execute_end(pe, &done);
-    }
-    tracer.record(kind, t0, t1, done.index as u32);
-    rt.processed.fetch_add(1, Ordering::Relaxed);
-
+    let mut end = rt.clock.now();
+    tracer.record(kind, start, end, done.index as u32);
     if let Some(hook) = hook {
         hook.on_complete(done);
+        end = rt.clock.now();
     }
+    // Counted only after post-processing: quiescence relies on it.
+    rt.processed.fetch_add(1, Ordering::Release);
+    end
 }
 
 #[cfg(test)]
@@ -794,6 +797,171 @@ mod tests {
         assert!(latch.wait_timeout_ms(5000));
         assert!(rt.wait_quiescence_ms(2000));
         rt.shutdown();
+    }
+
+    /// xorshift64: the storm test's cheap, seedable randomness.
+    fn next_rand(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Burn a random few hundred nanoseconds, sometimes yielding, to
+    /// widen the windows between a message's hand-offs.
+    fn jitter(rng: &mut u64) {
+        let r = next_rand(rng);
+        if r.is_multiple_of(8) {
+            std::thread::yield_now();
+        }
+        for _ in 0..r % 256 {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn quiescence_never_reports_outstanding_work() {
+        use std::sync::mpsc::{channel, Sender};
+
+        const EP_PLAIN: EntryId = EntryId(0);
+        const EP_PREFETCH: EntryId = EntryId(1);
+        const CHARES: usize = 16;
+
+        /// Work the test knows about: a message counts from before its
+        /// send until its execution (plain) or its hook post-processing
+        /// (prefetch) has finished.
+        struct Storm {
+            outstanding: Arc<AtomicU64>,
+            array: Option<ArrayId>,
+        }
+
+        /// (ttl, rng state)
+        type Msg = (u32, u64);
+
+        fn send_children(s: &Storm, ttl: u32, rng: &mut u64, ctx: &ExecCtx<'_>) {
+            if ttl == 0 {
+                return;
+            }
+            let array = s.array.expect("array id is set before the first send");
+            let children = 1 + next_rand(rng) % 2;
+            s.outstanding.fetch_add(children, Ordering::SeqCst);
+            for _ in 0..children {
+                let r = next_rand(rng);
+                let entry = if r.is_multiple_of(2) {
+                    EP_PLAIN
+                } else {
+                    EP_PREFETCH
+                };
+                ctx.send(array, (r >> 8) as usize % CHARES, entry, (ttl - 1, r));
+            }
+        }
+
+        impl Chare for Storm {
+            type Msg = Msg;
+            fn execute(&mut self, entry: EntryId, (ttl, mut rng): Msg, ctx: &mut ExecCtx<'_>) {
+                jitter(&mut rng);
+                send_children(self, ttl, &mut rng, ctx);
+                if entry == EP_PLAIN {
+                    self.outstanding.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+        }
+
+        /// Admits from a helper thread after a random delay (an IO
+        /// thread's role) and delays around its own counters.
+        struct DelayedAdmit {
+            to_admit: parking_lot::Mutex<Sender<(usize, Envelope)>>,
+            intercepted: AtomicU64,
+            completed: AtomicU64,
+            outstanding: Arc<AtomicU64>,
+        }
+        impl SchedulerHook for DelayedAdmit {
+            fn on_intercept(&self, pe: usize, env: Envelope) {
+                // The message has left its run queue but is not yet
+                // pending: the window a single-pass check must cover.
+                jitter(&mut (env.index as u64 * 0x9E37_79B9 + 1));
+                self.intercepted.fetch_add(1, Ordering::SeqCst);
+                self.to_admit.lock().send((pe, env)).unwrap();
+            }
+            fn on_complete(&self, done: ExecutedTask) {
+                jitter(&mut (done.index as u64 * 0x85EB_CA6B + 1));
+                self.outstanding.fetch_sub(1, Ordering::SeqCst);
+                self.completed.fetch_add(1, Ordering::SeqCst);
+            }
+            fn pending(&self) -> usize {
+                let completed = self.completed.load(Ordering::SeqCst);
+                (self.intercepted.load(Ordering::SeqCst) - completed) as usize
+            }
+        }
+
+        let rt = runtime(2);
+        let outstanding = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = channel::<(usize, Envelope)>();
+        let hook = Arc::new(DelayedAdmit {
+            to_admit: parking_lot::Mutex::new(tx),
+            intercepted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            outstanding: Arc::clone(&outstanding),
+        });
+        rt.set_hook(hook.clone());
+        let admitter = {
+            let rt = Arc::clone(&rt);
+            std::thread::spawn(move || {
+                let mut rng = 0x2545_F491_4F6C_DD1D;
+                for (pe, mut env) in rx {
+                    jitter(&mut rng);
+                    env.admitted = true;
+                    rt.inject(pe, env);
+                }
+            })
+        };
+        let out = Arc::clone(&outstanding);
+        let array = rt
+            .array_builder::<Storm>()
+            .entry(EP_PLAIN, EntryOptions::default())
+            .entry(EP_PREFETCH, EntryOptions::prefetch())
+            .build(CHARES, move |_| Storm {
+                outstanding: Arc::clone(&out),
+                array: None,
+            });
+        let storm = rt.array::<Storm>(array);
+        for i in 0..CHARES {
+            storm.with_chare(i, |c| c.array = Some(array));
+        }
+
+        let mut rng = 0x9E37_79B9_7F4A_7C15;
+        for _round in 0..400 {
+            let burst = 1 + next_rand(&mut rng) % 6;
+            outstanding.fetch_add(burst, Ordering::SeqCst);
+            for _ in 0..burst {
+                let r = next_rand(&mut rng);
+                let entry = if r.is_multiple_of(2) {
+                    EP_PLAIN
+                } else {
+                    EP_PREFETCH
+                };
+                rt.send(
+                    array,
+                    r as usize % CHARES,
+                    entry,
+                    (1 + (r >> 32) as u32 % 4, r),
+                );
+            }
+            // Poll with short timeouts, so many single-pass checks land
+            // while the cascade is still running.
+            loop {
+                let quiet = rt.wait_quiescence_ms(1);
+                let left = outstanding.load(Ordering::SeqCst);
+                if quiet {
+                    assert_eq!(left, 0, "quiescent with {left} message(s) outstanding");
+                    break;
+                }
+            }
+        }
+        drop(storm);
+        rt.shutdown();
+        drop(hook);
+        admitter.join().unwrap();
     }
 
     #[test]

@@ -162,14 +162,17 @@ impl FetchEngine {
     /// IO thread likewise "brings in remaining data" on a later pass);
     /// `Err(TaskTooLarge)` if the task can never fit.
     ///
-    /// Call with the task's refs held so fetched blocks cannot be
-    /// evicted underneath us. Records one `Fetch` span per actual move
-    /// on `tracer`.
-    pub fn fetch_all(&self, deps: &[Dep], tracer: &Tracer, tag: u32) -> Result<(), FetchError> {
-        let needed: u64 = deps
-            .iter()
-            .map(|d| self.mem.registry().size_of(d.block) as u64)
-            .sum();
+    /// `needed` is the deps' total payload bytes (the task sums them
+    /// once, at interception). Call with the task's refs held so fetched
+    /// blocks cannot be evicted underneath us. Records one `Fetch` span
+    /// per actual move on `tracer`.
+    pub fn fetch_all(
+        &self,
+        deps: &[Dep],
+        needed: u64,
+        tracer: &Tracer,
+        tag: u32,
+    ) -> Result<(), FetchError> {
         let capacity = self.hbm_task_capacity();
         if needed > capacity {
             return Err(FetchError::TaskTooLarge { needed, capacity });
@@ -211,10 +214,8 @@ impl FetchEngine {
                 }
                 Some(_) => {
                     let copy = dep.mode.reads_old_contents();
-                    let t0 = self.mem.clock().now();
-                    match self.engine.migrate(dep.block, hbm, false, copy) {
-                        Ok(_) => {
-                            let t1 = self.mem.clock().now();
+                    match self.engine.migrate_span(dep.block, hbm, false, copy) {
+                        Ok((t0, t1)) => {
                             tracer.record(SpanKind::Fetch, t0, t1, tag);
                             self.stats.bump_fetches(registry.size_of(dep.block) as u64);
                             return Ok(());
@@ -323,11 +324,9 @@ impl FetchEngine {
         if registry.node_of(block) != Some(self.config.hbm) || registry.refcount(block) > 0 {
             return false;
         }
-        let t0 = self.mem.clock().now();
         // Evicted contents must persist: always copy.
-        match self.engine.migrate(block, self.config.ddr, true, true) {
-            Ok(_) => {
-                let t1 = self.mem.clock().now();
+        match self.engine.migrate_span(block, self.config.ddr, true, true) {
+            Ok((t0, t1)) => {
                 tracer.record(SpanKind::Evict, t0, t1, tag);
                 self.stats.bump_evictions(registry.size_of(block) as u64);
                 true
@@ -388,6 +387,12 @@ mod tests {
         Dep { block: b, mode }
     }
 
+    fn fetch(engine: &FetchEngine, deps: &[Dep], tracer: &Tracer) -> Result<(), FetchError> {
+        let registry = engine.memory().registry();
+        let needed = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
+        engine.fetch_all(deps, needed, tracer, 0)
+    }
+
     #[test]
     fn fetch_all_moves_everything_to_hbm() {
         let (mem, engine, tracer) = setup(10_000);
@@ -395,7 +400,7 @@ mod tests {
         let b = block(&mem, 2000, "b");
         let deps = vec![dep(a, AccessMode::ReadWrite), dep(b, AccessMode::ReadOnly)];
         engine.add_refs(&deps);
-        engine.fetch_all(&deps, &tracer, 0).unwrap();
+        fetch(&engine, &deps, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(a), Some(HBM));
         assert_eq!(mem.registry().node_of(b), Some(HBM));
         engine.release_refs(&deps);
@@ -409,17 +414,17 @@ mod tests {
         // Fill HBM with a referenced block.
         let d_a = vec![dep(a, AccessMode::ReadWrite)];
         engine.add_refs(&d_a);
-        engine.fetch_all(&d_a, &tracer, 0).unwrap();
+        fetch(&engine, &d_a, &tracer).unwrap();
         // c cannot fit while a is resident.
         let d_c = vec![dep(c, AccessMode::ReadWrite)];
         engine.add_refs(&d_c);
-        assert_eq!(engine.fetch_all(&d_c, &tracer, 0), Err(FetchError::NoSpace));
+        assert_eq!(fetch(&engine, &d_c, &tracer), Err(FetchError::NoSpace));
         engine.release_refs(&d_c);
         // After a's task completes and evicts, c fits.
         engine.release_refs(&d_a);
         assert_eq!(engine.evict_unreferenced(&d_a, &tracer, 0), 1);
         engine.add_refs(&d_c);
-        engine.fetch_all(&d_c, &tracer, 0).unwrap();
+        fetch(&engine, &d_c, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(c), Some(HBM));
     }
 
@@ -427,9 +432,7 @@ mod tests {
     fn oversized_task_is_rejected_loudly() {
         let (mem, engine, tracer) = setup(100);
         let a = block(&mem, 500, "a");
-        let err = engine
-            .fetch_all(&[dep(a, AccessMode::ReadWrite)], &tracer, 0)
-            .unwrap_err();
+        let err = fetch(&engine, &[dep(a, AccessMode::ReadWrite)], &tracer).unwrap_err();
         assert!(matches!(err, FetchError::TaskTooLarge { .. }));
     }
 
@@ -439,7 +442,7 @@ mod tests {
         let a = block(&mem, 100, "a");
         let deps = vec![dep(a, AccessMode::ReadOnly)];
         engine.add_refs(&deps);
-        engine.fetch_all(&deps, &tracer, 0).unwrap();
+        fetch(&engine, &deps, &tracer).unwrap();
         // Another task still references a.
         engine.add_refs(&deps);
         engine.release_refs(&deps);
@@ -456,7 +459,7 @@ mod tests {
         let a = block(&mem, 4096, "a");
         let deps = vec![dep(a, AccessMode::WriteOnly)];
         engine.add_refs(&deps);
-        engine.fetch_all(&deps, &tracer, 0).unwrap();
+        fetch(&engine, &deps, &tracer).unwrap();
         // No payload bytes charged on fetch for write-only blocks.
         assert_eq!(mem.stats().nodes[HBM.index()].bytes_charged, 0);
         // Eviction persists the written data: bytes are charged then.
@@ -495,7 +498,7 @@ mod tests {
             let b = block(&mem, 512, &format!("b{i}"));
             let deps = vec![dep(b, AccessMode::ReadOnly)];
             engine.add_refs(&deps);
-            match engine.fetch_all(&deps, &tracer, 0) {
+            match fetch(&engine, &deps, &tracer) {
                 Ok(()) => {
                     assert_eq!(mem.registry().node_of(b), Some(HBM));
                     landed += 1;
@@ -521,7 +524,7 @@ mod tests {
         let b = block(&mem, 512, "b");
         let deps = vec![dep(b, AccessMode::ReadOnly)];
         engine.add_refs(&deps);
-        let err = engine.fetch_all(&deps, &tracer, 0).unwrap_err();
+        let err = fetch(&engine, &deps, &tracer).unwrap_err();
         let budget = OocConfig::default().max_fetch_retries;
         assert_eq!(
             err,
@@ -554,7 +557,7 @@ mod tests {
         for blk in [a, b] {
             let deps = vec![dep(blk, AccessMode::ReadOnly)];
             engine.add_refs(&deps);
-            engine.fetch_all(&deps, &tracer, 0).unwrap();
+            fetch(&engine, &deps, &tracer).unwrap();
             engine.release_refs(&deps);
             // OnComplete eviction is a no-op under LRU policy.
             assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0), 0);
@@ -564,7 +567,7 @@ mod tests {
         // Fetching c must push out the LRU block (a).
         let deps_c = vec![dep(c, AccessMode::ReadOnly)];
         engine.add_refs(&deps_c);
-        engine.fetch_all(&deps_c, &tracer, 0).unwrap();
+        fetch(&engine, &deps_c, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(c), Some(HBM));
         assert_eq!(mem.registry().node_of(a), Some(DDR4), "LRU block evicted");
         assert_eq!(mem.registry().node_of(b), Some(HBM));

@@ -54,5 +54,5 @@ pub use ooc::OocRuntime;
 pub use placement::Placement;
 pub use stats::OocStats;
 pub use strategy::{CacheStats, OocHook, RejectedTask};
-pub use task::{OocTask, TaskRegistry};
+pub use task::OocTask;
 pub use waitqueue::WaitQueues;

@@ -83,8 +83,8 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
     let registry = shared.memory().registry();
     let nsets = cache.sets.lock().len();
 
-    shared.engine.add_refs(&task.deps);
-    for dep in &task.deps {
+    shared.engine.add_refs(&task.env.deps);
+    for dep in &task.env.deps {
         let set = cache.set_of(dep.block, nsets);
         // Fast path: already the occupant (and resident in HBM).
         {
@@ -124,10 +124,9 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
             }
         }
         // Fill on the critical path (cache mode has no prefetch).
-        match shared
-            .engine
-            .fetch_all(std::slice::from_ref(dep), tracer, tag)
-        {
+        let size = registry.size_of(dep.block) as u64;
+        let one = std::slice::from_ref(dep);
+        match shared.engine.fetch_all(one, size, tracer, tag) {
             Ok(()) => {
                 cache.misses.fetch_add(1, Ordering::Relaxed);
             }
@@ -139,7 +138,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         }
     }
     // Cache mode always admits: un-staged deps run from DDR4.
-    shared.admit_prepared(task);
+    shared.admit(task, false);
 }
 
 /// Post-processing: cached blocks stay resident; only refs drop.

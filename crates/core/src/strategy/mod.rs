@@ -9,10 +9,12 @@
 //! 2. **Fetch & admission.** Someone — the worker itself
 //!    ([`StrategyKind::SyncFetch`]) or an IO thread
 //!    ([`StrategyKind::IoThreads`]) — references the task's blocks,
-//!    brings them into HBM under the capacity budget, stamps the
-//!    envelope with a token and re-injects it onto a run queue.
+//!    brings them into HBM under the capacity budget, marks the
+//!    envelope admitted and re-injects it onto a run queue. The
+//!    dependences ride in the envelope.
 //! 3. **Completion (post-processing).** After execution the scheduler
-//!    calls [`OocHook::on_complete`]: the task's references are dropped
+//!    calls [`OocHook::on_complete`] with the dependences the envelope
+//!    carried: the task's references are dropped
 //!    and zero-refcount blocks are evicted to DDR4 on the worker thread
 //!    (the paper's "it evicts its own data"), then whoever might now be
 //!    able to make progress is woken.
@@ -27,7 +29,7 @@ pub use io_threads::IoThreadPool;
 use crate::config::{OocConfig, OversizePolicy, StrategyKind};
 use crate::engine::{FetchEngine, FetchError};
 use crate::stats::StatCells;
-use crate::task::{OocTask, TaskRegistry};
+use crate::task::OocTask;
 use crate::waitqueue::WaitQueues;
 use converse::{EntryId, Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
@@ -67,7 +69,9 @@ pub(crate) struct Refused {
 pub(crate) struct Shared {
     pub rt: Arc<Runtime>,
     pub engine: FetchEngine,
-    pub tasks: TaskRegistry,
+    /// Last hetcheck token handed out; tokens are minted only while a
+    /// checker is attached.
+    next_token: AtomicU64,
     pub waitq: Arc<WaitQueues>,
     pub stats: Arc<StatCells>,
     pub collector: Arc<TraceCollector>,
@@ -104,15 +108,22 @@ impl Shared {
         &self.worker_tracers[pe]
     }
 
-    /// Wrap an intercepted envelope as an [`OocTask`].
-    pub fn make_task(&self, pe: usize, env: Envelope) -> OocTask {
-        let deps = self.rt.deps_for(&env);
+    /// Wrap an intercepted envelope as an [`OocTask`]: put its declared
+    /// dependences in the envelope and sum their bytes.
+    pub fn make_task(&self, pe: usize, mut env: Envelope) -> OocTask {
+        env.deps = self.rt.deps_for(&env);
+        let registry = self.memory().registry();
+        let bytes = env
+            .deps
+            .iter()
+            .map(|d| registry.size_of(d.block) as u64)
+            .sum();
         self.stats.bump_intercepted();
         OocTask {
-            deps,
             pe,
             env,
             enqueued_at: self.rt.clock().now(),
+            bytes,
         }
     }
 
@@ -126,14 +137,17 @@ impl Shared {
     pub fn try_admit(&self, task: OocTask, tracer: &Tracer) -> Result<(), Refused> {
         let tag = task.env.index as u32;
         let t0 = self.rt.clock().now();
-        self.engine.add_refs(&task.deps);
-        match self.engine.fetch_all(&task.deps, tracer, tag) {
+        self.engine.add_refs(&task.env.deps);
+        match self
+            .engine
+            .fetch_all(&task.env.deps, task.bytes, tracer, tag)
+        {
             Ok(()) => {
-                self.admit(task);
+                self.admit(task, false);
                 Ok(())
             }
             Err(FetchError::NoSpace) => {
-                let unpinned = self.engine.roll_back(&task.deps, tracer, tag);
+                let unpinned = self.engine.roll_back(&task.env.deps, tracer, tag);
                 if unpinned {
                     self.released.fetch_add(1, Ordering::AcqRel);
                 }
@@ -155,17 +169,6 @@ impl Shared {
                 Ok(())
             }
         }
-    }
-
-    /// Total declared dependence bytes of a task — the admission
-    /// guard's measure, matching `FetchEngine::fetch_all`'s own
-    /// `TaskTooLarge` arithmetic.
-    pub(crate) fn dep_bytes(&self, task: &OocTask) -> u64 {
-        let registry = self.memory().registry();
-        task.deps
-            .iter()
-            .map(|d| registry.size_of(d.block) as u64)
-            .sum()
     }
 
     /// Refuse an oversize task under [`OversizePolicy::Reject`]: drop
@@ -191,7 +194,7 @@ impl Shared {
     /// (refs taken here) — the stall watchdog's drain path.
     pub(crate) fn admit_degraded(&self, task: OocTask, tracer: &Tracer) {
         let t0 = self.rt.clock().now();
-        self.engine.add_refs(&task.deps);
+        self.engine.add_refs(&task.env.deps);
         self.degrade(task, tracer, t0);
     }
 
@@ -201,39 +204,25 @@ impl Shared {
         let now = self.rt.clock().now();
         tracer.record(SpanKind::Degraded, t0, now, tag);
         self.stats.bump_degraded();
-        self.admit_inner(task, true);
+        self.admit(task, true);
     }
 
-    /// Admit a task whose dependences were staged (or deliberately
-    /// bypassed) by a strategy that manages residency itself — the
-    /// cache-mode path. Refs are already held.
-    pub fn admit_prepared(&self, task: OocTask) {
-        self.admit(task);
-    }
-
-    /// Stamp and inject an admitted task (its deps are in HBM, refs
-    /// held).
-    fn admit(&self, task: OocTask) {
-        self.admit_inner(task, false);
-    }
-
-    fn admit_inner(&self, task: OocTask, degraded: bool) {
+    /// Mark and inject an admitted task: its deps are in HBM (or, for a
+    /// `degraded` task or the cache-mode path, deliberately left
+    /// where they are) and its refs are held.
+    pub fn admit(&self, task: OocTask, degraded: bool) {
         let OocTask {
             mut env,
-            deps,
             pe,
             enqueued_at,
+            ..
         } = task;
-        let blocks = self
-            .checker
-            .as_ref()
-            .map(|_| deps.iter().map(|d| d.block).collect::<Vec<_>>());
-        let token = self.tasks.admit(deps);
-        if let (Some(checker), Some(blocks)) = (&self.checker, blocks) {
-            checker.task_admitted(token, blocks, degraded);
+        if let Some(checker) = &self.checker {
+            env.token = self.next_token.fetch_add(1, Ordering::Relaxed) + 1;
+            let blocks = env.deps.iter().map(|d| d.block).collect();
+            checker.task_admitted(env.token, blocks, degraded);
         }
         env.admitted = true;
-        env.token = token;
         let now = self.rt.clock().now();
         self.stats.bump_queue_wait(now.saturating_sub(enqueued_at));
         self.stats.bump_admitted();
@@ -249,17 +238,14 @@ impl Shared {
     /// task's references and evict its now-unreferenced blocks on the
     /// calling (worker) thread.
     pub fn finish_task(&self, done: &ExecutedTask) {
-        let deps = self
-            .tasks
-            .complete(done.token)
-            .expect("completed task must have been admitted");
         if let Some(checker) = &self.checker {
+            checker.exit_task(done.token);
             checker.task_completed(done.token);
         }
         let tracer = self.worker_tracer(done.pe);
-        self.engine.release_refs(&deps);
+        self.engine.release_refs(&done.deps);
         self.engine
-            .evict_unreferenced(&deps, tracer, done.index as u32);
+            .evict_unreferenced(&done.deps, tracer, done.index as u32);
         self.released.fetch_add(1, Ordering::AcqRel);
         // Count the task completed only after its eviction finished, so
         // quiescence covers the whole post-processing step.
@@ -342,7 +328,7 @@ impl OocHook {
             .collect();
         let shared = Arc::new(Shared {
             engine: FetchEngine::new(mem, config, Arc::clone(&stats)),
-            tasks: TaskRegistry::new(),
+            next_token: AtomicU64::new(0),
             waitq,
             stats,
             collector,
@@ -444,7 +430,7 @@ impl SchedulerHook for OocHook {
         // would wait forever (no eviction can make enough room).
         // Detect it here, before it enters any queue, uniformly for
         // every flavour.
-        let needed = self.shared.dep_bytes(&task);
+        let needed = task.bytes;
         let capacity = self.shared.engine.hbm_task_capacity();
         if needed > capacity {
             match self.shared.engine.config().oversize_policy {
@@ -465,20 +451,7 @@ impl SchedulerHook for OocHook {
 
     fn on_execute_begin(&self, _pe: usize, env: &Envelope) {
         if let Some(checker) = &self.shared.checker {
-            // The record is removed only in on_complete, which runs
-            // after on_execute_end — so a missing record here means a
-            // foreign (non-prefetch) envelope, not a race.
-            if let Some(deps) = self.shared.tasks.deps_of(env.token) {
-                checker.enter_task(env.token, deps);
-            }
-        }
-    }
-
-    fn on_execute_end(&self, _pe: usize, done: &ExecutedTask) {
-        if let Some(checker) = &self.shared.checker {
-            if self.shared.tasks.deps_of(done.token).is_some() {
-                checker.exit_task(done.token);
-            }
+            checker.enter_task(env.token, env.deps.clone());
         }
     }
 

@@ -13,11 +13,13 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
 /// A signal group's state: the generation counter bumped by every
-/// signal, and how many IO threads are parked waiting for it to move.
+/// signal, how many IO threads are parked waiting for it to move, and
+/// how many of those have a wake-up on its way (at most `sleepers`).
 #[derive(Default)]
 struct Signal {
     generation: u64,
     sleepers: usize,
+    wakes: usize,
 }
 
 /// A set of FIFO wait queues plus the condition variable IO threads
@@ -27,7 +29,7 @@ pub struct WaitQueues {
     queues: Vec<Mutex<VecDeque<OocTask>>>,
     /// One condvar per IO-thread signal group; signalled on enqueue and
     /// on eviction (both can unblock an IO thread). A signal always
-    /// bumps the generation but notifies only parked threads.
+    /// bumps the generation but wakes each parked thread once.
     signals: Vec<(Mutex<Signal>, Condvar)>,
     shutdown: std::sync::atomic::AtomicBool,
 }
@@ -100,7 +102,11 @@ impl WaitQueues {
         let (lock, cv) = &self.signals[group % self.signals.len()];
         let mut sig = lock.lock();
         sig.generation += 1;
-        let wake = sig.sleepers > 0;
+        let wake = sig.sleepers > sig.wakes;
+        if wake {
+            // notify_all reaches every parked thread.
+            sig.wakes = sig.sleepers;
+        }
         drop(sig);
         if wake {
             cv.notify_all();
@@ -126,6 +132,8 @@ impl WaitQueues {
             sig.sleepers += 1;
             let timed_out = cv.wait_until(&mut sig, deadline).timed_out();
             sig.sleepers -= 1;
+            // Any return from the wait settles one pending wake.
+            sig.wakes = sig.wakes.saturating_sub(1);
             if timed_out {
                 break;
             }
@@ -160,9 +168,9 @@ mod tests {
     fn task(pe: usize, tag: usize) -> OocTask {
         OocTask {
             env: Envelope::new(ArrayId(0), tag, EntryId(0), Box::new(())),
-            deps: vec![],
             pe,
             enqueued_at: 0,
+            bytes: 0,
         }
     }
 
@@ -240,6 +248,44 @@ mod tests {
         assert_eq!(wq.signal_generation(0), seen + 2);
         // A waiter arriving after the signals returns at once.
         assert_eq!(wq.wait_signal_timeout(0, seen, LONG_MS), seen + 2);
+    }
+
+    #[test]
+    fn a_burst_of_signals_wakes_every_sleeper() {
+        // Several threads park on one signal group; a burst of signals
+        // lands while the first wake-up is still pending, and every
+        // sleeper must still return with the moved generation.
+        const SLEEPERS: usize = 3;
+        for _ in 0..200 {
+            let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1, 1));
+            let seen = wq.signal_generation(0);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let sleepers: Vec<_> = (0..SLEEPERS)
+                .map(|_| {
+                    let (wq, tx) = (Arc::clone(&wq), tx.clone());
+                    std::thread::spawn(move || {
+                        tx.send(wq.wait_signal_timeout(0, seen, LONG_MS)).unwrap();
+                    })
+                })
+                .collect();
+            while wq.signals[0].0.lock().sleepers < SLEEPERS {
+                std::thread::yield_now();
+            }
+            for _ in 0..SLEEPERS {
+                wq.signal(0);
+            }
+            for _ in 0..SLEEPERS {
+                let generation = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .expect("a parked thread was never woken");
+                assert!(generation > seen);
+            }
+            for t in sleepers {
+                t.join().unwrap();
+            }
+            let sig = wq.signals[0].0.lock();
+            assert_eq!((sig.sleepers, sig.wakes), (0, 0));
+        }
     }
 
     #[test]

@@ -31,6 +31,18 @@ fn task_strategy(nblocks: usize) -> impl Strategy<Value = Vec<(usize, u8)>> {
     prop::collection::vec((0..nblocks, 0u8..3), 1..4)
 }
 
+/// `FetchEngine::fetch_all` with the deps' bytes summed here, as the
+/// runtime sums them at interception.
+fn fetch(
+    engine: &FetchEngine,
+    deps: &[Dep],
+    tracer: &projections::Tracer,
+) -> Result<(), FetchError> {
+    let registry = engine.memory().registry();
+    let needed = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
+    engine.fetch_all(deps, needed, tracer, 0)
+}
+
 fn mode(m: u8) -> AccessMode {
     match m {
         0 => AccessMode::ReadOnly,
@@ -74,7 +86,7 @@ proptest! {
                 }
             }
             engine.add_refs(&deps);
-            match engine.fetch_all(&deps, &tracer, 0) {
+            match fetch(&engine, &deps, &tracer) {
                 Ok(()) => {
                     // All deps resident in HBM while referenced.
                     for d in &deps {
@@ -160,7 +172,7 @@ proptest! {
                     }
                 }
                 engine.add_refs(&deps);
-                outcomes.push(match engine.fetch_all(&deps, &tracer, 0) {
+                outcomes.push(match fetch(&engine, &deps, &tracer) {
                     Ok(()) => 0,
                     Err(FetchError::Exhausted { .. }) => 1,
                     Err(e) => panic!("unexpected error {e}"),
@@ -203,7 +215,7 @@ proptest! {
                 }
             }
             engine.add_refs(&deps);
-            engine.fetch_all(&deps, &tracer, 0).unwrap();
+            fetch(&engine, &deps, &tracer).unwrap();
             engine.release_refs(&deps);
             engine.evict_unreferenced(&deps, &tracer, 0);
         }

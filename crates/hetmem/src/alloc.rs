@@ -8,7 +8,7 @@
 
 use crate::error::MemError;
 use crate::node::NodeId;
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,6 +81,17 @@ impl NodeAllocator {
 
     /// Allocate `size` zeroed bytes on `node`, debiting the budget.
     pub fn alloc(&self, size: usize, node: NodeId) -> Result<AlignedBuf, MemError> {
+        self.alloc_filled(size, None, node)
+    }
+
+    /// [`NodeAllocator::alloc`], holding a copy of `src` (of `size`
+    /// bytes) instead of zeroes if given.
+    pub(crate) fn alloc_filled(
+        &self,
+        size: usize,
+        src: Option<&[u8]>,
+        node: NodeId,
+    ) -> Result<AlignedBuf, MemError> {
         if let Err(available) = self.budget.try_reserve(size as u64) {
             self.budget.failed.fetch_add(1, Ordering::Relaxed);
             return Err(MemError::CapacityExceeded {
@@ -90,7 +101,7 @@ impl NodeAllocator {
             });
         }
         self.budget.allocs.fetch_add(1, Ordering::Relaxed);
-        Ok(AlignedBuf::new(size, node, Arc::clone(&self.budget)))
+        Ok(AlignedBuf::new(size, src, node, Arc::clone(&self.budget)))
     }
 
     /// Bytes currently allocated.
@@ -124,8 +135,8 @@ impl NodeAllocator {
     }
 }
 
-/// A real, owned, 64-byte-aligned, zero-initialised byte buffer tagged
-/// with the memory node it is accounted against.
+/// A real, owned, 64-byte-aligned, initialised byte buffer tagged with
+/// the memory node it is accounted against.
 ///
 /// Dropping the buffer frees the memory and credits the node budget —
 /// the `numa_free` step of the paper's migration routine.
@@ -142,15 +153,30 @@ unsafe impl Send for AlignedBuf {}
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
-    fn new(len: usize, node: NodeId, budget: Arc<Budget>) -> Self {
+    /// `len` zeroes, or a copy of `src`: written once, by the copy,
+    /// with no zero-fill first.
+    fn new(len: usize, src: Option<&[u8]>, node: NodeId, budget: Arc<Budget>) -> Self {
         let ptr = if len == 0 {
             NonNull::<u8>::dangling()
         } else {
             let layout = Layout::from_size_align(len, BUF_ALIGN).expect("valid layout");
             // SAFETY: layout has non-zero size here.
-            let raw = unsafe { alloc_zeroed(layout) };
+            let raw = unsafe {
+                if src.is_some() {
+                    alloc(layout)
+                } else {
+                    alloc_zeroed(layout)
+                }
+            };
             NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
         };
+        if let Some(src) = src {
+            assert_eq!(src.len(), len, "source length differs");
+            // SAFETY: `ptr` owns `len` fresh bytes (or dangles with
+            // `len == 0`), disjoint from `src`; this initialises a plain
+            // allocation before anything reads it.
+            unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), ptr.as_ptr(), len) };
+        }
         Self {
             ptr,
             len,
@@ -206,7 +232,7 @@ impl Drop for AlignedBuf {
     fn drop(&mut self) {
         if self.len > 0 {
             let layout = Layout::from_size_align(self.len, BUF_ALIGN).expect("valid layout");
-            // SAFETY: ptr was produced by alloc_zeroed with this layout.
+            // SAFETY: ptr was allocated in `new` with this layout.
             unsafe { dealloc(self.ptr.as_ptr(), layout) };
         }
         self.budget.release(self.len as u64);
@@ -230,6 +256,19 @@ mod tests {
         assert_eq!(a.used(), 0);
         assert_eq!(a.peak_used(), 4096);
         assert_eq!(a.alloc_count(), 1);
+    }
+
+    #[test]
+    fn filled_alloc_copies_its_source_and_is_accounted() {
+        let a = NodeAllocator::new(1 << 20);
+        let src: Vec<u8> = (0..4099u32).map(|i| (i % 251) as u8 + 1).collect();
+        let buf = a.alloc_filled(src.len(), Some(&src), HBM).unwrap();
+        assert_eq!(buf.as_slice(), &src[..]);
+        assert_eq!(buf.as_slice().as_ptr() as usize % BUF_ALIGN, 0);
+        assert_eq!((a.used(), a.alloc_count()), (4099, 1));
+        assert!(a.alloc_filled(0, Some(&[]), HBM).unwrap().is_empty());
+        let err = NodeAllocator::new(8).alloc_filled(src.len(), Some(&src), HBM);
+        assert!(matches!(err, Err(MemError::CapacityExceeded { .. })));
     }
 
     #[test]

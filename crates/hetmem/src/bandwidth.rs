@@ -70,7 +70,6 @@ pub struct BandwidthRegulator {
     cursor: Mutex<TimeNs>,
     bytes_charged: AtomicU64,
     total_wait_ns: AtomicU64,
-    charges: AtomicU64,
 }
 
 impl BandwidthRegulator {
@@ -88,7 +87,6 @@ impl BandwidthRegulator {
             cursor: Mutex::new(0),
             bytes_charged: AtomicU64::new(0),
             total_wait_ns: AtomicU64::new(0),
-            charges: AtomicU64::new(0),
         }
     }
 
@@ -125,22 +123,24 @@ impl BandwidthRegulator {
         (bytes as f64 * scale * 1e9 / self.rate_bytes_per_sec as f64).ceil() as TimeNs
     }
 
+    /// Reserve and sleep out each slice, reading the clock twice per
+    /// slice: to anchor it under the cursor lock (the first anchor is the
+    /// charge's `issued_at`) and in `sleep_until`.
     fn charge_scaled(&self, bytes: u64, scale: f64) -> ChargeOutcome {
-        let issued_at = self.clock.now();
+        let mut issued_at = None;
         let mut remaining = bytes;
-        let mut completed_at = issued_at;
-        let mut first = true;
-        while remaining > 0 || first {
+        let mut completed_at = 0;
+        while remaining > 0 || issued_at.is_none() {
             let slice = remaining.min(self.slice_bytes);
             let mut dur = self.service_ns(slice, scale);
-            if first {
-                dur += self.overhead_ns;
-                first = false;
-            }
             let end = {
                 let mut cursor = self.cursor.lock();
-                let start = (*cursor).max(self.clock.now());
-                let end = start + dur;
+                let now = self.clock.now();
+                if issued_at.is_none() {
+                    issued_at = Some(now);
+                    dur += self.overhead_ns;
+                }
+                let end = (*cursor).max(now) + dur;
                 *cursor = end;
                 end
             };
@@ -148,8 +148,8 @@ impl BandwidthRegulator {
             completed_at = end;
             remaining -= slice;
         }
+        let issued_at = issued_at.expect("the loop runs at least once");
         self.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        self.charges.fetch_add(1, Ordering::Relaxed);
         self.total_wait_ns
             .fetch_add(completed_at.saturating_sub(issued_at), Ordering::Relaxed);
         ChargeOutcome {
@@ -167,11 +167,6 @@ impl BandwidthRegulator {
     /// Total time callers spent blocked in charges (ns).
     pub fn total_wait_ns(&self) -> u64 {
         self.total_wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Number of charges issued.
-    pub fn charge_count(&self) -> u64 {
-        self.charges.load(Ordering::Relaxed)
     }
 }
 

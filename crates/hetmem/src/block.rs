@@ -20,7 +20,7 @@ use crate::table::AppendTable;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered block.
@@ -108,7 +108,6 @@ pub struct BlockInfo {
 }
 
 struct BlockMeta {
-    size: usize,
     residency: Residency,
     buf: Option<AlignedBuf>,
     refcount: u32,
@@ -124,9 +123,24 @@ struct BlockMeta {
 struct BlockSlot {
     meta: Mutex<BlockMeta>,
     cond: Condvar,
+    /// Payload size; fixed at registration.
+    size: usize,
+    /// Lock-free mirror of `meta.residency` (raw node, or [`MOVING`]),
+    /// stored with Release under the slot lock and loaded with Acquire.
+    node: AtomicU8,
 }
 
+/// [`BlockSlot::node`] while the block is mid-move.
+const MOVING: u8 = u8::MAX;
+
 impl BlockSlot {
+    /// Set the residency and its lock-free mirror (slot lock held).
+    fn set_residency(&self, m: &mut BlockMeta, residency: Residency) {
+        m.residency = residency;
+        let raw = residency.node().map_or(MOVING, NodeId::raw);
+        self.node.store(raw, Ordering::Release);
+    }
+
     /// Park on the slot's condvar, counted in `waiters`.
     fn wait(&self, m: &mut MutexGuard<'_, BlockMeta>) {
         m.waiters += 1;
@@ -228,8 +242,8 @@ impl BlockRegistry {
     pub fn register(&self, buf: AlignedBuf, label: impl Into<String>) -> BlockId {
         let bytes = buf.len();
         let node = buf.node();
+        assert_ne!(node.raw(), MOVING, "node {node} is reserved");
         let meta = BlockMeta {
-            size: bytes,
             residency: Residency::Resident(node),
             buf: Some(buf),
             refcount: 0,
@@ -242,6 +256,8 @@ impl BlockRegistry {
         let id = BlockId(self.slots.push(BlockSlot {
             meta: Mutex::new(meta),
             cond: Condvar::new(),
+            size: bytes,
+            node: AtomicU8::new(node.raw()),
         }) as u32);
         if let Some(obs) = self.observer() {
             obs.on_register(id, bytes, node);
@@ -278,7 +294,7 @@ impl BlockRegistry {
         let m = slot.meta.lock();
         BlockInfo {
             id,
-            size: m.size,
+            size: slot.size,
             residency: m.residency,
             refcount: m.refcount,
             label: m.label.clone(),
@@ -286,18 +302,16 @@ impl BlockRegistry {
         }
     }
 
-    /// The node a block currently resides on (None while moving).
+    /// The node a block currently resides on (None while moving). Lock-
+    /// free, so moves re-check residency under the slot lock.
     pub fn node_of(&self, id: BlockId) -> Option<NodeId> {
-        let slot = self.slot(id);
-        let m = slot.meta.lock();
-        m.residency.node()
+        let raw = self.slot(id).node.load(Ordering::Acquire);
+        (raw != MOVING).then(|| NodeId::new(raw))
     }
 
-    /// Payload size of a block.
+    /// Payload size of a block (fixed at registration; lock-free).
     pub fn size_of(&self, id: BlockId) -> usize {
-        let slot = self.slot(id);
-        let size = slot.meta.lock().size;
-        size
+        self.slot(id).size
     }
 
     /// Increment the scheduled-task reference count.
@@ -378,7 +392,7 @@ impl BlockRegistry {
             }
         }
         let buf = m.buf.take().expect("resident block must have a buffer");
-        m.residency = Residency::Moving { from, to };
+        slot.set_residency(&mut m, Residency::Moving { from, to });
         if let Some(obs) = self.observer() {
             obs.on_move_begin(id, from, to, m.refcount);
         }
@@ -390,9 +404,9 @@ impl BlockRegistry {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
         debug_assert!(matches!(m.residency, Residency::Moving { .. }));
-        debug_assert_eq!(new_buf.len(), m.size);
+        debug_assert_eq!(new_buf.len(), slot.size);
         let node = new_buf.node();
-        m.residency = Residency::Resident(node);
+        slot.set_residency(&mut m, Residency::Resident(node));
         m.buf = Some(new_buf);
         if let Some(obs) = self.observer() {
             obs.on_move_complete(id, node);
@@ -407,7 +421,7 @@ impl BlockRegistry {
         let mut m = slot.meta.lock();
         debug_assert!(matches!(m.residency, Residency::Moving { .. }));
         let node = src_buf.node();
-        m.residency = Residency::Resident(node);
+        slot.set_residency(&mut m, Residency::Resident(node));
         m.buf = Some(src_buf);
         if let Some(obs) = self.observer() {
             obs.on_move_abort(id, node);
@@ -501,9 +515,8 @@ impl BlockRegistry {
         self.slots
             .iter()
             .map(|(_, slot)| {
-                let m = slot.meta.lock();
-                if m.residency == Residency::Resident(node) {
-                    m.size as u64
+                if slot.meta.lock().residency == Residency::Resident(node) {
+                    slot.size as u64
                 } else {
                     0
                 }

@@ -175,6 +175,17 @@ impl Memory {
     /// `numa_alloc_onnode` equivalent: allocate `size` bytes on `node`,
     /// failing if the node's capacity budget would be exceeded.
     pub fn alloc_on_node(&self, size: usize, node: NodeId) -> Result<AlignedBuf, MemError> {
+        self.alloc_filled(size, None, node)
+    }
+
+    /// [`Memory::alloc_on_node`], holding a copy of `src` (of `size`
+    /// bytes) instead of zeroes if given.
+    pub(crate) fn alloc_filled(
+        &self,
+        size: usize,
+        src: Option<&[u8]>,
+        node: NodeId,
+    ) -> Result<AlignedBuf, MemError> {
         match self.faults.on_alloc(node, size) {
             FaultAction::Proceed => {}
             FaultAction::Delay(ns) => self.clock.sleep(ns),
@@ -185,7 +196,8 @@ impl Memory {
                 })
             }
         }
-        self.nodes[node.index()].allocator.alloc(size, node)
+        let allocator = &self.nodes[node.index()].allocator;
+        allocator.alloc_filled(size, src, node)
     }
 
     /// Free a buffer back to its node's budget. (Buffers also release

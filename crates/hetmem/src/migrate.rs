@@ -5,17 +5,18 @@
 //! > destination location. Here move itself is a two step process,
 //! > consisting of copy to destination and then freeing the source."
 //!
-//! [`MigrationEngine::migrate`] implements exactly that:
-//! `alloc_on_node(dst)` → charged `memcpy` → free source, updating the
-//! registry's residency state around it. The `memcpy` is a real byte
-//! copy *and* is charged against both nodes' bandwidth regulators (read
-//! from the source, penalised write to the destination), which is what
-//! produces the Figure 7 cost curves.
+//! [`MigrationEngine::migrate`] implements exactly that: allocate on
+//! `dst` → charged `memcpy` → free source, updating the registry's
+//! residency state around it. The `memcpy` is a real byte copy, done as
+//! the destination is allocated, *and* is charged against both nodes' bandwidth regulators (read from the
+//! source, penalised write to the destination), which is what produces
+//! the Figure 7 cost curves.
 //!
 //! When built with a [`MemoryPool`] (the paper's future-work
 //! optimisation) destination buffers come from a per-node freelist,
 //! skipping the allocate/free pair.
 
+use crate::alloc::AlignedBuf;
 use crate::block::BlockId;
 use crate::clock::TimeNs;
 use crate::error::MemError;
@@ -82,11 +83,6 @@ impl MigrationEngine {
         }
     }
 
-    /// The memory subsystem this engine operates on.
-    pub fn memory(&self) -> &Arc<Memory> {
-        &self.mem
-    }
-
     /// Move block `id` to node `dst`.
     ///
     /// `require_unreferenced` should be true for evictions (the paper
@@ -103,6 +99,21 @@ impl MigrationEngine {
         require_unreferenced: bool,
         copy_contents: bool,
     ) -> Result<TimeNs, MemError> {
+        self.migrate_span(id, dst, require_unreferenced, copy_contents)
+            .map(|(start, end)| end - start)
+    }
+
+    /// [`MigrationEngine::migrate`], returning the clock readings at its
+    /// start and end, so a caller can record the move as a span without
+    /// reading the clock again. An uncapped copying move reads the clock
+    /// six times: those two, and two in each of its two charges.
+    pub fn migrate_span(
+        &self,
+        id: BlockId,
+        dst: NodeId,
+        require_unreferenced: bool,
+        copy_contents: bool,
+    ) -> Result<(TimeNs, TimeNs), MemError> {
         let t0 = self.mem.clock().now();
 
         // Fault injection happens before any registry state changes, so
@@ -125,10 +136,12 @@ impl MigrationEngine {
         let registry = self.mem.registry();
         let (src_buf, src_node) = registry.begin_move(id, dst, require_unreferenced)?;
         let size = src_buf.len();
+        let copy = copy_contents && size > 0;
 
-        // Step 1: create space in the destination memory.
-        let dst_buf = self.acquire_dst(size, dst);
-        let mut dst_buf = match dst_buf {
+        // Step 1: create space in the destination memory, as a copy of
+        // the source if the contents move.
+        let src_bytes = copy.then(|| src_buf.as_slice());
+        let dst_buf = match self.acquire_dst(size, src_bytes, dst) {
             Ok(b) => b,
             Err(e) => {
                 if e.is_transient() {
@@ -141,19 +154,17 @@ impl MigrationEngine {
             }
         };
 
-        // Step 2: memcpy, charged against both memory controllers and
+        // Step 2: charge the memcpy against both memory controllers and
         // against the copying *thread*'s own rate — a single core
         // cannot saturate the aggregate bandwidth (Perarnau et al.,
         // the paper's [11]), which is exactly why one IO thread is a
         // fetch bottleneck while many are not.
-        if copy_contents && size > 0 {
-            let copy_start = self.mem.clock().now();
-            self.mem.regulator(src_node).charge(size as u64);
+        if copy {
+            let read = self.mem.regulator(src_node).charge(size as u64);
             self.mem.regulator(dst).charge_write(size as u64);
-            dst_buf.as_mut_slice().copy_from_slice(src_buf.as_slice());
             if let Some(rate) = self.mem.topology().migrate_thread_bytes_per_sec() {
                 let thread_ns = (size as f64 * 1e9 / rate as f64).ceil() as u64;
-                self.mem.clock().sleep_until(copy_start + thread_ns);
+                self.mem.clock().sleep_until(read.issued_at + thread_ns);
             }
         }
 
@@ -162,25 +173,35 @@ impl MigrationEngine {
 
         registry.complete_move(id, dst_buf);
 
-        let dt = self.mem.clock().now().saturating_sub(t0);
+        let t1 = self.mem.clock().now();
         self.stats.migrations.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_moved
             .fetch_add(size as u64, Ordering::Relaxed);
-        self.stats.total_ns.fetch_add(dt, Ordering::Relaxed);
-        Ok(dt)
+        self.stats
+            .total_ns
+            .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
+        Ok((t0, t1))
     }
 
-    fn acquire_dst(&self, size: usize, dst: NodeId) -> Result<crate::alloc::AlignedBuf, MemError> {
+    fn acquire_dst(
+        &self,
+        size: usize,
+        src: Option<&[u8]>,
+        dst: NodeId,
+    ) -> Result<AlignedBuf, MemError> {
         if let Some(pools) = &self.pools {
-            if let Some(buf) = pools[dst.index()].take(size) {
+            if let Some(mut buf) = pools[dst.index()].take(size) {
+                if let Some(src) = src {
+                    buf.as_mut_slice().copy_from_slice(src);
+                }
                 return Ok(buf);
             }
         }
-        self.mem.alloc_on_node(size, dst)
+        self.mem.alloc_filled(size, src, dst)
     }
 
-    fn release_src(&self, buf: crate::alloc::AlignedBuf) {
+    fn release_src(&self, buf: AlignedBuf) {
         if let Some(pools) = &self.pools {
             pools[buf.node().index()].put(buf);
         } else {
@@ -205,6 +226,7 @@ impl MigrationEngine {
 mod tests {
     use super::*;
     use crate::faults::FaultInjector;
+    use crate::node::NodeId;
     use crate::node::{DDR4, HBM};
     use crate::topology::{NodeSpec, Topology};
     use crate::{AccessMode, VirtualClock};
@@ -217,24 +239,41 @@ mod tests {
         Memory::with_clock(topo, Arc::new(VirtualClock::new()))
     }
 
+    /// A registered DDR4 block of `len` patterned (non-zero) bytes.
+    fn patterned_block(mem: &Arc<Memory>, len: usize) -> (BlockId, Vec<u8>) {
+        let pattern: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+        let mut buf = mem.alloc_on_node(len, DDR4).unwrap();
+        buf.as_mut_slice().copy_from_slice(&pattern);
+        (mem.registry().register(buf, "m"), pattern)
+    }
+
     #[test]
     fn migrate_moves_bytes_and_accounting() {
         let mem = small_mem();
         let engine = mem.migration_engine();
-        let mut buf = mem.alloc_on_node(1024, DDR4).unwrap();
-        buf.as_mut_slice()[123] = 7;
-        let id = mem.registry().register(buf, "m");
+        // An odd size, so the copy-on-allocate destination has a tail
+        // past the last whole word.
+        let (id, pattern) = patterned_block(&mem, 1027);
 
         let dt = engine.migrate(id, HBM, true, true).unwrap();
         assert!(dt > 0);
         assert_eq!(mem.registry().node_of(id), Some(HBM));
         assert_eq!(mem.stats().nodes[DDR4.index()].used_bytes, 0);
-        assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 1024);
+        assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 1027);
         let g = mem.registry().access(id, AccessMode::ReadOnly);
-        assert_eq!(g.bytes()[123], 7);
+        assert_eq!(
+            g.bytes(),
+            &pattern[..],
+            "destination differs from its source"
+        );
+        drop(g);
         let s = engine.stats();
         assert_eq!(s.migrations, 1);
-        assert_eq!(s.bytes_moved, 1024);
+        assert_eq!(s.bytes_moved, 1027);
+        // And back: the eviction's destination is a copy too.
+        engine.migrate(id, DDR4, true, true).unwrap();
+        let g = mem.registry().access(id, AccessMode::ReadOnly);
+        assert_eq!(g.bytes(), &pattern[..]);
     }
 
     #[test]
@@ -287,13 +326,18 @@ mod tests {
     fn writeonly_fetch_skips_copy_charges() {
         let mem = small_mem();
         let engine = mem.migration_engine();
-        let buf = mem.alloc_on_node(2048, DDR4).unwrap();
-        let id = mem.registry().register(buf, "m");
+        let (id, _) = patterned_block(&mem, 2048);
         engine.migrate(id, HBM, false, false).unwrap();
         assert_eq!(mem.registry().node_of(id), Some(HBM));
         // No bytes were charged: the contents were not transferred.
         assert_eq!(mem.stats().nodes[DDR4.index()].bytes_charged, 0);
         assert_eq!(mem.stats().nodes[HBM.index()].bytes_charged, 0);
+        // Nor copied: the destination is a fresh zeroed buffer.
+        let g = mem.registry().access(id, AccessMode::ReadOnly);
+        assert!(
+            g.bytes().iter().all(|&b| b == 0),
+            "a WriteOnly fetch copied bytes"
+        );
     }
 
     #[test]
@@ -350,8 +394,7 @@ mod tests {
     fn pooled_engine_recycles_buffers() {
         let mem = small_mem();
         let engine = MigrationEngine::with_pools(Arc::clone(&mem));
-        let buf = mem.alloc_on_node(1024, DDR4).unwrap();
-        let id = mem.registry().register(buf, "m");
+        let (id, pattern) = patterned_block(&mem, 1024);
         engine.migrate(id, HBM, true, true).unwrap();
         engine.migrate(id, DDR4, true, true).unwrap();
         // Going back to HBM should reuse the pooled HBM buffer: no new
@@ -360,5 +403,108 @@ mod tests {
         engine.migrate(id, HBM, true, true).unwrap();
         let allocs_after = mem.stats().nodes[HBM.index()].alloc_count;
         assert_eq!(allocs_before, allocs_after);
+        let g = mem.registry().access(id, AccessMode::ReadOnly);
+        assert_eq!(g.bytes(), &pattern[..], "recycled buffer holds stale bytes");
+    }
+
+    /// Checks, under the slot lock, that the lock-free residency
+    /// mirror already shows every residency change it is told about.
+    /// Mismatches are counted rather than panicked on, so a failure
+    /// cannot wedge the movers' barrier.
+    struct MirrorCheck {
+        mem: std::sync::Weak<Memory>,
+        checked: AtomicU64,
+        mismatched: AtomicU64,
+    }
+
+    impl crate::block::BlockObserver for MirrorCheck {
+        fn on_move_begin(&self, block: BlockId, _from: NodeId, _to: NodeId, _rc: u32) {
+            self.expect(block, None);
+        }
+        fn on_move_complete(&self, block: BlockId, node: NodeId) {
+            self.expect(block, Some(node));
+        }
+        fn on_move_abort(&self, block: BlockId, node: NodeId) {
+            self.expect(block, Some(node));
+        }
+    }
+
+    impl MirrorCheck {
+        fn expect(&self, block: BlockId, node: Option<NodeId>) {
+            let mem = self.mem.upgrade().expect("memory outlives its moves");
+            if mem.registry().node_of(block) != node {
+                self.mismatched.fetch_add(1, Ordering::Relaxed);
+            }
+            self.checked.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn residency_mirror_agrees_with_info_through_a_move_storm() {
+        const BLOCKS: usize = 8;
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 40;
+        // Room in HBM for half the blocks, so some fetches abort.
+        let topo = Topology::new(vec![
+            NodeSpec::new("DDR4", 1 << 20, 1 << 55),
+            NodeSpec::new("HBM", (BLOCKS as u64 / 2) * 256, 1 << 55),
+        ]);
+        let mem = Memory::with_clock(topo, Arc::new(crate::MonotonicClock::new()));
+        let check = Arc::new(MirrorCheck {
+            mem: Arc::downgrade(&mem),
+            checked: AtomicU64::new(0),
+            mismatched: AtomicU64::new(0),
+        });
+        mem.registry().set_observer(check.clone());
+        let ids: Vec<BlockId> = (0..BLOCKS).map(|_| patterned_block(&mem, 256).0).collect();
+        let engine = Arc::new(mem.migration_engine());
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
+        let movers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, ids, barrier) =
+                    (Arc::clone(&engine), ids.clone(), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let mut x = t as u64 * 0x9E37_79B9 + 1;
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        for _ in 0..50 {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            let id = ids[x as usize % BLOCKS];
+                            // Fetch or evict; racing moves of the same
+                            // block fail with InvalidState, full HBM
+                            // with CapacityExceeded. Both are expected.
+                            let dst = if x.is_multiple_of(2) { HBM } else { DDR4 };
+                            let _ = engine.migrate(id, dst, dst == DDR4, true);
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..ROUNDS {
+            // Mid-round, `MirrorCheck` compares at every residency
+            // change; between rounds nothing moves and all must agree.
+            barrier.wait();
+            barrier.wait();
+            assert_eq!(
+                check.mismatched.load(Ordering::Relaxed),
+                0,
+                "mirror lagged a move"
+            );
+            for &id in &ids {
+                let info = mem.registry().info(id);
+                assert_eq!(mem.registry().node_of(id), info.residency.node(), "{id}");
+                assert!(info.residency.node().is_some(), "{id} left mid-move");
+            }
+        }
+        for m in movers {
+            m.join().unwrap();
+        }
+        assert!(
+            check.checked.load(Ordering::Relaxed) > 0,
+            "no move was checked"
+        );
     }
 }
