@@ -51,18 +51,6 @@ pub trait SchedulerHook: Send + Sync {
     /// Number of intercepted-but-not-yet-completed tasks; the runtime's
     /// quiescence detection treats these as outstanding work.
     fn pending(&self) -> usize;
-
-    /// The runtime is pausing (checkpoint about to be taken at
-    /// quiescence). The hook must stop initiating background work —
-    /// IO-thread fetches, watchdog drains — until
-    /// [`SchedulerHook::on_resume`]. Called with the system already
-    /// quiescent, so a hook with no background machinery can ignore it.
-    /// Default: no-op.
-    fn on_pause(&self) {}
-
-    /// The runtime resumed after a pause; background machinery may run
-    /// again. Default: no-op.
-    fn on_resume(&self) {}
 }
 
 #[cfg(test)]

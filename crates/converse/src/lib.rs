@@ -37,4 +37,4 @@ pub use envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 pub use hook::{ExecutedTask, SchedulerHook};
 pub use queue::{Pop, RunQueue};
 pub use runtime::{Chare, ExecCtx, Runtime, RuntimeBuilder};
-pub use sync::{CompletionLatch, Reducer};
+pub use sync::CompletionLatch;

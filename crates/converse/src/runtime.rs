@@ -399,24 +399,18 @@ impl Runtime {
 
     /// Gate worker processing: after this returns, PE workers finish
     /// their in-flight envelope and then block before taking the next
-    /// one, and the scheduler hook has been told to idle its background
-    /// machinery ([`SchedulerHook::on_pause`]). Call at quiescence
+    /// one. A hook with background machinery (IO threads, watchdogs)
+    /// idles it while [`Runtime::is_paused`]. Call at quiescence
     /// (checkpoint protocol: quiesce, pause, snapshot, resume) — the
     /// gate then guarantees nothing starts executing while the
     /// snapshot reads block payloads.
     pub fn pause(&self) {
         self.set_paused(true);
-        if let Some(h) = self.installed_hook() {
-            h.on_pause();
-        }
     }
 
     /// Lift the [`Runtime::pause`] gate and wake the PE workers.
     pub fn resume(&self) {
         self.set_paused(false);
-        if let Some(h) = self.installed_hook() {
-            h.on_resume();
-        }
     }
 
     /// Close or open the pause gate. The flag changes under the gate
@@ -993,38 +987,6 @@ mod tests {
         assert!(latch.wait_timeout_ms(5000));
         assert!(rt.wait_quiescence_ms(2000));
         assert_eq!(rt.processed_count(), 4);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn pause_and_resume_notify_the_hook() {
-        struct PauseSpy {
-            pauses: AtomicU64,
-            resumes: AtomicU64,
-        }
-        impl SchedulerHook for PauseSpy {
-            fn on_intercept(&self, _pe: usize, _env: Envelope) {}
-            fn on_complete(&self, _done: ExecutedTask) {}
-            fn pending(&self) -> usize {
-                0
-            }
-            fn on_pause(&self) {
-                self.pauses.fetch_add(1, Ordering::SeqCst);
-            }
-            fn on_resume(&self) {
-                self.resumes.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let rt = runtime(1);
-        let spy = Arc::new(PauseSpy {
-            pauses: AtomicU64::new(0),
-            resumes: AtomicU64::new(0),
-        });
-        rt.set_hook(spy.clone());
-        rt.pause();
-        rt.resume();
-        assert_eq!(spy.pauses.load(Ordering::SeqCst), 1);
-        assert_eq!(spy.resumes.load(Ordering::SeqCst), 1);
         rt.shutdown();
     }
 

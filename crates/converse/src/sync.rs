@@ -1,5 +1,5 @@
 //! Synchronisation helpers for message-driven applications: completion
-//! latches (termination) and a simple reducer (validation sums).
+//! latches (termination).
 
 use parking_lot::{Condvar, Mutex};
 
@@ -55,38 +55,6 @@ impl CompletionLatch {
     }
 }
 
-/// A floating-point sum reducer: chares contribute, the driver collects
-/// after the latch fires. Used by the kernels to validate numerics
-/// (e.g. stencil checksums) across strategies.
-#[derive(Default)]
-pub struct Reducer {
-    state: Mutex<(f64, usize)>,
-}
-
-impl Reducer {
-    /// An empty reducer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Contribute one value.
-    pub fn contribute(&self, value: f64) {
-        let mut s = self.state.lock();
-        s.0 += value;
-        s.1 += 1;
-    }
-
-    /// (sum, contribution count) so far.
-    pub fn result(&self) -> (f64, usize) {
-        *self.state.lock()
-    }
-
-    /// Reset to empty (between iterations/runs).
-    pub fn reset(&self) {
-        *self.state.lock() = (0.0, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +93,5 @@ mod tests {
         assert!(!l.wait_timeout_ms(20));
         l.count_down();
         assert!(l.wait_timeout_ms(20));
-    }
-
-    #[test]
-    fn reducer_accumulates() {
-        let r = Reducer::new();
-        r.contribute(1.5);
-        r.contribute(2.5);
-        assert_eq!(r.result(), (4.0, 2));
-        r.reset();
-        assert_eq!(r.result(), (0.0, 0));
     }
 }

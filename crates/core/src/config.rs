@@ -1,7 +1,5 @@
 //! Configuration of the memory-aware runtime.
 
-use hetmem::{NodeId, DDR4, HBM};
-
 /// Which of the paper's scheduling strategies to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
@@ -85,7 +83,7 @@ pub enum WaitQueueTopology {
 }
 
 /// What the admission guard does with a task whose total declared
-/// dependence bytes exceed HBM capacity (minus headroom). Such a task
+/// dependence bytes exceed HBM capacity. Such a task
 /// can never be fully prefetched: without the guard it would wait in
 /// the queue forever (or panic deep in the fetch path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,16 +102,13 @@ pub enum OversizePolicy {
     Reject,
 }
 
-/// Full configuration of the memory-aware layer.
+/// Full configuration of the memory-aware layer. The fast and slow
+/// nodes are always [`hetmem::HBM`] and [`hetmem::DDR4`], and the
+/// fault-tolerance tuning is fixed: `MAX_FETCH_RETRIES` and
+/// `BACKOFF_BASE_NS` in the fetch engine, `WATCHDOG_STALL_MS` and
+/// `IO_RESTART_BUDGET` in the IO-thread supervisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OocConfig {
-    /// The fast node (MCDRAM — numa node 1 on KNL).
-    pub hbm: NodeId,
-    /// The slow node (DDR4 — numa node 0).
-    pub ddr: NodeId,
-    /// Bytes to keep free in HBM beyond what fetches strictly need
-    /// (guards the transient double-occupancy of in-flight moves).
-    pub headroom_bytes: u64,
     /// Eviction policy.
     pub eviction: EvictionPolicy,
     /// Wait-queue layout.
@@ -125,22 +120,6 @@ pub struct OocConfig {
     /// Recycle migration buffers through per-node memory pools (the
     /// paper's §IV-C future-work optimisation — ablation A2).
     pub use_memory_pool: bool,
-    /// How many times a fetch retries a transiently-failed migration
-    /// (see [`hetmem::MemError::Transient`]) before the task gives up
-    /// on HBM and runs degraded from DDR4.
-    pub max_fetch_retries: u32,
-    /// Base delay in nanoseconds for exponential backoff between
-    /// transient-fault retries: retry *n* waits `backoff_base << n`
-    /// (capped — see [`crate::engine::backoff_delay_ns`]).
-    pub backoff_base: u64,
-    /// Wait-queue stall deadline in milliseconds: if queued tasks make
-    /// no progress for this long, the IO-thread watchdog drains them in
-    /// degraded mode instead of letting the run wedge. 0 disables the
-    /// watchdog.
-    pub watchdog_stall_ms: u64,
-    /// How many times a crashed IO thread may be respawned before its
-    /// queues fall back to the watchdog's degraded drain.
-    pub io_restart_budget: u32,
     /// What to do with a task whose declared working set can never fit
     /// in HBM (see [`OversizePolicy`]).
     pub oversize_policy: OversizePolicy,
@@ -155,17 +134,10 @@ pub struct OocConfig {
 impl Default for OocConfig {
     fn default() -> Self {
         Self {
-            hbm: HBM,
-            ddr: DDR4,
-            headroom_bytes: 0,
             eviction: EvictionPolicy::OnComplete,
             wait_queues: WaitQueueTopology::PerPe,
             node_level_run_queue: false,
             use_memory_pool: false,
-            max_fetch_retries: 4,
-            backoff_base: 10_000, // 10 µs
-            watchdog_stall_ms: 1_000,
-            io_restart_budget: 2,
             oversize_policy: OversizePolicy::Degrade,
             checkpoint_every: 0,
         }
@@ -191,16 +163,10 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = OocConfig::default();
-        assert_eq!(c.hbm, HBM);
-        assert_eq!(c.ddr, DDR4);
         assert_eq!(c.eviction, EvictionPolicy::OnComplete);
         assert_eq!(c.wait_queues, WaitQueueTopology::PerPe);
         assert!(!c.node_level_run_queue);
         assert!(!c.use_memory_pool);
-        assert!(c.max_fetch_retries > 0);
-        assert!(c.backoff_base > 0);
-        assert!(c.watchdog_stall_ms > 0);
-        assert!(c.io_restart_budget > 0);
         assert_eq!(c.oversize_policy, OversizePolicy::Degrade);
         assert_eq!(c.checkpoint_every, 0, "periodic checkpoints are opt-in");
     }

@@ -20,7 +20,7 @@
 use crate::config::{EvictionPolicy, OocConfig};
 use crate::stats::StatCells;
 use converse::Dep;
-use hetmem::{MemError, Memory, MigrationEngine};
+use hetmem::{MemError, Memory, MigrationEngine, DDR4, HBM};
 use projections::{SpanKind, Tracer};
 use std::sync::Arc;
 
@@ -38,8 +38,8 @@ pub enum FetchError {
         /// The HBM capacity budget.
         capacity: u64,
     },
-    /// Transient migration faults persisted past the configured retry
-    /// budget; the caller should run the task degraded from DDR4
+    /// Transient migration faults persisted past [`MAX_FETCH_RETRIES`]
+    /// retries; the caller should run the task degraded from DDR4
     /// rather than wedge the wait queue.
     Exhausted {
         /// The block whose fetch kept faulting.
@@ -67,8 +67,17 @@ impl std::fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// Cap on a single backoff sleep, so a misconfigured base cannot stall
-/// an IO thread for longer than the watchdog deadline.
+/// How many times a fetch retries a transiently-failed migration (see
+/// [`MemError::Transient`]) before the task gives up on HBM and runs
+/// degraded from DDR4.
+pub(crate) const MAX_FETCH_RETRIES: u32 = 4;
+
+/// Base delay for exponential backoff between transient-fault retries:
+/// retry *n* waits `BACKOFF_BASE_NS << n` (see [`backoff_delay_ns`]).
+const BACKOFF_BASE_NS: u64 = 10_000; // 10 µs
+
+/// Cap on a single backoff sleep, so a large base cannot stall an IO
+/// thread for longer than the watchdog deadline.
 pub const BACKOFF_CAP_NS: u64 = 10_000_000; // 10 ms
 
 /// Delay before retry `attempt` (0-based) of a transiently-failed
@@ -112,17 +121,9 @@ impl FetchEngine {
         &self.config
     }
 
-    /// Migration statistics (fetches + evictions combined).
-    pub fn migration_stats(&self) -> hetmem::MigrationStats {
-        self.engine.stats()
-    }
-
-    /// Bytes of HBM still available under budget and headroom.
+    /// Bytes of HBM still available under its budget.
     pub fn hbm_available(&self) -> u64 {
-        self.mem
-            .allocator(self.config.hbm)
-            .available()
-            .saturating_sub(self.config.headroom_bytes)
+        self.mem.allocator(HBM).available()
     }
 
     /// Reference every dependence of a task (call before fetching).
@@ -149,7 +150,7 @@ impl FetchEngine {
         let mut unpinned = false;
         for d in deps {
             if registry.release_ref(d.block) == 0 {
-                unpinned |= registry.node_of(d.block) != Some(self.config.ddr);
+                unpinned |= registry.node_of(d.block) != Some(DDR4);
             }
         }
         self.evict_unreferenced(deps, tracer, tag);
@@ -183,38 +184,34 @@ impl FetchEngine {
         Ok(())
     }
 
-    /// The most a single task may declare: HBM capacity minus the
-    /// configured headroom. Anything larger can never be fully
-    /// prefetched ([`FetchError::TaskTooLarge`] / the admission guard).
+    /// The most a single task may declare: HBM capacity. Anything
+    /// larger can never be fully prefetched
+    /// ([`FetchError::TaskTooLarge`] / the admission guard).
     pub fn hbm_task_capacity(&self) -> u64 {
-        self.mem
-            .allocator(self.config.hbm)
-            .capacity()
-            .saturating_sub(self.config.headroom_bytes)
+        self.mem.allocator(HBM).capacity()
     }
 
     /// Bring one dependence into HBM (§IV-B: "for any dependence that
     /// is INDDR, brings it into HBM and changes its state to INHBM").
     fn ensure_in_hbm(&self, dep: &Dep, tracer: &Tracer, tag: u32) -> Result<(), FetchError> {
         let registry = self.mem.registry();
-        let hbm = self.config.hbm;
         let mut transient_attempts: u32 = 0;
         loop {
             match registry.node_of(dep.block) {
-                Some(n) if n == hbm => return Ok(()),
+                Some(HBM) => return Ok(()),
                 None => {
                     // Another thread is moving it; wait for the verdict.
                     let t0 = self.mem.clock().now();
                     let node = registry.wait_resident(dep.block);
                     let t1 = self.mem.clock().now();
                     tracer.record(SpanKind::BlockWait, t0, t1, tag);
-                    if node == hbm {
+                    if node == HBM {
                         return Ok(());
                     }
                 }
                 Some(_) => {
                     let copy = dep.mode.reads_old_contents();
-                    match self.engine.migrate_span(dep.block, hbm, false, copy) {
+                    match self.engine.migrate_span(dep.block, HBM, false, copy) {
                         Ok((t0, t1)) => {
                             tracer.record(SpanKind::Fetch, t0, t1, tag);
                             self.stats.bump_fetches(registry.size_of(dep.block) as u64);
@@ -239,14 +236,13 @@ impl FetchEngine {
                             // Injected/transient fault: retry with
                             // exponential backoff, then hand the
                             // decision to the caller (degraded mode).
-                            if transient_attempts >= self.config.max_fetch_retries {
+                            if transient_attempts >= MAX_FETCH_RETRIES {
                                 return Err(FetchError::Exhausted {
                                     block: dep.block.0 as u64,
                                     attempts: transient_attempts,
                                 });
                             }
-                            let delay =
-                                backoff_delay_ns(self.config.backoff_base, transient_attempts);
+                            let delay = backoff_delay_ns(BACKOFF_BASE_NS, transient_attempts);
                             transient_attempts += 1;
                             self.stats.bump_transient_retry();
                             if delay > 0 {
@@ -321,11 +317,11 @@ impl FetchEngine {
     /// Evict a single block if it is in HBM with refcount zero.
     fn try_evict(&self, block: hetmem::BlockId, tracer: &Tracer, tag: u32) -> bool {
         let registry = self.mem.registry();
-        if registry.node_of(block) != Some(self.config.hbm) || registry.refcount(block) > 0 {
+        if registry.node_of(block) != Some(HBM) || registry.refcount(block) > 0 {
             return false;
         }
         // Evicted contents must persist: always copy.
-        match self.engine.migrate_span(block, self.config.ddr, true, true) {
+        match self.engine.migrate_span(block, DDR4, true, true) {
             Ok((t0, t1)) => {
                 tracer.record(SpanKind::Evict, t0, t1, tag);
                 self.stats.bump_evictions(registry.size_of(block) as u64);
@@ -349,7 +345,7 @@ impl FetchEngine {
     /// true if enough space was freed.
     fn make_space_lru(&self, needed: u64, tracer: &Tracer, tag: u32) -> bool {
         let registry = self.mem.registry();
-        for block in registry.resident_on(self.config.hbm) {
+        for block in registry.resident_on(HBM) {
             if self.hbm_available() >= needed {
                 return true;
             }
@@ -365,7 +361,7 @@ impl FetchEngine {
 mod tests {
     use super::*;
     use crate::config::WaitQueueTopology;
-    use hetmem::{AccessMode, Topology, VirtualClock, DDR4, HBM};
+    use hetmem::{AccessMode, Topology, VirtualClock};
     use projections::{LaneId, TraceCollector};
 
     fn setup(hbm_cap: u64) -> (Arc<Memory>, FetchEngine, Arc<Tracer>) {
@@ -525,15 +521,17 @@ mod tests {
         let deps = vec![dep(b, AccessMode::ReadOnly)];
         engine.add_refs(&deps);
         let err = fetch(&engine, &deps, &tracer).unwrap_err();
-        let budget = OocConfig::default().max_fetch_retries;
         assert_eq!(
             err,
             FetchError::Exhausted {
                 block: b.0 as u64,
-                attempts: budget
+                attempts: MAX_FETCH_RETRIES
             }
         );
-        assert_eq!(stats.snapshot().transient_retries, budget as u64);
+        assert_eq!(
+            stats.snapshot().transient_retries,
+            u64::from(MAX_FETCH_RETRIES)
+        );
         assert_eq!(mem.registry().node_of(b), Some(DDR4));
         engine.release_refs(&deps);
     }

@@ -167,11 +167,6 @@ impl OocRuntime {
         stats
     }
 
-    /// Migration statistics from the fetch engine, if a hook is active.
-    pub fn migration_stats(&self) -> Option<hetmem::MigrationStats> {
-        self.hook.as_ref().map(|h| h.migration_stats())
-    }
-
     /// Current wait-queue lengths (empty for baseline).
     pub fn wait_queue_lengths(&self) -> Vec<usize> {
         self.hook
@@ -297,7 +292,7 @@ impl OocRuntime {
         if let Some(checker) = &self.checker {
             checker.record_restart();
         }
-        hetmem::restore_into(&self.mem, &image, self.config.ddr)?;
+        hetmem::restore_into(&self.mem, &image, hetmem::DDR4)?;
         if let Some(hook) = &self.hook {
             hook.adopt_stats(&app.stats);
             hook.note_restore();
@@ -341,7 +336,6 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let ooc = OocRuntime::new(mem, 1, StrategyKind::Baseline, OocConfig::default());
         assert_eq!(ooc.stats(), OocStats::default());
-        assert!(ooc.migration_stats().is_none());
         assert!(ooc.wait_queue_lengths().is_empty());
         assert!(ooc.wait_quiescence_ms(200));
         ooc.shutdown();
@@ -352,7 +346,6 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let ooc = OocRuntime::new(mem, 2, StrategyKind::multi_io(2), OocConfig::default());
         assert_eq!(ooc.stats().intercepted, 0);
-        assert!(ooc.migration_stats().is_some());
         assert_eq!(ooc.wait_queue_lengths(), vec![0, 0]);
         ooc.shutdown();
     }

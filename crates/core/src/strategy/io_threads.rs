@@ -23,13 +23,12 @@
 //! pool therefore runs a supervisor thread that
 //!
 //! * catches IO-thread panics (`catch_unwind`) and respawns the thread
-//!   within a bounded restart budget
-//!   ([`crate::OocConfig::io_restart_budget`]);
+//!   within a bounded restart budget ([`IO_RESTART_BUDGET`]);
 //! * watches per-thread heartbeats and the admitted/completed counters,
 //!   and — when queued tasks make no progress past the
-//!   [`crate::OocConfig::watchdog_stall_ms`] deadline — drains the wait
-//!   queues in degraded mode (tasks run from DDR4) instead of letting
-//!   the run wedge.
+//!   [`WATCHDOG_STALL_MS`] deadline — drains the wait queues in
+//!   degraded mode (tasks run from DDR4) instead of letting the run
+//!   wedge.
 
 use super::Shared;
 use crate::task::OocTask;
@@ -47,6 +46,14 @@ const IDLE_RESCAN_MS: u64 = 5;
 
 /// How often the supervisor samples worker health and queue progress.
 const SUPERVISE_TICK_MS: u64 = 5;
+
+/// Wait-queue stall deadline: if queued tasks make no progress for this
+/// long, the watchdog drains them in degraded mode.
+const WATCHDOG_STALL_MS: u64 = 1_000;
+
+/// How many times a crashed IO thread may be respawned before its
+/// queues fall back to the watchdog's degraded drain.
+const IO_RESTART_BUDGET: u32 = 2;
 
 /// One supervised IO thread.
 struct Worker {
@@ -201,7 +208,6 @@ fn supervise(
     heartbeats: Arc<Vec<AtomicU64>>,
     groups: usize,
 ) {
-    let config = *shared.engine.config();
     // The watchdog's degraded admissions trace on their own IO lane,
     // one past the worker groups.
     let tracer = shared.collector.tracer(LaneId::io(groups as u32));
@@ -231,7 +237,7 @@ fn supervise(
                 let dead = slots.swap_remove(i);
                 let g = dead.group;
                 let _ = dead.handle.join();
-                if restarts[g] < config.io_restart_budget {
+                if restarts[g] < IO_RESTART_BUDGET {
                     restarts[g] += 1;
                     shared.stats.bump_io_restart();
                     match spawn_worker(&shared, &heartbeats, g, groups) {
@@ -240,9 +246,8 @@ fn supervise(
                     }
                 } else {
                     eprintln!(
-                        "io-supervisor: io{g} exceeded its restart budget ({}); \
-                         its queues fall back to the degraded drain",
-                        config.io_restart_budget
+                        "io-supervisor: io{g} exceeded its restart budget \
+                         ({IO_RESTART_BUDGET}); its queues fall back to the degraded drain"
                     );
                 }
                 // Indices shifted under us; re-examine next tick.
@@ -253,12 +258,9 @@ fn supervise(
         // Stall watchdog: queued tasks with no admissions/completions
         // for the deadline means the pipeline is wedged (dead thread
         // past its budget, lost wakeup, or HBM starvation).
-        if config.watchdog_stall_ms == 0 {
-            continue;
-        }
         // A checkpoint pause intentionally halts admissions; don't read
         // that as a stall and drain the queues in degraded mode.
-        if shared.paused.load(Ordering::SeqCst) {
+        if shared.rt.is_paused() {
             last_progress = Instant::now();
             continue;
         }
@@ -270,7 +272,7 @@ fn supervise(
             last_progress = Instant::now();
             continue;
         }
-        if last_progress.elapsed() < Duration::from_millis(config.watchdog_stall_ms) {
+        if last_progress.elapsed() < Duration::from_millis(WATCHDOG_STALL_MS) {
             continue;
         }
         let beats: Vec<u64> = heartbeats
@@ -288,9 +290,8 @@ fn supervise(
         }
         if drained > 0 {
             eprintln!(
-                "io-supervisor: {queued} queued task(s) made no progress for {} ms \
-                 (IO threads {}); drained {drained} task(s) in degraded mode",
-                config.watchdog_stall_ms,
+                "io-supervisor: {queued} queued task(s) made no progress for \
+                 {WATCHDOG_STALL_MS} ms (IO threads {}); drained {drained} task(s) in degraded mode",
                 if alive {
                     "alive but starved"
                 } else {
@@ -323,7 +324,7 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
         // Checkpoint pause: a paused runtime is quiescent, and the
         // snapshot must not race with block migrations, so IO threads
         // idle (still heartbeating) until resume.
-        if shared.paused.load(Ordering::SeqCst) {
+        if shared.rt.is_paused() {
             std::thread::sleep(std::time::Duration::from_millis(1));
             continue;
         }
@@ -372,7 +373,9 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
 
 #[cfg(test)]
 mod tests {
+    use super::IO_RESTART_BUDGET;
     use crate::config::{OocConfig, StrategyKind, WaitQueueTopology};
+    use crate::engine::MAX_FETCH_RETRIES;
     use crate::handle::IoHandle;
     use crate::placement::Placement;
     use crate::strategy::OocHook;
@@ -565,16 +568,119 @@ mod tests {
         // Every migration fails: every task must fall back to DDR4.
         let faults = Arc::new(hetmem::SeededFaults::new(1).with_migration_fail_rate(1.0));
         let mem = Memory::with_faults(topo, faults);
-        let config = OocConfig {
-            max_fetch_retries: 2,
-            backoff_base: 1_000,
-            ..OocConfig::default()
-        };
-        let stats = run_with_mem(StrategyKind::single_io(), config, 2, 6, Some(mem), false);
+        let stats = run_with_mem(
+            StrategyKind::single_io(),
+            OocConfig::default(),
+            2,
+            6,
+            Some(mem),
+            false,
+        );
         assert_eq!(stats.completed, 6);
         assert_eq!(stats.degraded_tasks, 6);
-        assert!(stats.transient_retries >= 12, "2 retries per task minimum");
+        assert!(
+            stats.transient_retries >= 6 * u64::from(MAX_FETCH_RETRIES),
+            "a full retry budget per task minimum"
+        );
         assert_eq!(stats.fetches, 0);
+    }
+
+    /// Parks on `gate` the first time any `Parker` executes, so the
+    /// test can pause the runtime while that task still holds HBM.
+    struct Parker {
+        data: IoHandle<f64>,
+        gate: Arc<std::sync::Barrier>,
+        parked: Arc<std::sync::atomic::AtomicBool>,
+        latch: Arc<CompletionLatch>,
+    }
+
+    impl Chare for Parker {
+        type Msg = ();
+        fn execute(&mut self, _e: EntryId, _m: (), _c: &mut ExecCtx<'_>) {
+            if !self.parked.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                self.gate.wait(); // running
+                self.gate.wait(); // released
+            }
+            self.data.write(|xs| xs[0] += 1.0);
+            self.latch.count_down();
+        }
+        fn deps(&self, _e: EntryId, _m: &()) -> Vec<Dep> {
+            vec![self.data.dep(AccessMode::ReadWrite)]
+        }
+    }
+
+    #[test]
+    fn paused_io_thread_starts_no_fetch_until_resume() {
+        const TASKS: usize = 4;
+        let block_elems = 512usize;
+        // HBM for one block: every other task waits on the running one.
+        let mem = Memory::new(Topology::knl_flat_scaled_with(
+            (block_elems * 8) as u64 + 64,
+            1 << 24,
+        ));
+        let rt = RuntimeBuilder::new(1)
+            .clock(Arc::clone(mem.clock()))
+            .build();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let latch = Arc::new(CompletionLatch::new(TASKS));
+        let handles: Vec<IoHandle<f64>> = (0..TASKS)
+            .map(|i| {
+                IoHandle::new(
+                    &mem,
+                    block_elems,
+                    Placement::DdrOnly,
+                    HBM,
+                    DDR4,
+                    format!("p{i}"),
+                )
+                .unwrap()
+            })
+            .collect();
+        let (g2, l2, hs) = (Arc::clone(&gate), Arc::clone(&latch), handles.clone());
+        let parked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let array = rt
+            .array_builder::<Parker>()
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .build(TASKS, move |i| Parker {
+                data: hs[i].clone(),
+                gate: Arc::clone(&g2),
+                parked: Arc::clone(&parked),
+                latch: Arc::clone(&l2),
+            });
+        let hook = OocHook::new(
+            Arc::clone(&rt),
+            Arc::clone(&mem),
+            StrategyKind::single_io(),
+            OocConfig::default(),
+        )
+        .unwrap();
+        rt.set_hook(hook.clone());
+        for i in 0..TASKS {
+            rt.send(array, i, EP_COMPUTE, ());
+        }
+
+        gate.wait(); // the first task runs, its block pinned in HBM
+        assert_eq!(hook.stats().fetches, 1);
+        rt.pause();
+        // Longer than the IO thread's idle rescan, so it has seen the
+        // pause before the running task frees HBM.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        gate.wait();
+        // The running task completes and evicts; its freed space must
+        // not start a fetch while the runtime is paused.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let stats = hook.stats();
+        assert_eq!(stats.evictions, 1, "the running task did not finish");
+        assert_eq!(stats.fetches, 1, "a paused IO thread fetched");
+
+        rt.resume();
+        assert!(latch.wait_timeout_ms(30_000), "tasks never completed");
+        assert!(rt.wait_quiescence_ms(10_000));
+        let stats = hook.stats();
+        assert_eq!(stats.completed, TASKS as u64);
+        assert_eq!(stats.fetches, TASKS as u64);
+        hook.shutdown();
+        rt.shutdown();
     }
 
     #[test]
@@ -584,21 +690,24 @@ mod tests {
         // run.
         let block_bytes = 512 * 8;
         let topo = Topology::knl_flat_scaled_with(2 * block_bytes + 64, 1 << 24);
-        let faults = Arc::new(
-            hetmem::SeededFaults::new(2)
-                .with_io_panic(0)
-                .with_io_panic(0),
+        let faults =
+            (0..=IO_RESTART_BUDGET).fold(hetmem::SeededFaults::new(2), |f, _| f.with_io_panic(0));
+        let mem = Memory::with_faults(topo, Arc::new(faults));
+        let stats = run_with_mem(
+            StrategyKind::single_io(),
+            OocConfig::default(),
+            2,
+            6,
+            Some(mem),
+            false,
         );
-        let mem = Memory::with_faults(topo, faults);
-        let config = OocConfig {
-            io_restart_budget: 1,
-            watchdog_stall_ms: 100,
-            ..OocConfig::default()
-        };
-        let stats = run_with_mem(StrategyKind::single_io(), config, 2, 6, Some(mem), false);
         assert_eq!(stats.completed, 6);
-        assert_eq!(stats.io_panics, 2);
-        assert_eq!(stats.io_restarts, 1, "budget caps respawns");
+        assert_eq!(stats.io_panics, u64::from(IO_RESTART_BUDGET) + 1);
+        assert_eq!(
+            stats.io_restarts,
+            u64::from(IO_RESTART_BUDGET),
+            "budget caps respawns"
+        );
         assert!(
             stats.degraded_tasks > 0,
             "watchdog must degrade-drain the orphaned queues"

@@ -35,7 +35,7 @@ use converse::{EntryId, Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
 use hetmem::Memory;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A task refused by the admission guard under
@@ -53,7 +53,7 @@ pub struct RejectedTask {
     pub entry: EntryId,
     /// Total declared dependence bytes.
     pub needed: u64,
-    /// HBM capacity minus headroom — the most a task may declare.
+    /// HBM capacity — the most a task may declare.
     pub capacity: u64,
 }
 
@@ -96,10 +96,6 @@ pub(crate) struct Shared {
     /// Structured records of tasks refused by the admission guard
     /// (see [`RejectedTask`]).
     pub rejected: parking_lot::Mutex<Vec<RejectedTask>>,
-    /// Checkpoint pause gate: while set, IO threads idle instead of
-    /// scanning their wait queues, so no migration starts while block
-    /// payloads are being snapshotted.
-    pub paused: AtomicBool,
 }
 
 impl Shared {
@@ -337,7 +333,6 @@ impl OocHook {
             admission: parking_lot::Mutex::new(()),
             released: AtomicU64::new(0),
             rejected: parking_lot::Mutex::new(Vec::new()),
-            paused: AtomicBool::new(false),
             checker,
             rt,
         });
@@ -364,11 +359,6 @@ impl OocHook {
     /// The attached hetcheck checker, if any.
     pub fn checker(&self) -> Option<&Arc<Checker>> {
         self.shared.checker.as_ref()
-    }
-
-    /// Migration statistics (from the fetch engine).
-    pub fn migration_stats(&self) -> hetmem::MigrationStats {
-        self.shared.engine.migration_stats()
     }
 
     /// Current wait-queue lengths (load-imbalance diagnostics).
@@ -466,14 +456,6 @@ impl SchedulerHook for OocHook {
 
     fn pending(&self) -> usize {
         self.shared.stats.in_flight() as usize
-    }
-
-    fn on_pause(&self) {
-        self.shared.paused.store(true, Ordering::SeqCst);
-    }
-
-    fn on_resume(&self) {
-        self.shared.paused.store(false, Ordering::SeqCst);
     }
 }
 

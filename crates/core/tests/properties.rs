@@ -144,13 +144,9 @@ proptest! {
                 Arc::new(VirtualClock::new()),
                 Arc::clone(&faults) as Arc<dyn hetmem::FaultInjector>,
             );
-            let config = OocConfig {
-                max_fetch_retries: 2,
-                backoff_base: 1_000,
-                ..OocConfig::default()
-            };
             let stats = Arc::new(Default::default());
-            let engine = FetchEngine::new(Arc::clone(&mem), config, Arc::clone(&stats));
+            let engine =
+                FetchEngine::new(Arc::clone(&mem), OocConfig::default(), Arc::clone(&stats));
             let tracer = TraceCollector::new().tracer(LaneId::io(0));
             let blocks: Vec<hetmem::BlockId> = sizes
                 .iter()

@@ -286,7 +286,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointImage, MemError> {
 /// and re-registering in ascending saved-id order is what reproduces
 /// the checkpointed ids exactly. Each block is re-admitted to the tier
 /// it was checkpointed on; when that tier's budget is exhausted
-/// (HBM shrank, or headroom changed) the block spills to `spill`
+/// (HBM shrank) the block spills to `spill`
 /// instead — the same degraded-placement rule the admission path uses.
 pub fn restore_into(
     mem: &Memory,

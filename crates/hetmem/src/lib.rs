@@ -61,7 +61,7 @@ pub use checkpoint::{
 pub use clock::{Clock, MonotonicClock, TimeNs, VirtualClock};
 pub use error::MemError;
 pub use faults::{FaultAction, FaultInjector, FaultStats, NoFaults, SeededFaults};
-pub use migrate::{MigrationEngine, MigrationStats};
+pub use migrate::MigrationEngine;
 pub use node::{MemKind, NodeId, DDR4, HBM};
 pub use pool::MemoryPool;
 pub use stats::{MemStats, NodeStats};

@@ -24,52 +24,18 @@ use crate::faults::FaultAction;
 use crate::node::NodeId;
 use crate::pool::MemoryPool;
 use crate::Memory;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Aggregate migration statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Completed migrations.
-    pub migrations: u64,
-    /// Total payload bytes moved.
-    pub bytes_moved: u64,
-    /// Total time spent inside `migrate` (ns).
-    pub total_ns: u64,
-    /// Migrations that failed because the destination was full.
-    pub failed_capacity: u64,
-    /// Migrations that failed transiently (injected faults); these are
-    /// retryable, unlike `failed_capacity`.
-    pub failed_transient: u64,
-    /// Total injected transfer-latency-spike time (ns).
-    pub fault_delay_ns: u64,
-}
-
-#[derive(Debug, Default)]
-struct StatCells {
-    migrations: AtomicU64,
-    bytes_moved: AtomicU64,
-    total_ns: AtomicU64,
-    failed_capacity: AtomicU64,
-    failed_transient: AtomicU64,
-    fault_delay_ns: AtomicU64,
-}
 
 /// Moves registered blocks between memory nodes.
 pub struct MigrationEngine {
     mem: Arc<Memory>,
     pools: Option<Vec<MemoryPool>>,
-    stats: StatCells,
 }
 
 impl MigrationEngine {
     /// An engine that allocates destination buffers directly.
     pub fn new(mem: Arc<Memory>) -> Self {
-        Self {
-            mem,
-            pools: None,
-            stats: StatCells::default(),
-        }
+        Self { mem, pools: None }
     }
 
     /// An engine that recycles destination buffers through per-node
@@ -79,7 +45,6 @@ impl MigrationEngine {
         Self {
             mem,
             pools: Some(pools),
-            stats: StatCells::default(),
         }
     }
 
@@ -120,16 +85,12 @@ impl MigrationEngine {
         // a failed attempt leaves the block exactly where it was.
         match self.mem.faults().on_migration(id, dst) {
             FaultAction::Proceed => {}
-            FaultAction::Delay(ns) => {
-                self.stats.fault_delay_ns.fetch_add(ns, Ordering::Relaxed);
-                self.mem.clock().sleep(ns);
-            }
+            FaultAction::Delay(ns) => self.mem.clock().sleep(ns),
             FaultAction::Fail => {
-                self.stats.failed_transient.fetch_add(1, Ordering::Relaxed);
                 return Err(MemError::Transient {
                     op: "migrate",
                     block: Some(id.0 as u64),
-                });
+                })
             }
         }
 
@@ -144,11 +105,6 @@ impl MigrationEngine {
         let dst_buf = match self.acquire_dst(size, src_bytes, dst) {
             Ok(b) => b,
             Err(e) => {
-                if e.is_transient() {
-                    self.stats.failed_transient.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.stats.failed_capacity.fetch_add(1, Ordering::Relaxed);
-                }
                 registry.abort_move(id, src_buf);
                 return Err(e);
             }
@@ -173,15 +129,7 @@ impl MigrationEngine {
 
         registry.complete_move(id, dst_buf);
 
-        let t1 = self.mem.clock().now();
-        self.stats.migrations.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_moved
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.stats
-            .total_ns
-            .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-        Ok((t0, t1))
+        Ok((t0, self.mem.clock().now()))
     }
 
     fn acquire_dst(
@@ -208,18 +156,6 @@ impl MigrationEngine {
             drop(buf);
         }
     }
-
-    /// Snapshot of migration statistics.
-    pub fn stats(&self) -> MigrationStats {
-        MigrationStats {
-            migrations: self.stats.migrations.load(Ordering::Relaxed),
-            bytes_moved: self.stats.bytes_moved.load(Ordering::Relaxed),
-            total_ns: self.stats.total_ns.load(Ordering::Relaxed),
-            failed_capacity: self.stats.failed_capacity.load(Ordering::Relaxed),
-            failed_transient: self.stats.failed_transient.load(Ordering::Relaxed),
-            fault_delay_ns: self.stats.fault_delay_ns.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,6 +166,7 @@ mod tests {
     use crate::node::{DDR4, HBM};
     use crate::topology::{NodeSpec, Topology};
     use crate::{AccessMode, VirtualClock};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn small_mem() -> Arc<Memory> {
         let topo = Topology::new(vec![
@@ -267,9 +204,6 @@ mod tests {
             "destination differs from its source"
         );
         drop(g);
-        let s = engine.stats();
-        assert_eq!(s.migrations, 1);
-        assert_eq!(s.bytes_moved, 1027);
         // And back: the eviction's destination is a copy too.
         engine.migrate(id, DDR4, true, true).unwrap();
         let g = mem.registry().access(id, AccessMode::ReadOnly);
@@ -317,7 +251,7 @@ mod tests {
         assert!(matches!(err, MemError::CapacityExceeded { .. }));
         // Residency restored; block still usable.
         assert_eq!(mem.registry().node_of(id), Some(DDR4));
-        assert_eq!(engine.stats().failed_capacity, 1);
+        assert_eq!(mem.stats().nodes[HBM.index()].failed_alloc_count, 1);
         drop(hog);
         assert!(engine.migrate(id, HBM, true, true).is_ok());
     }
@@ -360,16 +294,15 @@ mod tests {
 
         let err = engine.migrate(id, HBM, true, true).unwrap_err();
         assert!(err.is_transient());
-        // Residency untouched, contents intact, stats attribute the
-        // failure to the transient bucket, not capacity.
+        // Residency untouched, contents intact, and the failure came
+        // from the injector, not from a full or touched destination.
         assert_eq!(mem.registry().node_of(id), Some(DDR4));
         let g = mem.registry().access(id, AccessMode::ReadOnly);
         assert_eq!(g.bytes()[9], 42);
         drop(g);
-        let s = engine.stats();
-        assert_eq!(s.failed_transient, 1);
-        assert_eq!(s.failed_capacity, 0);
-        assert_eq!(s.migrations, 0);
+        let hbm = &mem.stats().nodes[HBM.index()];
+        assert_eq!(hbm.failed_alloc_count, 0);
+        assert_eq!(hbm.alloc_count, 0);
         assert_eq!(faults.stats().migration_failures, 1);
     }
 
@@ -380,14 +313,15 @@ mod tests {
             NodeSpec::new("HBM", 1 << 16, 4_000_000_000),
         ]);
         let faults = Arc::new(crate::SeededFaults::new(5).with_latency_spike(1.0, 1_000_000));
-        let mem = Memory::with_clock_and_faults(topo, Arc::new(VirtualClock::new()), faults);
+        let mem =
+            Memory::with_clock_and_faults(topo, Arc::new(VirtualClock::new()), faults.clone());
         let engine = mem.migration_engine();
         let buf = mem.alloc_on_node(1024, DDR4).unwrap();
         let id = mem.registry().register(buf, "m");
         let dt = engine.migrate(id, HBM, true, true).unwrap();
         assert!(dt >= 1_000_000, "spike not charged: dt={dt}");
         assert_eq!(mem.registry().node_of(id), Some(HBM));
-        assert_eq!(engine.stats().fault_delay_ns, 1_000_000);
+        assert_eq!(faults.stats().delay_ns, 1_000_000);
     }
 
     #[test]

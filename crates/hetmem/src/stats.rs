@@ -43,11 +43,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Total bytes charged across all nodes.
-    pub fn total_bytes_charged(&self) -> u64 {
-        self.nodes.iter().map(|n| n.bytes_charged).sum()
-    }
-
     /// Render a compact human-readable table.
     pub fn render(&self) -> String {
         let mut out =
@@ -103,6 +98,5 @@ mod tests {
         let s = stats.render();
         assert!(s.contains("node1"));
         assert!(s.contains("1000"));
-        assert_eq!(stats.total_bytes_charged(), 1000);
     }
 }

@@ -131,15 +131,6 @@ impl Topology {
         t
     }
 
-    /// Uniform-bandwidth topology (control case: no heterogeneity).
-    pub fn uniform(nodes: usize, capacity_bytes: u64, bandwidth: u64) -> Self {
-        Self::new(
-            (0..nodes)
-                .map(|i| NodeSpec::new(&format!("node{i}"), capacity_bytes, bandwidth))
-                .collect(),
-        )
-    }
-
     /// Node specs in NUMA-number order.
     pub fn nodes(&self) -> &[NodeSpec] {
         &self.nodes
@@ -155,33 +146,14 @@ impl Topology {
         self.slice_bytes
     }
 
-    /// Override the charge slicing granularity.
-    pub fn with_slice_bytes(mut self, slice: u64) -> Self {
-        assert!(slice > 0);
-        self.slice_bytes = slice;
-        self
-    }
-
     /// Fixed per-charge overhead (ns).
     pub fn per_charge_overhead_ns(&self) -> u64 {
         self.per_charge_overhead_ns
     }
 
-    /// Override the per-charge overhead.
-    pub fn with_per_charge_overhead_ns(mut self, ns: u64) -> Self {
-        self.per_charge_overhead_ns = ns;
-        self
-    }
-
     /// Single-thread memcpy rate cap for migrations (None = uncapped).
     pub fn migrate_thread_bytes_per_sec(&self) -> Option<u64> {
         self.migrate_thread_bytes_per_sec
-    }
-
-    /// Override the single-thread memcpy rate cap.
-    pub fn with_migrate_thread_rate(mut self, rate: Option<u64>) -> Self {
-        self.migrate_thread_bytes_per_sec = rate;
-        self
     }
 
     /// Bandwidth ratio between two nodes (a:b).
@@ -217,13 +189,6 @@ mod tests {
             scaled.node(DDR4).capacity_bytes / scaled.node(HBM).capacity_bytes,
             6
         );
-    }
-
-    #[test]
-    fn uniform_topology_has_no_heterogeneity() {
-        let t = Topology::uniform(3, GIB, 10 * GIB);
-        assert_eq!(t.nodes().len(), 3);
-        assert_eq!(t.bandwidth_ratio(NodeId::new(0), NodeId::new(2)), 1.0);
     }
 
     #[test]

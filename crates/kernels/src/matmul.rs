@@ -24,7 +24,7 @@ use crate::chunk::{build_runtime, chunk_end, run_chunk, run_to_end};
 use crate::dgemm::{dgemm_block, dgemm_traffic_bytes};
 use crate::traffic::charge_guard;
 use converse::{ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, Mapping};
-use hetmem::{AccessMode, BlockId, MemError, Memory, Topology};
+use hetmem::{AccessMode, BlockId, MemError, Memory, Topology, DDR4, HBM};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use projections::TraceSummary;
 use std::ops::Range;
@@ -331,8 +331,8 @@ fn make_blocks(
                 mem,
                 bs * bs,
                 cfg.placement,
-                cfg.ooc.hbm,
-                cfg.ooc.ddr,
+                HBM,
+                DDR4,
                 format!("{name}[{bi}][{bj}]"),
             )
             .expect("matrix block allocation");

@@ -26,7 +26,7 @@
 
 use crate::chunk::{build_runtime, chunk_end, run_chunk, run_to_end};
 use converse::{ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, Mapping};
-use hetmem::{AccessMode, BlockId, MemError, Memory, Topology};
+use hetmem::{AccessMode, BlockId, MemError, Memory, Topology, DDR4, HBM};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use projections::TraceSummary;
 use std::path::Path;
@@ -436,8 +436,8 @@ impl StencilDriver {
                     ooc.memory(),
                     cfg.elems(),
                     cfg.placement,
-                    cfg.ooc.hbm,
-                    cfg.ooc.ddr,
+                    HBM,
+                    DDR4,
                     format!("stencil{i}"),
                 )
                 .expect("stencil block allocation");
