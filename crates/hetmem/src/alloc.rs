@@ -16,6 +16,16 @@ use std::sync::Arc;
 /// Cache-line alignment used for all node allocations.
 pub const BUF_ALIGN: usize = 64;
 
+/// The alignment the system allocator gives every block anyway. A
+/// request at this alignment is a plain `malloc`/`calloc`; a stricter
+/// one goes through `posix_memalign`, which costs about twice as much
+/// for small blocks.
+const NATURAL_ALIGN: usize = 16;
+
+/// Extra bytes that always fit a `BUF_ALIGN`-aligned start inside a
+/// `NATURAL_ALIGN`-aligned block.
+const ALIGN_PAD: usize = BUF_ALIGN - NATURAL_ALIGN;
+
 /// Book-keeping shared between an allocator and the buffers it produced,
 /// so a buffer can credit the budget back when dropped even if it
 /// outlives the `Memory` façade's borrow.
@@ -138,29 +148,36 @@ impl NodeAllocator {
 /// A real, owned, 64-byte-aligned, initialised byte buffer tagged with
 /// the memory node it is accounted against.
 ///
-/// Dropping the buffer frees the memory and credits the node budget —
-/// the `numa_free` step of the paper's migration routine.
+/// The buffer sits `offset` bytes into a block over-allocated by
+/// `ALIGN_PAD` bytes at the allocator's natural alignment, so no
+/// allocation pays for `posix_memalign`. Only `len` is debited from the
+/// node budget. Dropping the buffer frees the memory and credits the
+/// node budget — the `numa_free` step of the paper's migration routine.
 pub struct AlignedBuf {
     ptr: NonNull<u8>,
     len: usize,
+    offset: usize,
     node: NodeId,
     budget: Arc<Budget>,
 }
 
-// SAFETY: the buffer owns its allocation exclusively; aliasing discipline
+// SAFETY: the buffer owns its allocation exclusively, and its other
+// fields are plain values or an `Arc` of atomics; aliasing discipline
 // for shared access is enforced by the BlockRegistry layer above.
 unsafe impl Send for AlignedBuf {}
+// SAFETY: `&AlignedBuf` only reads the bytes (mutation needs `&mut`),
+// and the budget is updated through atomics.
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
     /// `len` zeroes, or a copy of `src`: written once, by the copy,
     /// with no zero-fill first.
     fn new(len: usize, src: Option<&[u8]>, node: NodeId, budget: Arc<Budget>) -> Self {
-        let ptr = if len == 0 {
-            NonNull::<u8>::dangling()
+        let (ptr, offset) = if len == 0 {
+            (NonNull::<u8>::dangling(), 0)
         } else {
-            let layout = Layout::from_size_align(len, BUF_ALIGN).expect("valid layout");
-            // SAFETY: layout has non-zero size here.
+            let layout = Self::layout(len);
+            // SAFETY: the layout's size is at least `ALIGN_PAD` > 0.
             let raw = unsafe {
                 if src.is_some() {
                     alloc(layout)
@@ -168,21 +185,36 @@ impl AlignedBuf {
                     alloc_zeroed(layout)
                 }
             };
-            NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
+            let raw = NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
+            // `raw` is `NATURAL_ALIGN`-aligned, so the next `BUF_ALIGN`
+            // boundary is at most `ALIGN_PAD` bytes on.
+            let offset = raw.as_ptr().align_offset(BUF_ALIGN);
+            assert!(offset <= ALIGN_PAD, "allocator broke its alignment");
+            // SAFETY: `offset + len` is within the block of
+            // `len + ALIGN_PAD` bytes that `raw` starts.
+            (unsafe { raw.add(offset) }, offset)
         };
         if let Some(src) = src {
             assert_eq!(src.len(), len, "source length differs");
-            // SAFETY: `ptr` owns `len` fresh bytes (or dangles with
-            // `len == 0`), disjoint from `src`; this initialises a plain
-            // allocation before anything reads it.
+            // SAFETY: `ptr` starts `len` fresh bytes of its block (or
+            // dangles with `len == 0`), disjoint from `src`; this
+            // initialises them before anything reads them.
             unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), ptr.as_ptr(), len) };
         }
         Self {
             ptr,
             len,
+            offset,
             node,
             budget,
         }
+    }
+
+    /// The layout of the block behind a buffer of `len > 0` bytes.
+    fn layout(len: usize) -> Layout {
+        len.checked_add(ALIGN_PAD)
+            .and_then(|size| Layout::from_size_align(size, NATURAL_ALIGN).ok())
+            .expect("buffer length fits a layout")
     }
 
     /// Length in bytes.
@@ -231,9 +263,9 @@ impl std::fmt::Debug for AlignedBuf {
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
         if self.len > 0 {
-            let layout = Layout::from_size_align(self.len, BUF_ALIGN).expect("valid layout");
-            // SAFETY: ptr was allocated in `new` with this layout.
-            unsafe { dealloc(self.ptr.as_ptr(), layout) };
+            // SAFETY: `new` allocated the block `offset` bytes before
+            // `ptr` with this same layout, and nothing else frees it.
+            unsafe { dealloc(self.ptr.as_ptr().sub(self.offset), Self::layout(self.len)) };
         }
         self.budget.release(self.len as u64);
     }
@@ -244,30 +276,41 @@ mod tests {
     use super::*;
     use crate::node::HBM;
 
+    /// Sizes around the padding and alignment boundaries, and a large
+    /// block that the allocator serves from `mmap`.
+    const SIZES: [usize; 7] = [1, 15, 63, 64, 4095, 4099, 512 << 10];
+
     #[test]
     fn alloc_is_zeroed_aligned_and_accounted() {
         let a = NodeAllocator::new(1 << 20);
-        let buf = a.alloc(4096, HBM).unwrap();
-        assert_eq!(buf.len(), 4096);
-        assert_eq!(buf.as_slice().iter().copied().max(), Some(0));
-        assert_eq!(buf.as_slice().as_ptr() as usize % BUF_ALIGN, 0);
-        assert_eq!(a.used(), 4096);
-        drop(buf);
-        assert_eq!(a.used(), 0);
-        assert_eq!(a.peak_used(), 4096);
-        assert_eq!(a.alloc_count(), 1);
+        for (n, size) in SIZES.into_iter().enumerate() {
+            let buf = a.alloc(size, HBM).unwrap();
+            assert_eq!(buf.len(), size);
+            assert!(buf.as_slice().iter().all(|&b| b == 0), "{size}: not zeroed");
+            assert_eq!(buf.as_slice().as_ptr() as usize % BUF_ALIGN, 0, "{size}");
+            assert_eq!(a.used(), size as u64, "{size}: padding was debited");
+            drop(buf);
+            assert_eq!(a.used(), 0, "{size}: drop credited less");
+            assert_eq!(a.alloc_count(), n as u64 + 1);
+        }
+        assert_eq!(a.peak_used(), 512 << 10);
     }
 
     #[test]
     fn filled_alloc_copies_its_source_and_is_accounted() {
         let a = NodeAllocator::new(1 << 20);
-        let src: Vec<u8> = (0..4099u32).map(|i| (i % 251) as u8 + 1).collect();
-        let buf = a.alloc_filled(src.len(), Some(&src), HBM).unwrap();
-        assert_eq!(buf.as_slice(), &src[..]);
-        assert_eq!(buf.as_slice().as_ptr() as usize % BUF_ALIGN, 0);
-        assert_eq!((a.used(), a.alloc_count()), (4099, 1));
+        for size in SIZES {
+            let src: Vec<u8> = (0..size).map(|i| (i % 251) as u8 + 1).collect();
+            let buf = a.alloc_filled(size, Some(&src), HBM).unwrap();
+            assert_eq!(buf.as_slice(), &src[..], "{size}: copy differs");
+            assert_eq!(buf.as_slice().as_ptr() as usize % BUF_ALIGN, 0, "{size}");
+            assert_eq!(a.used(), size as u64, "{size}: padding was debited");
+            drop(buf);
+            assert_eq!(a.used(), 0, "{size}: drop credited less");
+        }
+        assert_eq!(a.alloc_count(), SIZES.len() as u64);
         assert!(a.alloc_filled(0, Some(&[]), HBM).unwrap().is_empty());
-        let err = NodeAllocator::new(8).alloc_filled(src.len(), Some(&src), HBM);
+        let err = NodeAllocator::new(8).alloc_filled(4099, Some(&[1; 4099]), HBM);
         assert!(matches!(err, Err(MemError::CapacityExceeded { .. })));
     }
 

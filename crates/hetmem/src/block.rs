@@ -624,16 +624,14 @@ impl Drop for AccessGuard<'_> {
 /// padding or pointers.
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
-unsafe impl Pod for u8 {}
-unsafe impl Pod for i8 {}
-unsafe impl Pod for u16 {}
-unsafe impl Pod for i16 {}
-unsafe impl Pod for u32 {}
-unsafe impl Pod for i32 {}
-unsafe impl Pod for u64 {}
-unsafe impl Pod for i64 {}
-unsafe impl Pod for f32 {}
-unsafe impl Pod for f64 {}
+macro_rules! pod {
+    ($($t:ty),*) => {$(
+        // SAFETY: a primitive integer or float is valid for every bit
+        // pattern and holds no padding or pointers.
+        unsafe impl Pod for $t {}
+    )*};
+}
+pod!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 
 /// Verify a byte payload can be viewed as `[T]` — the element size must
 /// be nonzero and divide the payload exactly (a remainder would be

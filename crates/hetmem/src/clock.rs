@@ -17,13 +17,17 @@ pub trait Clock: Send + Sync {
     /// Current time in nanoseconds.
     fn now(&self) -> TimeNs;
 
-    /// Block the calling thread until `deadline` (no-op if already past).
-    fn sleep_until(&self, deadline: TimeNs);
+    /// Block the calling thread until `deadline` (no-op if already past)
+    /// and return the time it woke at, which is never before `deadline`.
+    /// A caller that goes on to time more work can start from the
+    /// returned value instead of reading the clock again.
+    fn sleep_until(&self, deadline: TimeNs) -> TimeNs;
 
-    /// Convenience: block for `dur` nanoseconds from now.
-    fn sleep(&self, dur: TimeNs) {
+    /// Convenience: block for `dur` nanoseconds from now, returning the
+    /// wake time.
+    fn sleep(&self, dur: TimeNs) -> TimeNs {
         let now = self.now();
-        self.sleep_until(now.saturating_add(dur));
+        self.sleep_until(now.saturating_add(dur))
     }
 }
 
@@ -52,11 +56,11 @@ impl Clock for MonotonicClock {
         self.origin.elapsed().as_nanos() as TimeNs
     }
 
-    fn sleep_until(&self, deadline: TimeNs) {
+    fn sleep_until(&self, deadline: TimeNs) -> TimeNs {
         loop {
             let now = self.now();
             if now >= deadline {
-                return;
+                return now;
             }
             let remaining = deadline - now;
             // std::thread::sleep may undershoot on some platforms; loop.
@@ -125,15 +129,16 @@ impl Clock for VirtualClock {
         self.now.load(Ordering::SeqCst)
     }
 
-    fn sleep_until(&self, deadline: TimeNs) {
+    fn sleep_until(&self, deadline: TimeNs) -> TimeNs {
         let mut sleepers = self.sleepers.lock();
         sleepers.push(deadline);
         loop {
-            if self.now() >= deadline {
+            let now = self.now();
+            if now >= deadline {
                 let pos = sleepers.iter().position(|&d| d == deadline).unwrap();
                 sleepers.swap_remove(pos);
                 self.cv.notify_all();
-                return;
+                return now;
             }
             if self.auto_advance {
                 // Only the thread holding the earliest pending deadline
@@ -166,18 +171,32 @@ mod tests {
     fn monotonic_sleep_until_reaches_deadline() {
         let c = MonotonicClock::new();
         let deadline = c.now() + 2_000_000; // 2 ms
-        c.sleep_until(deadline);
-        assert!(c.now() >= deadline);
+        let woke = c.sleep_until(deadline);
+        assert!(woke >= deadline, "woke at {woke}, before {deadline}");
+        assert!(c.now() >= woke);
+    }
+
+    #[test]
+    fn monotonic_sleep_until_a_past_deadline_returns_at_once() {
+        let c = MonotonicClock::new();
+        std::thread::sleep(Duration::from_millis(1));
+        let before = c.now();
+        let started = Instant::now();
+        let woke = c.sleep_until(before / 2);
+        // No sleep was taken: well under the 1 ms already behind us.
+        assert!(started.elapsed() < Duration::from_millis(50));
+        assert!(woke >= before, "woke at {woke}, before reading {before}");
     }
 
     #[test]
     fn virtual_clock_auto_advances_single_thread() {
         let c = VirtualClock::new();
-        c.sleep_until(1_000_000_000);
+        assert_eq!(c.sleep_until(1_000_000_000), 1_000_000_000);
         assert_eq!(c.now(), 1_000_000_000);
-        // Sleeping into the past is a no-op.
-        c.sleep_until(5);
+        // Sleeping into the past is a no-op that wakes at the present.
+        assert_eq!(c.sleep_until(5), 1_000_000_000);
         assert_eq!(c.now(), 1_000_000_000);
+        assert_eq!(c.sleep(250), 1_000_000_250);
     }
 
     #[test]

@@ -188,7 +188,9 @@ impl Memory {
     ) -> Result<AlignedBuf, MemError> {
         match self.faults.on_alloc(node, size) {
             FaultAction::Proceed => {}
-            FaultAction::Delay(ns) => self.clock.sleep(ns),
+            FaultAction::Delay(ns) => {
+                self.clock.sleep(ns);
+            }
             FaultAction::Fail => {
                 return Err(MemError::Transient {
                     op: "alloc",
@@ -198,12 +200,6 @@ impl Memory {
         }
         let allocator = &self.nodes[node.index()].allocator;
         allocator.alloc_filled(size, src, node)
-    }
-
-    /// Free a buffer back to its node's budget. (Buffers also release
-    /// their budget on drop; this is the explicit `numa_free` spelling.)
-    pub fn free(&self, buf: AlignedBuf) {
-        drop(buf);
     }
 
     /// Charge `bytes` of streaming traffic against `node`'s bandwidth,
@@ -270,7 +266,7 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let buf = mem.alloc_on_node(4096, HBM).unwrap();
         assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 4096);
-        mem.free(buf);
+        drop(buf);
         assert_eq!(mem.stats().nodes[HBM.index()].used_bytes, 0);
     }
 

@@ -70,8 +70,15 @@ impl MigrationEngine {
 
     /// [`MigrationEngine::migrate`], returning the clock readings at its
     /// start and end, so a caller can record the move as a span without
-    /// reading the clock again. An uncapped copying move reads the clock
-    /// six times: those two, and two in each of its two charges.
+    /// reading the clock again.
+    ///
+    /// Each clock reading anchors what follows it. The read charge is
+    /// issued at the start reading (or at an injected delay's wake time),
+    /// so the real allocation and `memcpy` overlap the modeled copy; the
+    /// write charge is issued when the read charge wakes, and the move
+    /// ends at the last wake. An uncapped copying move thus reads the
+    /// clock three times: the start and one sleep per charge. The
+    /// copy-rate cap adds its own sleep.
     pub fn migrate_span(
         &self,
         id: BlockId,
@@ -79,20 +86,21 @@ impl MigrationEngine {
         require_unreferenced: bool,
         copy_contents: bool,
     ) -> Result<(TimeNs, TimeNs), MemError> {
-        let t0 = self.mem.clock().now();
+        let clock = self.mem.clock();
+        let t0 = clock.now();
 
         // Fault injection happens before any registry state changes, so
         // a failed attempt leaves the block exactly where it was.
-        match self.mem.faults().on_migration(id, dst) {
-            FaultAction::Proceed => {}
-            FaultAction::Delay(ns) => self.mem.clock().sleep(ns),
+        let issued_at = match self.mem.faults().on_migration(id, dst) {
+            FaultAction::Proceed => t0,
+            FaultAction::Delay(ns) => clock.sleep_until(t0.saturating_add(ns)),
             FaultAction::Fail => {
                 return Err(MemError::Transient {
                     op: "migrate",
                     block: Some(id.0 as u64),
                 })
             }
-        }
+        };
 
         let registry = self.mem.registry();
         let (src_buf, src_node) = registry.begin_move(id, dst, require_unreferenced)?;
@@ -115,21 +123,32 @@ impl MigrationEngine {
         // cannot saturate the aggregate bandwidth (Perarnau et al.,
         // the paper's [11]), which is exactly why one IO thread is a
         // fetch bottleneck while many are not.
-        if copy {
-            let read = self.mem.regulator(src_node).charge(size as u64);
-            self.mem.regulator(dst).charge_write(size as u64);
-            if let Some(rate) = self.mem.topology().migrate_thread_bytes_per_sec() {
-                let thread_ns = (size as f64 * 1e9 / rate as f64).ceil() as u64;
-                self.mem.clock().sleep_until(read.issued_at + thread_ns);
+        let end = if copy {
+            let read = self
+                .mem
+                .regulator(src_node)
+                .charge_at(issued_at, size as u64);
+            let write = self
+                .mem
+                .regulator(dst)
+                .charge_write_at(read.completed_at, size as u64);
+            match self.mem.topology().migrate_thread_bytes_per_sec() {
+                Some(rate) => {
+                    let thread_ns = (size as f64 * 1e9 / rate as f64).ceil() as u64;
+                    clock.sleep_until(read.issued_at + thread_ns)
+                }
+                None => write.completed_at,
             }
-        }
+        } else {
+            clock.now()
+        };
 
         // Step 3: free the source (numa_free) — via the pool if enabled.
         self.release_src(src_buf);
 
         registry.complete_move(id, dst_buf);
 
-        Ok((t0, self.mem.clock().now()))
+        Ok((t0, end))
     }
 
     fn acquire_dst(

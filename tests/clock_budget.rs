@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// A virtual clock that counts its reads. `sleep_until` counts as one
 /// read: a wall clock must read itself at least once to see that the
-/// deadline has passed.
+/// deadline has passed, and that reading is the wake time it returns.
 #[derive(Default)]
 struct CountingClock {
     inner: VirtualClock,
@@ -35,9 +35,9 @@ impl Clock for CountingClock {
         self.inner.now()
     }
 
-    fn sleep_until(&self, deadline: TimeNs) {
+    fn sleep_until(&self, deadline: TimeNs) -> TimeNs {
         self.reads.fetch_add(1, Ordering::SeqCst);
-        self.inner.sleep_until(deadline);
+        self.inner.sleep_until(deadline)
     }
 }
 
@@ -46,6 +46,14 @@ fn reads_of(clock: &CountingClock, f: impl FnOnce()) -> u64 {
     let before = clock.reads();
     f();
     clock.reads() - before
+}
+
+/// A registered 4 KiB DDR4 block on `topology`, timed by `clock`.
+fn one_block(topology: Topology, clock: &Arc<CountingClock>) -> (Arc<Memory>, hetmem::BlockId) {
+    let mem = Memory::with_clock(topology, clock.clone());
+    let buf = mem.alloc_on_node(4096, DDR4).unwrap();
+    let id = mem.registry().register(buf, "b");
+    (mem, id)
 }
 
 #[test]
@@ -58,13 +66,10 @@ fn a_migration_and_a_charge_stay_within_their_clock_budgets() {
         NodeSpec::new("HBM", 1 << 20, 1 << 32),
     ]);
     assert_eq!(topology.migrate_thread_bytes_per_sec(), None);
-    let mem = Memory::with_clock(topology, clock.clone());
+    let (mem, id) = one_block(topology, &clock);
     let engine = mem.migration_engine();
-    let buf = mem.alloc_on_node(4096, DDR4).unwrap();
-    let id = mem.registry().register(buf, "b");
 
-    // One slice: an anchor read under the cursor lock, which is also
-    // the charge's `issued_at`, and the `sleep_until`.
+    // One slice: the charge's `issued_at` and the `sleep_until`.
     let reads = reads_of(&clock, || {
         mem.charge(DDR4, 4096);
     });
@@ -72,12 +77,14 @@ fn a_migration_and_a_charge_stay_within_their_clock_budgets() {
         reads <= 2,
         "a one-slice charge read the clock {reads} times"
     );
+    // The move's start anchors the read charge, whose wake anchors the
+    // write charge, whose wake ends the move.
     for (dst, evict) in [(HBM, false), (DDR4, true)] {
         let reads = reads_of(&clock, || {
             engine.migrate(id, dst, evict, true).unwrap();
         });
         assert!(
-            reads <= 6,
+            reads <= 3,
             "copying move to {dst} read the clock {reads} times"
         );
     }
@@ -86,6 +93,29 @@ fn a_migration_and_a_charge_stay_within_their_clock_budgets() {
         engine.migrate(id, HBM, false, false).unwrap();
     });
     assert!(reads <= 2, "WriteOnly fetch read the clock {reads} times");
+}
+
+#[test]
+fn a_capped_migration_adds_one_clock_read() {
+    let clock = Arc::new(CountingClock::default());
+    let topology = Topology::knl_flat_scaled();
+    assert!(topology.migrate_thread_bytes_per_sec().is_some());
+    assert!(
+        topology.slice_bytes() >= 4096,
+        "a 4 KiB charge is one slice"
+    );
+    let (mem, id) = one_block(topology, &clock);
+    let engine = mem.migration_engine();
+    // The uncapped move's three reads, plus the copy-rate cap's sleep.
+    for (dst, evict) in [(HBM, false), (DDR4, true)] {
+        let reads = reads_of(&clock, || {
+            engine.migrate(id, dst, evict, true).unwrap();
+        });
+        assert!(
+            reads <= 4,
+            "capped move to {dst} read the clock {reads} times"
+        );
+    }
 }
 
 const EP_PLAIN: EntryId = EntryId(0);
