@@ -38,7 +38,7 @@ pub enum FetchError {
         /// The HBM capacity budget.
         capacity: u64,
     },
-    /// Transient migration faults persisted past [`MAX_FETCH_RETRIES`]
+    /// Transient migration faults persisted past `MAX_FETCH_RETRIES`
     /// retries; the caller should run the task degraded from DDR4
     /// rather than wedge the wait queue.
     Exhausted {

@@ -5,7 +5,9 @@
 //! work. This module supplies that comparison: HBM behaves as a
 //! direct-mapped, demand-filled cache of DDR4-homed blocks,
 //!
-//! * a task's dependence **hits** if its block already occupies its set;
+//! * a task's dependence **hits** if its block already occupies its set
+//!   and is still in HBM (LRU-on-demand eviction can take a set's
+//!   occupant; the set is then refilled);
 //! * a **miss** fills the set on the worker's critical path (demand
 //!   latency — there is no prefetch in cache mode), evicting the
 //!   previous occupant;
@@ -13,6 +15,9 @@
 //!   **bypasses**: the dependence is simply accessed from DDR4 at DDR4
 //!   bandwidth, the cache-mode analogue of a line that cannot be
 //!   allocated.
+//!
+//! A completed task only drops its references: a filled block stays in
+//! HBM until a conflicting fill displaces it.
 //!
 //! Tasks are always admitted immediately — cache mode never waits for
 //! space — so its cost shows up as conflict-miss churn and slow
@@ -22,7 +27,7 @@
 
 use super::Shared;
 use crate::task::OocTask;
-use hetmem::BlockId;
+use hetmem::{BlockId, HBM};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,27 +91,29 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
     shared.engine.add_refs(&task.env.deps);
     for dep in &task.env.deps {
         let set = cache.set_of(dep.block, nsets);
-        // Fast path: already the occupant (and resident in HBM).
-        {
-            let sets = cache.sets.lock();
-            if sets[set] == Some(dep.block) {
-                cache.hits.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        }
-        // Miss: displace the occupant if it is idle, else bypass.
         let occupant = {
             let mut sets = cache.sets.lock();
             let old = sets[set];
-            if let Some(old) = old {
-                if registry.refcount(old) > 0 {
-                    // Set is pinned by a running task: bypass this dep.
-                    cache.bypasses.fetch_add(1, Ordering::Relaxed);
+            if old == Some(dep.block) {
+                // Hit only if the occupant is still in HBM: LRU-on-demand
+                // may have evicted it, and then the set is refilled.
+                if registry.node_of(dep.block) == Some(HBM) {
+                    cache.hits.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
+                None
+            } else {
+                // Miss: displace the occupant if it is idle, else bypass.
+                if let Some(old) = old {
+                    if registry.refcount(old) > 0 {
+                        // Set is pinned by a running task: bypass this dep.
+                        cache.bypasses.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                }
+                sets[set] = Some(dep.block);
+                old
             }
-            sets[set] = Some(dep.block);
-            old
         };
         if let Some(old) = occupant {
             // Write the victim back to DDR4 (demand eviction).
@@ -160,7 +167,7 @@ mod tests {
     use crate::placement::Placement;
     use crate::strategy::OocHook;
     use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, RuntimeBuilder};
-    use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
+    use hetmem::{AccessMode, Memory, NodeId, Topology, DDR4, HBM};
     use std::sync::Arc;
 
     const EP: EntryId = EntryId(0);
@@ -168,12 +175,15 @@ mod tests {
     struct Toucher {
         data: IoHandle<f64>,
         latch: Arc<CompletionLatch>,
+        /// The block's node at each execution, in order.
+        seen: Vec<Option<NodeId>>,
     }
     impl Chare for Toucher {
         type Msg = ();
         fn execute(&mut self, _e: EntryId, _m: (), _c: &mut ExecCtx<'_>) {
             // In cache mode the block may legitimately be on either node
             // (bypass serves from DDR4).
+            self.seen.push(self.data.node());
             self.data.write(|xs| xs[0] += 1.0);
             self.latch.count_down();
         }
@@ -182,7 +192,18 @@ mod tests {
         }
     }
 
-    fn run_cache(sets: usize, n: usize, rounds: usize) -> (crate::OocStats, super::CacheStats) {
+    struct CacheRun {
+        stats: crate::OocStats,
+        cache: super::CacheStats,
+        /// Per block: its node at each execution.
+        seen: Vec<Vec<Option<NodeId>>>,
+        /// Per block: its node after the run.
+        final_nodes: Vec<Option<NodeId>>,
+    }
+
+    /// Touch `n` blocks once per round, one round at a time: each
+    /// round is sent only after the previous one has quiesced.
+    fn run_cache(sets: usize, n: usize, rounds: usize) -> CacheRun {
         let block_elems = 256usize;
         let topo = Topology::knl_flat_scaled_with(1 << 20, 1 << 24);
         let mem = Memory::new(topo);
@@ -210,6 +231,7 @@ mod tests {
             .build(n, move |i| Toucher {
                 data: b2[i].clone(),
                 latch: Arc::clone(&l2),
+                seen: Vec::new(),
             });
         let hook = OocHook::new(
             Arc::clone(&rt),
@@ -223,9 +245,9 @@ mod tests {
             for i in 0..n {
                 rt.send(array, i, EP, ());
             }
+            assert!(rt.wait_quiescence_ms(10_000), "cache-mode round stalled");
         }
         assert!(latch.wait_timeout_ms(60_000), "cache-mode run stalled");
-        assert!(rt.wait_quiescence_ms(10_000));
         let arr = rt.array::<Toucher>(array);
         for i in 0..n {
             assert_eq!(
@@ -234,41 +256,57 @@ mod tests {
                 "block {i} lost updates"
             );
         }
-        let stats = hook.stats();
-        let cstats = hook.cache_stats().expect("cache-mode stats");
+        let run = CacheRun {
+            stats: hook.stats(),
+            cache: hook.cache_stats().expect("cache-mode stats"),
+            seen: (0..n)
+                .map(|i| arr.with_chare(i, |c| c.seen.clone()))
+                .collect(),
+            final_nodes: blocks.iter().map(IoHandle::node).collect(),
+        };
         hook.shutdown();
         rt.shutdown();
-        (stats, cstats)
+        run
     }
 
     #[test]
     fn disjoint_sets_hit_after_first_round() {
         // 4 blocks over 8 sets: no conflicts; round 2+ are pure hits.
-        let (stats, cstats) = run_cache(8, 4, 3);
-        assert_eq!(stats.completed, 12);
-        assert_eq!(cstats.misses, 4, "one fill per block");
-        assert_eq!(cstats.hits, 8, "subsequent rounds hit");
-        assert_eq!(cstats.conflict_evictions, 0);
+        let run = run_cache(8, 4, 3);
+        assert_eq!(run.stats.completed, 12);
+        assert_eq!(run.cache.misses, 4, "one fill per block");
+        assert_eq!(run.cache.hits, 8, "subsequent rounds hit");
+        assert_eq!(run.cache.conflict_evictions, 0);
+        for (i, seen) in run.seen.iter().enumerate() {
+            assert_eq!(seen.len(), 3);
+            assert!(
+                seen[1..].iter().all(|&node| node == Some(HBM)),
+                "block {i} ran outside HBM after its fill: {seen:?}"
+            );
+        }
     }
 
     #[test]
     fn colliding_blocks_thrash_the_set() {
         // 4 blocks over 1 set: every access displaces the previous
         // block (or bypasses while it is pinned).
-        let (stats, cstats) = run_cache(1, 4, 2);
-        assert_eq!(stats.completed, 8);
+        let run = run_cache(1, 4, 2);
+        assert_eq!(run.stats.completed, 8);
         assert!(
-            cstats.conflict_evictions + cstats.bypasses >= 4,
-            "a single set must thrash: {cstats:?}"
+            run.cache.conflict_evictions + run.cache.bypasses >= 4,
+            "a single set must thrash: {:?}",
+            run.cache
         );
-        assert!(cstats.hits < 8);
+        assert!(run.cache.hits < 8);
     }
 
     #[test]
     fn cached_blocks_stay_resident_after_completion() {
-        let (_, cstats) = run_cache(8, 2, 1);
-        assert_eq!(cstats.misses, 2);
+        let run = run_cache(8, 2, 1);
+        assert_eq!(run.cache.misses, 2);
         // No one evicts at completion in cache mode.
-        assert_eq!(cstats.conflict_evictions, 0);
+        assert_eq!(run.cache.conflict_evictions, 0);
+        assert_eq!(run.stats.evictions, 0);
+        assert_eq!(run.final_nodes, vec![Some(HBM); 2]);
     }
 }

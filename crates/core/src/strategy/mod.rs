@@ -231,17 +231,21 @@ impl Shared {
     }
 
     /// Post-processing shared by all strategies: release the finished
-    /// task's references and evict its now-unreferenced blocks on the
-    /// calling (worker) thread.
-    pub fn finish_task(&self, done: &ExecutedTask) {
+    /// task's references and, if `evict`, evict its now-unreferenced
+    /// blocks on the calling (worker) thread. Cache mode passes `false`:
+    /// a cached block stays in its set until a conflicting fill
+    /// displaces it.
+    pub fn finish_task(&self, done: &ExecutedTask, evict: bool) {
         if let Some(checker) = &self.checker {
             checker.exit_task(done.token);
             checker.task_completed(done.token);
         }
         let tracer = self.worker_tracer(done.pe);
         self.engine.release_refs(&done.deps);
-        self.engine
-            .evict_unreferenced(&done.deps, tracer, done.index as u32);
+        if evict {
+            self.engine
+                .evict_unreferenced(&done.deps, tracer, done.index as u32);
+        }
         self.released.fetch_add(1, Ordering::AcqRel);
         // Count the task completed only after its eviction finished, so
         // quiescence covers the whole post-processing step.
@@ -446,7 +450,8 @@ impl SchedulerHook for OocHook {
     }
 
     fn on_complete(&self, done: ExecutedTask) {
-        self.shared.finish_task(&done);
+        let evict = !matches!(self.flavour, Flavour::Cache(_));
+        self.shared.finish_task(&done, evict);
         match &self.flavour {
             Flavour::Sync => sync_fetch::after_complete(&self.shared, done.pe),
             Flavour::Io(pool) => pool.after_complete(done.pe),

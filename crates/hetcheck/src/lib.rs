@@ -1,24 +1,26 @@
 //! hetcheck: dynamic and offline analysis for the heterogeneous-memory
 //! runtime.
 //!
-//! Three cooperating passes over one instrumentation spine:
+//! Two passes over one instrumentation spine:
 //!
 //! 1. **Dependence-conformance sanitizer** ([`sanitizer`], live) —
 //!    checks every block access made inside an admitted task against
 //!    the task's declared `Dep` list: undeclared accesses, writes
 //!    through `ReadOnly` deps, and reads of `WriteOnly` deps become
 //!    [`Violation`]s.
-//! 2. **Block-level race detector** ([`RaceDetector`], live) — vector
-//!    clocks over lanes (PE workers, IO threads) catching conflicting
-//!    concurrent guards and evict-while-held / migrate-during-access
-//!    windows.
-//! 3. **Schedule linter** ([`lint`], offline) — replays a recorded
-//!    [`Trace`] and checks global invariants: no fetch of a resident
-//!    block, refcounts never negative, eviction only at refcount zero,
-//!    HBM occupancy within capacity, every admitted task completed.
+//! 2. **Schedule linter** ([`lint`](mod@lint), offline) — replays a
+//!    recorded [`Trace`] and checks global invariants: no fetch of a
+//!    resident block, refcounts never negative, eviction only at
+//!    refcount zero, HBM occupancy within capacity, every admitted task
+//!    completed.
+//!
+//! Block-level races need no pass of their own: the
+//! [`hetmem::BlockRegistry`] itself panics on conflicting guards, makes
+//! an access wait out a move and makes a move wait until every guard
+//! has dropped, in every build.
 //!
 //! The [`Checker`] is the spine: it implements
-//! [`hetmem::BlockObserver`], feeds the two live passes, and (when
+//! [`hetmem::BlockObserver`], feeds the live pass, and (when
 //! recording) appends [`ScheduleEvent`]s for the offline one. Install
 //! it with [`Checker::install`]; `hetrt-core` does this automatically
 //! when a checker is attached to an `OocRuntime` (always, under the
@@ -28,13 +30,11 @@
 
 pub mod global;
 pub mod lint;
-pub mod race;
 pub mod sanitizer;
 pub mod schedule;
 mod violation;
 
 pub use lint::{lint, LintFinding, LintReport};
-pub use race::RaceDetector;
 pub use schedule::{ScheduleEvent, ScheduleLog, TimedEvent, Trace, TraceMeta};
 pub use violation::{Violation, ViolationAction, ViolationKind};
 
@@ -43,15 +43,6 @@ use hetmem::{AccessMode, BlockId, BlockObserver, BlockRegistry, Clock, NodeId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Name of the current thread, used as the race detector lane.
-fn lane() -> String {
-    let t = std::thread::current();
-    match t.name() {
-        Some(name) => name.to_string(),
-        None => format!("thread-{:?}", t.id()),
-    }
-}
 
 struct Recording {
     log: ScheduleLog,
@@ -64,13 +55,12 @@ impl Recording {
     }
 }
 
-/// The live checker: sanitizer + race detector + optional schedule
-/// recorder, attached to a [`BlockRegistry`] as its observer.
+/// The live checker: sanitizer plus an optional schedule recorder,
+/// attached to a [`BlockRegistry`] as its observer.
 pub struct Checker {
     action: ViolationAction,
     violations: Mutex<Vec<Violation>>,
     count: AtomicU64,
-    race: RaceDetector,
     recording: Option<Recording>,
 }
 
@@ -81,7 +71,6 @@ impl Checker {
             action,
             violations: Mutex::new(Vec::new()),
             count: AtomicU64::new(0),
-            race: RaceDetector::new(),
             recording: None,
         }
     }
@@ -195,12 +184,6 @@ impl Checker {
             panic!("hetcheck violation: {violation}");
         }
     }
-
-    fn report_all(&self, violations: Vec<Violation>) {
-        for v in violations {
-            self.report(v);
-        }
-    }
 }
 
 impl std::fmt::Debug for Checker {
@@ -228,11 +211,6 @@ impl BlockObserver for Checker {
         if let Some(v) = sanitizer::check_access(block, mode) {
             self.report(v);
         }
-        self.report_all(self.race.acquire(&lane(), block, mode));
-    }
-
-    fn on_release(&self, block: BlockId, mode: AccessMode) {
-        self.race.release(&lane(), block, mode);
     }
 
     fn on_add_ref(&self, block: BlockId, refcount: u32) {
@@ -261,11 +239,9 @@ impl BlockObserver for Checker {
                 refcount: refcount as usize,
             });
         }
-        self.report_all(self.race.move_begin(&lane(), block));
     }
 
     fn on_move_complete(&self, block: BlockId, node: NodeId) {
-        self.race.move_end(&lane(), block);
         if let Some(rec) = &self.recording {
             rec.record(ScheduleEvent::MoveComplete {
                 block,
@@ -275,7 +251,6 @@ impl BlockObserver for Checker {
     }
 
     fn on_move_abort(&self, block: BlockId, node: NodeId) {
-        self.race.move_end(&lane(), block);
         if let Some(rec) = &self.recording {
             rec.record(ScheduleEvent::MoveAbort {
                 block,

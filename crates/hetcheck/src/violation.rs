@@ -1,4 +1,4 @@
-//! The violation taxonomy shared by the sanitizer and race detector.
+//! The violation taxonomy of the dependence-conformance sanitizer.
 //!
 //! A [`Violation`] is a broken runtime contract caught while the
 //! program runs (as opposed to a [`crate::lint::LintFinding`], which is
@@ -53,31 +53,6 @@ pub enum Violation {
         /// The reading mode actually used.
         actual: AccessMode,
     },
-    /// Two lanes held conflicting access to a block with no
-    /// happens-before edge between them (vector-clock race).
-    ConcurrentConflict {
-        /// The contested block.
-        block: BlockId,
-        /// Lane holding/last performing the first access.
-        first_lane: String,
-        /// Mode of the first access.
-        first_mode: AccessMode,
-        /// Lane performing the second access.
-        second_lane: String,
-        /// Mode of the second access.
-        second_mode: AccessMode,
-    },
-    /// A migration started while access guards were still held (or the
-    /// block was still referenced) — the evict-while-held /
-    /// migrate-during-access window.
-    EvictWhileHeld {
-        /// The block being moved.
-        block: BlockId,
-        /// Lane that started the move.
-        lane: String,
-        /// Guards still active at move begin.
-        active_guards: usize,
-    },
 }
 
 /// Discriminant of a [`Violation`], for compact assertions.
@@ -89,10 +64,6 @@ pub enum ViolationKind {
     ModeEscalation,
     /// See [`Violation::UninitializedRead`].
     UninitializedRead,
-    /// See [`Violation::ConcurrentConflict`].
-    ConcurrentConflict,
-    /// See [`Violation::EvictWhileHeld`].
-    EvictWhileHeld,
 }
 
 impl Violation {
@@ -102,8 +73,6 @@ impl Violation {
             Violation::UndeclaredAccess { .. } => ViolationKind::UndeclaredAccess,
             Violation::ModeEscalation { .. } => ViolationKind::ModeEscalation,
             Violation::UninitializedRead { .. } => ViolationKind::UninitializedRead,
-            Violation::ConcurrentConflict { .. } => ViolationKind::ConcurrentConflict,
-            Violation::EvictWhileHeld { .. } => ViolationKind::EvictWhileHeld,
         }
     }
 }
@@ -132,25 +101,6 @@ impl std::fmt::Display for Violation {
                 f,
                 "task {token} read {block} as {actual:?} but declared it WriteOnly \
                  (the fetch skipped the copy; the read sees uninitialized bytes)"
-            ),
-            Violation::ConcurrentConflict {
-                block,
-                first_lane,
-                first_mode,
-                second_lane,
-                second_mode,
-            } => write!(
-                f,
-                "unordered conflicting access to {block}: {first_lane} ({first_mode:?}) \
-                 races {second_lane} ({second_mode:?})"
-            ),
-            Violation::EvictWhileHeld {
-                block,
-                lane,
-                active_guards,
-            } => write!(
-                f,
-                "{lane} began migrating {block} while {active_guards} access guard(s) were held"
             ),
         }
     }

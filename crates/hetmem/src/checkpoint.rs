@@ -1,6 +1,6 @@
 //! Block-granular checkpoint images: the on-disk persistence layer.
 //!
-//! The checkpoint granule is the [`BlockId`] — the same unit the
+//! The checkpoint granule is the [`BlockId`](crate::BlockId) — the same unit the
 //! runtime fetches, evicts and reference-counts (DOLMA's argument:
 //! object/block granularity is the natural persistence unit for
 //! runtime-managed heterogeneous memory). A checkpoint image captures,

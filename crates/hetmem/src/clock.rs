@@ -110,12 +110,6 @@ impl VirtualClock {
         let _guard = self.sleepers.lock();
         self.cv.notify_all();
     }
-
-    /// Move time forward by `dur`.
-    pub fn advance(&self, dur: TimeNs) {
-        let t = self.now.load(Ordering::SeqCst).saturating_add(dur);
-        self.advance_to(t);
-    }
 }
 
 impl Default for VirtualClock {

@@ -90,7 +90,7 @@ impl FaultInjector for NoFaults {}
 /// Decisions are drawn from splitmix64 keyed by `(seed, site,
 /// sequence)`: two runs with the same seed and the same per-site call
 /// order see the same schedule. Allocation faults are restricted to
-/// [`struct@HBM`] by default so that initial (DDR4) block placement in a
+/// [`HBM`] by default so that initial (DDR4) block placement in a
 /// workload under test cannot fail before the runtime is even involved;
 /// use [`SeededFaults::with_alloc_fault_node`] to widen that.
 pub struct SeededFaults {

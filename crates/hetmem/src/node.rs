@@ -49,7 +49,7 @@ pub enum MemKind {
     /// Commodity DRAM: high capacity, lower bandwidth.
     Dram,
     /// Non-volatile memory: high capacity, low bandwidth *and* high
-    /// latency (the related-work NVM setting, ref. [9] of the paper).
+    /// latency (the related-work NVM setting, ref. \[9\] of the paper).
     Nvm,
 }
 

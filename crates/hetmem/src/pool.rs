@@ -14,14 +14,11 @@
 use crate::alloc::AlignedBuf;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A freelist of retired buffers for one memory node.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct MemoryPool {
     by_size: Mutex<HashMap<usize, Vec<AlignedBuf>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl MemoryPool {
@@ -32,63 +29,13 @@ impl MemoryPool {
 
     /// Take an exact-size buffer if one is pooled.
     pub fn take(&self, size: usize) -> Option<AlignedBuf> {
-        let mut map = self.by_size.lock();
-        let buf = map.get_mut(&size).and_then(Vec::pop);
-        match buf {
-            Some(b) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(b)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.by_size.lock().get_mut(&size).and_then(Vec::pop)
     }
 
     /// Return a buffer to the pool (keeps its budget reserved).
     pub fn put(&self, buf: AlignedBuf) {
         let mut map = self.by_size.lock();
         map.entry(buf.len()).or_default().push(buf);
-    }
-
-    /// Drop every pooled buffer, releasing their budgets.
-    pub fn drain(&self) {
-        self.by_size.lock().clear();
-    }
-
-    /// Number of pooled buffers.
-    pub fn pooled(&self) -> usize {
-        self.by_size.lock().values().map(Vec::len).sum()
-    }
-
-    /// Total pooled bytes (still counted against their node budgets).
-    pub fn pooled_bytes(&self) -> u64 {
-        self.by_size
-            .lock()
-            .iter()
-            .map(|(size, v)| (*size as u64) * v.len() as u64)
-            .sum()
-    }
-
-    /// (hits, misses) counters for `take`.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl std::fmt::Debug for MemoryPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (h, m) = self.hit_miss();
-        f.debug_struct("MemoryPool")
-            .field("pooled", &self.pooled())
-            .field("pooled_bytes", &self.pooled_bytes())
-            .field("hits", &h)
-            .field("misses", &m)
-            .finish()
     }
 }
 
@@ -102,7 +49,6 @@ mod tests {
     fn take_from_empty_pool_misses() {
         let pool = MemoryPool::new();
         assert!(pool.take(64).is_none());
-        assert_eq!(pool.hit_miss(), (0, 1));
     }
 
     #[test]
@@ -110,26 +56,22 @@ mod tests {
         let alloc = NodeAllocator::new(1 << 16);
         let pool = MemoryPool::new();
         pool.put(alloc.alloc(128, HBM).unwrap());
-        assert_eq!(pool.pooled(), 1);
-        assert_eq!(pool.pooled_bytes(), 128);
         // Budget stays reserved while pooled.
         assert_eq!(alloc.used(), 128);
         assert!(pool.take(64).is_none(), "size must match exactly");
         let buf = pool.take(128).unwrap();
         assert_eq!(buf.len(), 128);
-        assert_eq!(pool.pooled(), 0);
-        assert_eq!(pool.hit_miss(), (1, 1));
+        assert!(pool.take(128).is_none(), "the one pooled buffer was taken");
     }
 
     #[test]
-    fn drain_releases_budget() {
+    fn dropping_the_pool_releases_budget() {
         let alloc = NodeAllocator::new(1 << 16);
         let pool = MemoryPool::new();
         pool.put(alloc.alloc(256, HBM).unwrap());
         pool.put(alloc.alloc(256, HBM).unwrap());
         assert_eq!(alloc.used(), 512);
-        pool.drain();
+        drop(pool);
         assert_eq!(alloc.used(), 0);
-        assert_eq!(pool.pooled(), 0);
     }
 }

@@ -1,13 +1,13 @@
 //! Blocked matrix multiplication over a 2-D chare grid — §V-B.
 //!
 //! Matrices A, B and C (N×N, N = grid·block) are split into
-//! `grid × grid` square blocks. Chare (i,j) owns C[i][j]; its single
+//! `grid × grid` square blocks. Chare (i,j) owns `C[i][j]`; its single
 //! `[prefetch]` entry method depends on its whole A block-row
 //! (`readonly`), whole B block-column (`readonly`) and C (`readwrite`),
 //! and computes `C[i][j] = Σ_k A[i][k]·B[k][j]` with one blocked dgemm
 //! per k ("the IO threads process the chares in a FIFO manner").
 //!
-//! [`MatmulDriver`] runs the k-steps in chunks (see [`crate::chunk`]):
+//! [`MatmulDriver`] runs the k-steps in chunks (see the `chunk` module):
 //! each message carries a k-range, depends on only that slice of the
 //! A row and B column, and accumulates it into C in ascending k, so any
 //! chunking is bitwise equal to one chunk. [`run_matmul`] is one chunk,

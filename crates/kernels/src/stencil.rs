@@ -17,7 +17,7 @@
 //! why the single-IO-thread strategy suffers here: no reuse, every task
 //! needs its own fetch.
 //!
-//! [`StencilDriver`] runs the iterations in chunks (see [`crate::chunk`]):
+//! [`StencilDriver`] runs the iterations in chunks (see the `chunk` module):
 //! a chunk's Start message names its end iteration, and at that
 //! iteration each chare stops sending halos. The next Start re-extracts
 //! the boundary planes from the quiescent block, which are the planes

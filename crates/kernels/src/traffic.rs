@@ -32,11 +32,6 @@ pub fn charge_update_pass(mem: &Memory, guard: &AccessGuard<'_>) {
     charge_guard(mem, guard, bytes, bytes);
 }
 
-/// Charge a read-only pass over the block.
-pub fn charge_read_pass(mem: &Memory, guard: &AccessGuard<'_>) {
-    charge_guard(mem, guard, guard.len() as u64, 0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,7 +50,7 @@ mod tests {
             .register(m.alloc_on_node(4096, DDR4).unwrap(), "t");
         {
             let g = m.registry().access(id, AccessMode::ReadOnly);
-            charge_read_pass(&m, &g);
+            charge_guard(&m, &g, g.len() as u64, 0);
         }
         assert_eq!(m.stats().nodes[DDR4.index()].bytes_charged, 4096);
         assert_eq!(m.stats().nodes[HBM.index()].bytes_charged, 0);
@@ -88,13 +83,13 @@ mod tests {
         let t0 = clock.now();
         {
             let g = m.registry().access(a, AccessMode::ReadOnly);
-            charge_read_pass(&m, &g);
+            charge_guard(&m, &g, g.len() as u64, 0);
         }
         let t_ddr = clock.now() - t0;
         let t1 = clock.now();
         {
             let g = m.registry().access(b, AccessMode::ReadOnly);
-            charge_read_pass(&m, &g);
+            charge_guard(&m, &g, g.len() as u64, 0);
         }
         let t_hbm = clock.now() - t1;
         let ratio = t_ddr as f64 / t_hbm as f64;

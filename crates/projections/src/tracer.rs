@@ -78,11 +78,6 @@ impl TraceCollector {
         c
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// The tracer for `lane`, creating and registering it on first use.
     /// Repeated calls for the same lane return the same tracer, so
     /// different runtime layers (scheduler, strategy hook) can record
@@ -150,7 +145,7 @@ mod tests {
         let t = c.tracer(LaneId::worker(0));
         t.record(SpanKind::Compute, 0, 100, 0);
         assert!(t.is_empty());
-        assert!(!c.is_enabled());
+        assert!(c.finish().lanes.iter().all(|l| l.spans.is_empty()));
     }
 
     #[test]

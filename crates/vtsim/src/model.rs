@@ -93,18 +93,6 @@ pub enum SimStrategy {
     },
 }
 
-impl SimStrategy {
-    /// Label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            SimStrategy::Baseline => "baseline".into(),
-            SimStrategy::SyncFetch => "no-io-thread(sync)".into(),
-            SimStrategy::IoThreads { threads: 1 } => "single-io-thread".into(),
-            SimStrategy::IoThreads { threads } => format!("io-threads({threads})"),
-        }
-    }
-}
-
 /// Full simulation configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -118,7 +106,7 @@ pub struct SimConfig {
     pub strategy: SimStrategy,
     /// Single-thread memcpy rate for fetch/evict copies (bytes/sec).
     /// One slow core cannot saturate aggregate bandwidth (the paper's
-    /// ref. [11]); `None` disables the cap.
+    /// ref. \[11\]); `None` disables the cap.
     pub copy_thread_rate: Option<u64>,
 }
 
@@ -158,19 +146,6 @@ mod tests {
         assert_eq!(c.ddr.capacity_bytes / c.hbm.capacity_bytes, 6);
         let ratio = c.hbm.bandwidth_bytes_per_sec as f64 / c.ddr.bandwidth_bytes_per_sec as f64;
         assert!(ratio > 4.0);
-    }
-
-    #[test]
-    fn strategy_labels() {
-        assert_eq!(SimStrategy::Baseline.label(), "baseline");
-        assert_eq!(
-            SimStrategy::IoThreads { threads: 1 }.label(),
-            "single-io-thread"
-        );
-        assert_eq!(
-            SimStrategy::IoThreads { threads: 64 }.label(),
-            "io-threads(64)"
-        );
     }
 
     #[test]

@@ -62,20 +62,6 @@ impl SimReport {
     pub fn speedup_over(&self, baseline: &SimReport) -> f64 {
         baseline.makespan_ns as f64 / self.makespan_ns as f64
     }
-
-    /// One-line rendering for experiment tables.
-    pub fn render_row(&self) -> String {
-        format!(
-            "{:<22} {:>10.3}s  util {:>5.1}%  wait {:>8.2}ms/task  fetch {:>6} ({:>8} MB)  evict {:>6}",
-            self.strategy.label(),
-            self.makespan_sec(),
-            self.pe_utilization() * 100.0,
-            self.mean_queue_wait_ms(),
-            self.fetches,
-            self.fetch_bytes >> 20,
-            self.evictions,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +94,6 @@ mod tests {
         assert_eq!(r.mean_queue_wait_ms(), 2.0);
         let faster = report(1_000_000_000);
         assert_eq!(faster.speedup_over(&r), 2.0);
-        assert!(r.render_row().contains("baseline"));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   budgets, bandwidth regulators, block registry, migration engine);
 //! * [`converse`] — the message-driven execution substrate (PEs, chare
 //!   arrays, per-PE schedulers, quiescence);
-//! * [`core`](hetrt_core) — the paper's contribution: prefetch/evict
+//! * [`core`] — the paper's contribution: prefetch/evict
 //!   strategies over the two substrates;
 //! * [`hetcheck`] — dynamic/offline analysis: dependence-conformance
-//!   sanitizer, block-level race detector, schedule linter (see
+//!   sanitizer and schedule linter (see
 //!   `DESIGN.md` §8 and the `schedule_lint` binary);
 //! * [`kernels`] — Stencil3D, blocked matrix multiplication and STREAM;
 //! * [`projections`] — trace collection and timeline rendering;
