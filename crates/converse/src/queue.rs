@@ -1,13 +1,22 @@
 //! Per-PE FIFO run queues with blocking pop.
 //!
 //! "Tasks are picked up in FIFO order from the run queue and scheduled"
-//! (§IV-B). Each PE owns one [`RunQueue`]; worker loops park on the
-//! queue's condvar when it is empty and record the park time as idle.
-//! A push notifies only when a parked worker has no wake-up on its way.
+//! (§IV-B). Each PE owns one [`RunQueue`]; a worker that finds its
+//! queue empty polls it a few times, yielding its core between polls,
+//! then parks on the queue's condvar; the worker loop records the whole
+//! wait as idle. A push notifies only when a parked worker has no
+//! wake-up on its way, so a push that lands while the worker is still
+//! polling costs no futex wake.
 
 use crate::envelope::Envelope;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+
+/// How many times [`RunQueue::pop`] polls an empty queue, yielding
+/// between polls, before it parks. A hand-off from another thread
+/// usually lands within a few yields; the gain measured flat from 16 to
+/// 256 polls.
+const SPIN_POLLS: usize = 64;
 
 /// Result of a blocking pop.
 pub enum Pop {
@@ -26,6 +35,17 @@ struct State {
     /// Notifies sent to parked poppers that have not yet woken (at most
     /// `sleepers`), so each parked popper is woken once.
     wakes: usize,
+}
+
+impl State {
+    /// The next envelope, or shutdown once the queue is drained.
+    fn take(&mut self) -> Option<Pop> {
+        match self.queue.pop_front() {
+            Some(env) => Some(Pop::Work(env)),
+            None if self.shutdown => Some(Pop::Shutdown),
+            None => None,
+        }
+    }
 }
 
 /// A FIFO queue of envelopes with condvar parking.
@@ -55,14 +75,28 @@ impl RunQueue {
 
     /// Blocking pop: waits until work arrives or shutdown is signalled.
     /// Drains remaining work before reporting shutdown.
+    ///
+    /// An empty queue is polled `SPIN_POLLS` (64) times, with the lock
+    /// released and the core yielded between polls, before the popper
+    /// parks. Yielding rather than busy-spinning leaves the core to the
+    /// thread that is about to push.
     pub fn pop(&self) -> Pop {
+        self.pop_polling(std::thread::yield_now)
+    }
+
+    /// [`RunQueue::pop`], calling `between_polls` (unlocked) after each
+    /// empty poll before parking.
+    fn pop_polling(&self, mut between_polls: impl FnMut()) -> Pop {
+        for _ in 0..SPIN_POLLS {
+            if let Some(pop) = self.state.lock().take() {
+                return pop;
+            }
+            between_polls();
+        }
         let mut s = self.state.lock();
         loop {
-            if let Some(env) = s.queue.pop_front() {
-                return Pop::Work(env);
-            }
-            if s.shutdown {
-                return Pop::Shutdown;
+            if let Some(pop) = s.take() {
+                return pop;
             }
             s.sleepers += 1;
             self.cv.wait(&mut s);
@@ -188,6 +222,88 @@ mod tests {
             let s = q.state.lock();
             assert_eq!((s.sleepers, s.wakes), (0, 0));
         }
+    }
+
+    /// Starts `pop_polling` on a thread and returns once the popper has
+    /// found the queue empty: it waits inside its first between-poll
+    /// call until the returned sender sends. The thread returns the pop
+    /// and how many times it found the queue empty.
+    fn popper_paused_after_first_poll(
+        q: &Arc<RunQueue>,
+    ) -> (
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<(Pop, usize)>,
+    ) {
+        let (polled_tx, polled_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+        let q = Arc::clone(q);
+        let popper = std::thread::spawn(move || {
+            let mut polls = 0;
+            let pop = q.pop_polling(|| {
+                polls += 1;
+                if polls == 1 {
+                    polled_tx.send(()).unwrap();
+                    resume_rx.recv().unwrap();
+                }
+            });
+            (pop, polls)
+        });
+        polled_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the popper never polled its empty queue");
+        (resume_tx, popper)
+    }
+
+    #[test]
+    fn a_push_during_the_spin_is_taken_without_a_notify() {
+        let q = Arc::new(RunQueue::new());
+        let (resume, popper) = popper_paused_after_first_poll(&q);
+        q.push(env(9));
+        {
+            // The popper is between polls: not parked, so no notify.
+            let s = q.state.lock();
+            assert_eq!((s.sleepers, s.wakes), (0, 0), "the push notified");
+        }
+        resume.send(()).unwrap();
+        let (pop, polls) = popper.join().unwrap();
+        assert!(matches!(pop, Pop::Work(e) if e.index == 9));
+        assert_eq!(polls, 1, "the push is taken at the next poll");
+        let s = q.state.lock();
+        assert_eq!((s.sleepers, s.wakes), (0, 0));
+    }
+
+    #[test]
+    fn a_spinning_popper_sees_shutdown_at_its_next_poll() {
+        let q = Arc::new(RunQueue::new());
+        let (resume, popper) = popper_paused_after_first_poll(&q);
+        q.shutdown();
+        resume.send(()).unwrap();
+        let (pop, polls) = popper.join().unwrap();
+        assert!(matches!(pop, Pop::Shutdown));
+        assert_eq!(polls, 1, "shutdown is seen at the next poll");
+        assert_eq!(q.state.lock().sleepers, 0);
+    }
+
+    #[test]
+    fn an_idle_popper_parks_after_its_spin() {
+        let q = Arc::new(RunQueue::new());
+        let popper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut polls = 0;
+                let pop = q.pop_polling(|| polls += 1);
+                (pop, polls)
+            })
+        };
+        while q.state.lock().sleepers == 0 {
+            std::thread::yield_now();
+        }
+        q.push(env(4));
+        let (pop, polls) = popper.join().unwrap();
+        assert!(matches!(pop, Pop::Work(e) if e.index == 4));
+        assert_eq!(polls, SPIN_POLLS, "the spin is bounded");
+        let s = q.state.lock();
+        assert_eq!((s.sleepers, s.wakes), (0, 0));
     }
 
     #[test]

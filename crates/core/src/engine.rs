@@ -126,6 +126,36 @@ impl FetchEngine {
         self.mem.allocator(HBM).available()
     }
 
+    /// Whether `deps` (totalling `needed` bytes) certainly cannot all be
+    /// brought into HBM now: the bytes of those resident outside HBM
+    /// exceed what HBM has free. Lock-free and pins nothing, so an
+    /// admission can be refused before it takes a reference.
+    ///
+    /// It never refuses a task a full attempt would admit: a block in
+    /// HBM or mid-move counts 0 bytes and a repeated block counts once.
+    /// It answers `false` where a fetch can find space that
+    /// `hbm_available` does not show (on-demand LRU eviction, pooled
+    /// HBM buffers), and for a task larger than HBM, which
+    /// [`FetchEngine::fetch_all`] reports as `TaskTooLarge`.
+    pub(crate) fn cannot_fit(&self, deps: &[Dep], needed: u64) -> bool {
+        if self.config.eviction == EvictionPolicy::LruOnDemand || self.config.use_memory_pool {
+            return false;
+        }
+        let available = self.hbm_available();
+        if needed <= available || needed > self.hbm_task_capacity() {
+            return false;
+        }
+        let registry = self.mem.registry();
+        let mut missing = 0u64;
+        for (i, d) in deps.iter().enumerate() {
+            let outside = matches!(registry.node_of(d.block), Some(node) if node != HBM);
+            if outside && !deps[..i].iter().any(|e| e.block == d.block) {
+                missing += registry.size_of(d.block) as u64;
+            }
+        }
+        missing > available
+    }
+
     /// Reference every dependence of a task (call before fetching).
     pub fn add_refs(&self, deps: &[Dep]) {
         for d in deps {
@@ -365,9 +395,12 @@ mod tests {
     use projections::{LaneId, TraceCollector};
 
     fn setup(hbm_cap: u64) -> (Arc<Memory>, FetchEngine, Arc<Tracer>) {
+        setup_with(hbm_cap, OocConfig::default())
+    }
+
+    fn setup_with(hbm_cap: u64, config: OocConfig) -> (Arc<Memory>, FetchEngine, Arc<Tracer>) {
         let topo = Topology::knl_flat_scaled_with(hbm_cap, 1 << 20);
         let mem = Memory::with_clock(topo, Arc::new(VirtualClock::new()));
-        let config = OocConfig::default();
         let engine = FetchEngine::new(Arc::clone(&mem), config, Arc::new(StatCells::default()));
         let collector = TraceCollector::new();
         let tracer = collector.tracer(LaneId::io(0));
@@ -422,6 +455,64 @@ mod tests {
         engine.add_refs(&d_c);
         fetch(&engine, &d_c, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(c), Some(HBM));
+    }
+
+    #[test]
+    fn cannot_fit_counts_only_bytes_a_fetch_must_allocate() {
+        use AccessMode::{ReadOnly, ReadWrite};
+        let (mem, engine, tracer) = setup(1500);
+        let a = block(&mem, 1000, "a");
+        let b = block(&mem, 1000, "b");
+        let c = block(&mem, 400, "c");
+        let d_a = vec![dep(a, ReadWrite)];
+        engine.add_refs(&d_a);
+        fetch(&engine, &d_a, &tracer).unwrap();
+        // 500 B free: b does not fit, c does even when named twice.
+        assert!(engine.cannot_fit(&[dep(b, ReadWrite)], 1000));
+        assert!(!engine.cannot_fit(&[dep(c, ReadOnly), dep(c, ReadOnly)], 800));
+        // a is already in HBM, so only c's bytes are needed.
+        assert!(!engine.cannot_fit(&[dep(a, ReadOnly), dep(c, ReadOnly)], 1400));
+        // A block mid-move counts 0 bytes.
+        let (buf, _) = mem.registry().begin_move(b, HBM, false).unwrap();
+        assert!(!engine.cannot_fit(&[dep(b, ReadWrite)], 1000));
+        mem.registry().abort_move(b, buf);
+        assert!(engine.cannot_fit(&[dep(b, ReadWrite)], 1000));
+        engine.release_refs(&d_a);
+    }
+
+    #[test]
+    fn cannot_fit_defers_where_a_fetch_finds_hidden_space() {
+        use AccessMode::ReadWrite;
+        // On-demand LRU eviction and a pooled HBM buffer both give a
+        // fetch space that `hbm_available` does not show.
+        for config in [
+            OocConfig {
+                eviction: EvictionPolicy::LruOnDemand,
+                ..OocConfig::default()
+            },
+            OocConfig {
+                use_memory_pool: true,
+                ..OocConfig::default()
+            },
+        ] {
+            let (mem, engine, tracer) = setup_with(1500, config);
+            let a = block(&mem, 1000, "a");
+            let b = block(&mem, 1000, "b");
+            let d_a = vec![dep(a, ReadWrite)];
+            engine.add_refs(&d_a);
+            fetch(&engine, &d_a, &tracer).unwrap();
+            engine.release_refs(&d_a);
+            engine.evict_unreferenced(&d_a, &tracer, 0);
+            assert_eq!(engine.hbm_available(), 500, "{config:?}");
+            let d_b = vec![dep(b, ReadWrite)];
+            assert!(!engine.cannot_fit(&d_b, 1000), "{config:?}");
+            engine.add_refs(&d_b);
+            fetch(&engine, &d_b, &tracer).unwrap();
+        }
+        // A task larger than HBM is left to fetch_all's TaskTooLarge.
+        let (mem, engine, _) = setup(1500);
+        let big = block(&mem, 2000, "big");
+        assert!(!engine.cannot_fit(&[dep(big, ReadWrite)], 2000));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   occupant; the set is then refilled);
 //! * a **miss** fills the set on the worker's critical path (demand
 //!   latency — there is no prefetch in cache mode), evicting the
-//!   previous occupant;
+//!   previous occupant if it is still in HBM;
 //! * a **conflict** against an in-use occupant (or a capacity failure)
 //!   **bypasses**: the dependence is simply accessed from DDR4 at DDR4
 //!   bandwidth, the cache-mode analogue of a line that cannot be
@@ -115,8 +115,9 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
                 old
             }
         };
-        if let Some(old) = occupant {
-            // Write the victim back to DDR4 (demand eviction).
+        // Write the victim back to DDR4 (demand eviction), unless
+        // LRU-on-demand already did.
+        if let Some(old) = occupant.filter(|&old| registry.node_of(old) == Some(HBM)) {
             match evict_block(shared, old, tracer, tag) {
                 Ok(()) => {
                     cache.conflict_evictions.fetch_add(1, Ordering::Relaxed);
@@ -162,7 +163,7 @@ fn evict_block(
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{OocConfig, StrategyKind};
+    use crate::config::{EvictionPolicy, OocConfig, StrategyKind};
     use crate::handle::IoHandle;
     use crate::placement::Placement;
     use crate::strategy::OocHook;
@@ -204,13 +205,28 @@ mod tests {
     /// Touch `n` blocks once per round, one round at a time: each
     /// round is sent only after the previous one has quiesced.
     fn run_cache(sets: usize, n: usize, rounds: usize) -> CacheRun {
+        let steps: Vec<Vec<usize>> = (0..rounds).map(|_| (0..n).collect()).collect();
+        run_steps(sets, n, 1 << 20, OocConfig::default(), &steps)
+    }
+
+    /// Touch blocks `steps[0]`, then `steps[1]`, ..., sending each step
+    /// only after the previous one has quiesced. Block `i` has id `i`,
+    /// so it maps to set `i % sets`.
+    fn run_steps(
+        sets: usize,
+        n: usize,
+        hbm_bytes: u64,
+        config: OocConfig,
+        steps: &[Vec<usize>],
+    ) -> CacheRun {
         let block_elems = 256usize;
-        let topo = Topology::knl_flat_scaled_with(1 << 20, 1 << 24);
+        let topo = Topology::knl_flat_scaled_with(hbm_bytes, 1 << 24);
         let mem = Memory::new(topo);
         let rt = RuntimeBuilder::new(2)
             .clock(Arc::clone(mem.clock()))
             .build();
-        let latch = Arc::new(CompletionLatch::new(n * rounds));
+        let touches = steps.iter().map(Vec::len).sum();
+        let latch = Arc::new(CompletionLatch::new(touches));
         let blocks: Vec<IoHandle<f64>> = (0..n)
             .map(|i| {
                 IoHandle::new(
@@ -237,22 +253,23 @@ mod tests {
             Arc::clone(&rt),
             Arc::clone(&mem),
             StrategyKind::CacheMode { sets },
-            OocConfig::default(),
+            config,
         )
         .unwrap();
         rt.set_hook(hook.clone());
-        for _ in 0..rounds {
-            for i in 0..n {
+        for step in steps {
+            for &i in step {
                 rt.send(array, i, EP, ());
             }
-            assert!(rt.wait_quiescence_ms(10_000), "cache-mode round stalled");
+            assert!(rt.wait_quiescence_ms(10_000), "cache-mode step stalled");
         }
         assert!(latch.wait_timeout_ms(60_000), "cache-mode run stalled");
         let arr = rt.array::<Toucher>(array);
         for i in 0..n {
+            let sent = steps.iter().flatten().filter(|&&j| j == i).count();
             assert_eq!(
                 arr.with_chare(i, |c| c.data.read(|xs| xs[0])),
-                rounds as f64,
+                sent as f64,
                 "block {i} lost updates"
             );
         }
@@ -308,5 +325,26 @@ mod tests {
         assert_eq!(run.cache.conflict_evictions, 0);
         assert_eq!(run.stats.evictions, 0);
         assert_eq!(run.final_nodes, vec![Some(HBM); 2]);
+    }
+
+    #[test]
+    fn a_fill_after_lru_evicted_the_occupant_is_cached() {
+        // HBM holds one block; blocks 0 and 2 share set 0. Filling block
+        // 1 makes LRU-on-demand evict block 0, which set 0 still names.
+        // The next fill of set 0 must take the set, not bypass.
+        let block_bytes = 256 * 8;
+        let config = OocConfig {
+            eviction: EvictionPolicy::LruOnDemand,
+            ..OocConfig::default()
+        };
+        let steps = [vec![0], vec![1], vec![2]];
+        let run = run_steps(2, 3, block_bytes, config, &steps);
+        assert_eq!(run.stats.completed, 3);
+        // Block 2 displaces block 0 without a write-back: LRU made it.
+        let cache = run.cache;
+        assert_eq!((cache.misses, cache.bypasses), (3, 0), "{cache:?}");
+        assert_eq!(cache.conflict_evictions, 0, "{cache:?}");
+        assert_eq!(run.seen[2], vec![Some(HBM)]);
+        assert_eq!(run.final_nodes, vec![Some(DDR4), Some(DDR4), Some(HBM)]);
     }
 }

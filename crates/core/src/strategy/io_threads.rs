@@ -16,6 +16,18 @@
 //! corresponding to the worker threads"): fetches overlap with
 //! computation instead of stalling it.
 //!
+//! # Polling before sleeping
+//!
+//! Each task crosses threads twice here: a worker parks it in a wait
+//! queue and signals its IO thread, and the IO thread hands it back
+//! through a PE's run queue. An IO thread that runs out of work
+//! therefore re-reads its signal generation a few times, yielding its
+//! core between reads, before it sleeps on the condvar (see
+//! `WaitQueues::wait_signal_timeout`); workers do the same on their run
+//! queues. A hand-off that lands during those polls is taken without a
+//! futex wake. The timed rescan (`IDLE_RESCAN_MS`) still backs up a
+//! lost signal.
+//!
 //! # Supervision
 //!
 //! IO threads are the runtime's single point of failure: a panicked or

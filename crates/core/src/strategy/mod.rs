@@ -123,14 +123,23 @@ impl Shared {
         }
     }
 
-    /// Reference, fetch and (on success) admit a task. On `NoSpace` the
-    /// attempt is rolled back — references released, the task's own
-    /// already-fetched blocks evicted back, so a stalled fetch cannot
-    /// strand HBM capacity — and the task is returned to the caller. A
-    /// fetch whose transient-fault retry budget is exhausted degrades
-    /// instead of failing: the task runs from DDR4 rather than wedging
-    /// its queue.
+    /// Reference, fetch and (on success) admit a task. A task whose
+    /// deps outside HBM already exceed HBM's free bytes is refused
+    /// before anything is referenced (see [`FetchEngine::cannot_fit`]).
+    /// On `NoSpace` the attempt is rolled back — references released,
+    /// the task's own already-fetched blocks evicted back, so a stalled
+    /// fetch cannot strand HBM capacity — and the task is returned to
+    /// the caller. A fetch whose transient-fault retry budget is
+    /// exhausted degrades instead of failing: the task runs from DDR4
+    /// rather than wedging its queue.
     pub fn try_admit(&self, task: OocTask, tracer: &Tracer) -> Result<(), Refused> {
+        if self.engine.cannot_fit(&task.env.deps, task.bytes) {
+            self.stats.bump_no_space();
+            return Err(Refused {
+                task,
+                unpinned: false,
+            });
+        }
         let tag = task.env.index as u32;
         let t0 = self.rt.clock().now();
         self.engine.add_refs(&task.env.deps);

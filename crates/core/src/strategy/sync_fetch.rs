@@ -36,6 +36,14 @@
 //! nothing was released during its attempt, or if a scan that starts
 //! after the park will see it. See [`intercept`] and [`after_complete`]
 //! for the two halves of the argument.
+//!
+//! `Shared::try_admit` may refuse a task before its attempt takes any
+//! reference, when the deps it would have to fetch already exceed the
+//! free HBM bytes. Such a refusal pins and unpins nothing, so it is an
+//! attempt that failed without a rollback (`unpinned` is false), and
+//! the argument holds unchanged. Every release counted in the
+//! `released` value the attempt read freed its space before its bump,
+//! so the check's later read of the free bytes already includes it.
 
 use super::Shared;
 use crate::task::OocTask;
@@ -132,8 +140,10 @@ mod tests {
     use crate::handle::IoHandle;
     use crate::placement::Placement;
     use crate::strategy::OocHook;
+    use crate::task::OocTask;
     use converse::{
-        ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, RuntimeBuilder,
+        ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, Envelope, ExecCtx,
+        RuntimeBuilder,
     };
     use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
     use std::sync::Arc;
@@ -299,6 +309,114 @@ mod tests {
         // paper's matmul nodegroup reuse).
         assert!(stats.fetches < n as u64, "fetches={}", stats.fetches);
         assert_eq!(stats.completed, n as u64);
+        hook.shutdown();
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_refusal_by_the_space_check_pins_nothing() {
+        // HBM holds one block, and b0 occupies it under a held ref.
+        let block_elems = 512usize;
+        let block_bytes = (block_elems * 8) as u64;
+        let topo = Topology::knl_flat_scaled_with(block_bytes, 1 << 24);
+        let mem = Memory::new(topo);
+        let rt = RuntimeBuilder::new(1)
+            .clock(Arc::clone(mem.clock()))
+            .build();
+        let blocks: Vec<IoHandle<f64>> = (0..2)
+            .map(|i| {
+                IoHandle::new(
+                    &mem,
+                    block_elems,
+                    Placement::DdrOnly,
+                    HBM,
+                    DDR4,
+                    format!("b{i}"),
+                )
+                .unwrap()
+            })
+            .collect();
+        let hook = OocHook::new(
+            Arc::clone(&rt),
+            Arc::clone(&mem),
+            StrategyKind::SyncFetch,
+            OocConfig::default(),
+        )
+        .unwrap();
+        let shared = &hook.shared;
+        let tracer = shared.worker_tracer(0);
+        let held = [blocks[0].dep(AccessMode::ReadWrite)];
+        shared.engine.add_refs(&held);
+        shared
+            .engine
+            .fetch_all(&held, block_bytes, tracer, 0)
+            .unwrap();
+
+        let mut env = Envelope::new(ArrayId(0), 1, EP_COMPUTE, Box::new(()));
+        env.deps = vec![blocks[1].dep(AccessMode::ReadWrite)];
+        let task = OocTask {
+            env,
+            pe: 0,
+            enqueued_at: 0,
+            bytes: block_bytes,
+        };
+        let refused = match shared.try_admit(task, tracer) {
+            Ok(()) => panic!("b1 cannot fit beside the held b0"),
+            Err(refused) => refused,
+        };
+        assert!(!refused.unpinned);
+        let registry = mem.registry();
+        let state = |h: &IoHandle<f64>| (registry.refcount(h.block()), h.node());
+        assert_eq!(state(&blocks[0]), (1, Some(HBM)));
+        assert_eq!(state(&blocks[1]), (0, Some(DDR4)));
+        // The refusal never began a move, so no HBM allocation failed.
+        assert_eq!(mem.stats().nodes[HBM.index()].failed_alloc_count, 0);
+        let stats = hook.stats();
+        assert_eq!((stats.no_space_events, stats.fetches), (1, 1));
+        shared.engine.release_refs(&held);
+        hook.shutdown();
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_task_already_in_hbm_is_admitted_with_no_hbm_free() {
+        // The task's one block fills HBM, so 0 bytes are free, yet it
+        // needs nothing fetched. Refusing it would park it with no
+        // completion left to rescan the queue.
+        let block_elems = 512usize;
+        let block_bytes = (block_elems * 8) as u64;
+        let topo = Topology::knl_flat_scaled_with(block_bytes, 1 << 24);
+        let mem = Memory::new(topo);
+        let rt = RuntimeBuilder::new(1)
+            .clock(Arc::clone(mem.clock()))
+            .build();
+        let data: IoHandle<f64> =
+            IoHandle::new(&mem, block_elems, Placement::HbmOnly, HBM, DDR4, "b").unwrap();
+        assert_eq!(mem.allocator(HBM).available(), 0);
+        let latch = Arc::new(CompletionLatch::new(1));
+        let (l2, d2) = (Arc::clone(&latch), data.clone());
+        let array = rt
+            .array_builder::<Summer>()
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .build(1, move |_| Summer {
+                data: d2.clone(),
+                latch: Arc::clone(&l2),
+                sum: 0.0,
+            });
+        let hook = OocHook::new(
+            Arc::clone(&rt),
+            Arc::clone(&mem),
+            StrategyKind::SyncFetch,
+            OocConfig::default(),
+        )
+        .unwrap();
+        rt.set_hook(hook.clone());
+        rt.send(array, 0, EP_COMPUTE, ());
+        assert!(latch.wait_timeout_ms(30_000), "the task was refused");
+        assert!(rt.wait_quiescence_ms(10_000));
+        let stats = hook.stats();
+        assert_eq!(stats.completed, 1);
+        assert_eq!((stats.no_space_events, stats.fetches), (0, 0));
         hook.shutdown();
         rt.shutdown();
     }

@@ -12,6 +12,11 @@ use crate::task::OocTask;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
+/// How many times [`WaitQueues::wait_signal_timeout`] re-reads the
+/// signal generation, yielding between reads, before it parks. As for
+/// converse's run queues, the gain measured flat from 16 to 256 polls.
+const SPIN_POLLS: usize = 64;
+
 /// A signal group's state: the generation counter bumped by every
 /// signal, how many IO threads are parked waiting for it to move, and
 /// how many of those have a wake-up on its way (at most `sleepers`).
@@ -124,11 +129,37 @@ impl WaitQueues {
     /// shutdown, or `timeout_ms` elapses. Returns the generation. The
     /// timeout is a liveness backstop: IO threads re-examine their
     /// queues periodically whatever the signals say.
+    ///
+    /// The generation is polled `SPIN_POLLS` (64) times, with the lock
+    /// released and the core yielded between polls, before the thread
+    /// parks: a signal that lands during the polls finds no sleeper and
+    /// sends no notify.
     pub fn wait_signal_timeout(&self, group: usize, seen: u64, timeout_ms: u64) -> u64 {
+        self.wait_signal_polling(group, seen, timeout_ms, std::thread::yield_now)
+    }
+
+    /// [`WaitQueues::wait_signal_timeout`], calling `between_polls`
+    /// (unlocked) after each poll that finds nothing new before parking.
+    fn wait_signal_polling(
+        &self,
+        group: usize,
+        seen: u64,
+        timeout_ms: u64,
+        mut between_polls: impl FnMut(),
+    ) -> u64 {
         let (lock, cv) = &self.signals[group % self.signals.len()];
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
+        let idle = |sig: &Signal| sig.generation == seen && !self.is_shutdown();
+        for _ in 0..SPIN_POLLS {
+            let sig = lock.lock();
+            if !idle(&sig) {
+                return sig.generation;
+            }
+            drop(sig);
+            between_polls();
+        }
         let mut sig = lock.lock();
-        while sig.generation == seen && !self.is_shutdown() {
+        while idle(&sig) {
             sig.sleepers += 1;
             let timed_out = cv.wait_until(&mut sig, deadline).timed_out();
             sig.sleepers -= 1;
@@ -286,6 +317,93 @@ mod tests {
             let sig = wq.signals[0].0.lock();
             assert_eq!((sig.sleepers, sig.wakes), (0, 0));
         }
+    }
+
+    /// Starts `wait_signal_polling` on group 0 in a thread and returns
+    /// once the waiter has found the generation at `seen`: it waits
+    /// inside its first between-poll call until the returned sender
+    /// sends. The thread returns the generation and how many polls
+    /// found nothing.
+    fn waiter_paused_after_first_poll(
+        wq: &Arc<WaitQueues>,
+        seen: u64,
+    ) -> (
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<(u64, usize)>,
+    ) {
+        let (polled_tx, polled_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+        let wq = Arc::clone(wq);
+        let waiter = std::thread::spawn(move || {
+            let mut polls = 0;
+            let generation = wq.wait_signal_polling(0, seen, LONG_MS, || {
+                polls += 1;
+                if polls == 1 {
+                    polled_tx.send(()).unwrap();
+                    resume_rx.recv().unwrap();
+                }
+            });
+            (generation, polls)
+        });
+        polled_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the waiter never polled the generation");
+        (resume_tx, waiter)
+    }
+
+    #[test]
+    fn a_signal_during_the_spin_is_seen_without_a_notify() {
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1, 1));
+        let seen = wq.signal_generation(0);
+        let (resume, waiter) = waiter_paused_after_first_poll(&wq, seen);
+        wq.signal(0);
+        {
+            // The waiter is between polls: not parked, so no notify.
+            let sig = wq.signals[0].0.lock();
+            assert_eq!((sig.sleepers, sig.wakes), (0, 0), "the signal notified");
+        }
+        resume.send(()).unwrap();
+        let (generation, polls) = waiter.join().unwrap();
+        assert_eq!(generation, seen + 1);
+        assert_eq!(polls, 1, "the signal is seen at the next poll");
+    }
+
+    #[test]
+    fn a_spinning_waiter_sees_shutdown_at_its_next_poll() {
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1, 1));
+        let seen = wq.signal_generation(0);
+        let (resume, waiter) = waiter_paused_after_first_poll(&wq, seen);
+        // Set the flag alone: the generation stays put, so only the
+        // shutdown check can end the wait.
+        wq.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+        resume.send(()).unwrap();
+        let (generation, polls) = waiter.join().unwrap();
+        assert_eq!(generation, seen);
+        assert_eq!(polls, 1, "shutdown is seen at the next poll");
+        assert_eq!(wq.signals[0].0.lock().sleepers, 0);
+    }
+
+    #[test]
+    fn an_idle_waiter_parks_after_its_spin() {
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1, 1));
+        let seen = wq.signal_generation(0);
+        let waiter = {
+            let wq = Arc::clone(&wq);
+            std::thread::spawn(move || {
+                let mut polls = 0;
+                let generation = wq.wait_signal_polling(0, seen, LONG_MS, || polls += 1);
+                (generation, polls)
+            })
+        };
+        while wq.signals[0].0.lock().sleepers == 0 {
+            std::thread::yield_now();
+        }
+        wq.signal(0);
+        let (generation, polls) = waiter.join().unwrap();
+        assert_eq!(generation, seen + 1);
+        assert_eq!(polls, SPIN_POLLS, "the spin is bounded");
+        let sig = wq.signals[0].0.lock();
+        assert_eq!((sig.sleepers, sig.wakes), (0, 0));
     }
 
     #[test]
