@@ -10,8 +10,8 @@
 //! * slowdown versus the fault-free run stays bounded;
 //! * fault-free runs report exactly zero retries/degraded tasks, and
 //!   faulty runs report nonzero ones (the counters are live);
-//! * a killed IO thread is respawned by the supervisor and the run
-//!   still completes.
+//! * a killed IO thread restarts its loop in place and the run still
+//!   completes.
 
 use bench::{emit, Scale, Table};
 use hetmem::{SeededFaults, Topology};
@@ -153,10 +153,10 @@ fn main() {
         body.push('\n');
     }
 
-    // Kill one IO thread mid-run: the supervisor must catch the panic,
-    // respawn the thread, and the run must still complete and verify.
+    // Kill one IO thread mid-run: the thread must catch the panic and
+    // restart its loop, and the run must still complete and verify.
     {
-        let mut table = Table::new(&["IO-thread kill", "io panics", "respawns", "completed"]);
+        let mut table = Table::new(&["IO-thread kill", "io panics", "restarts", "completed"]);
         let mut cfg = matmul_cfg(scale);
         cfg.strategy = StrategyKind::single_io();
         cfg.faults = Some(Arc::new(SeededFaults::new(7).with_io_panic(0)));
@@ -167,10 +167,7 @@ fn main() {
             "run must survive a killed IO thread"
         );
         assert!(r.stats.io_panics >= 1, "injected panic must be caught");
-        assert!(
-            r.stats.io_restarts >= 1,
-            "supervisor must respawn the thread"
-        );
+        assert!(r.stats.io_restarts >= 1, "the IO thread must restart");
         table.row(vec![
             "single IO thread".into(),
             r.stats.io_panics.to_string(),
@@ -184,7 +181,7 @@ fn main() {
     body.push_str(
         "expectations: completion and checksums hold at every fault rate;\n\
          retries/degraded are zero fault-free and grow with the rate;\n\
-         a killed IO thread is respawned and the run still finishes.\n\
+         a killed IO thread restarts in place and the run still finishes.\n\
          all assertions passed.\n",
     );
     emit("chaos", &body, save);

@@ -23,11 +23,14 @@
 //!   runtime (`hetrt-core`) installs; unannotated entries are delivered
 //!   directly, `[prefetch]` entries are diverted to the hook exactly as
 //!   in §IV-B;
-//! * [`CompletionLatch`] and quiescence counters for termination.
+//! * [`CompletionLatch`] and quiescence counters for termination;
+//! * [`park::spin_then_park`] — how an idle queue consumer waits: poll,
+//!   then park on its own thread until a producer unparks it.
 
 pub mod array;
 pub mod envelope;
 pub mod hook;
+pub mod park;
 pub mod queue;
 pub mod runtime;
 pub mod sync;

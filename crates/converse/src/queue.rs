@@ -1,22 +1,20 @@
 //! Per-PE FIFO run queues with blocking pop.
 //!
 //! "Tasks are picked up in FIFO order from the run queue and scheduled"
-//! (§IV-B). Each PE owns one [`RunQueue`]; a worker that finds its
-//! queue empty polls it a few times, yielding its core between polls,
-//! then parks on the queue's condvar; the worker loop records the whole
-//! wait as idle. A push notifies only when a parked worker has no
-//! wake-up on its way, so a push that lands while the worker is still
-//! polling costs no futex wake.
+//! (§IV-B). Each PE owns one [`RunQueue`], and the PE's worker is its
+//! only consumer. A worker that finds its queue empty waits with
+//! [`crate::park::spin_then_park`]: it polls a few times, yielding its
+//! core between polls, then parks on its own thread; the worker loop
+//! records the whole wait as idle. A push unparks the worker after
+//! unlocking, which costs one atomic swap and no futex call unless the
+//! worker is really parked.
 
 use crate::envelope::Envelope;
-use parking_lot::{Condvar, Mutex};
+use crate::park::spin_then_park;
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-
-/// How many times [`RunQueue::pop`] polls an empty queue, yielding
-/// between polls, before it parks. A hand-off from another thread
-/// usually lands within a few yields; the gain measured flat from 16 to
-/// 256 polls.
-const SPIN_POLLS: usize = 64;
+use std::sync::OnceLock;
+use std::thread::Thread;
 
 /// Result of a blocking pop.
 pub enum Pop {
@@ -30,11 +28,6 @@ pub enum Pop {
 struct State {
     queue: VecDeque<Envelope>,
     shutdown: bool,
-    /// Poppers parked on the condvar.
-    sleepers: usize,
-    /// Notifies sent to parked poppers that have not yet woken (at most
-    /// `sleepers`), so each parked popper is woken once.
-    wakes: usize,
 }
 
 impl State {
@@ -48,11 +41,20 @@ impl State {
     }
 }
 
-/// A FIFO queue of envelopes with condvar parking.
+/// A FIFO queue of envelopes with one consumer, which parks on its own
+/// thread while the queue is empty.
+///
+/// No wake-up is lost: the consumer registers its thread in `consumer`
+/// before its first look at the queue, and the queue mutex orders every
+/// push before or after each look. A push ordered after the look that
+/// preceded a park therefore finds the consumer registered, and its
+/// unpark either wakes the park or makes it return at once (see
+/// [`crate::park`]).
 #[derive(Default)]
 pub struct RunQueue {
     state: Mutex<State>,
-    cv: Condvar,
+    /// The thread that pops, set by its first [`RunQueue::pop`].
+    consumer: OnceLock<Thread>,
 }
 
 impl RunQueue {
@@ -61,58 +63,38 @@ impl RunQueue {
         Self::default()
     }
 
-    /// Enqueue at the back, waking a parked popper with no wake pending.
+    /// Enqueue at the back and wake the consumer.
     pub fn push(&self, env: Envelope) {
-        let mut s = self.state.lock();
-        s.queue.push_back(env);
-        let wake = s.sleepers > s.wakes;
-        s.wakes += usize::from(wake);
-        drop(s);
-        if wake {
-            self.cv.notify_one();
-        }
+        self.state.lock().queue.push_back(env);
+        self.wake();
     }
 
     /// Blocking pop: waits until work arrives or shutdown is signalled.
     /// Drains remaining work before reporting shutdown.
     ///
-    /// An empty queue is polled `SPIN_POLLS` (64) times, with the lock
-    /// released and the core yielded between polls, before the popper
-    /// parks. Yielding rather than busy-spinning leaves the core to the
-    /// thread that is about to push.
+    /// A queue has one consumer: every pop must come from the thread
+    /// that made the first one (checked in debug builds).
     pub fn pop(&self) -> Pop {
-        self.pop_polling(std::thread::yield_now)
+        let consumer = self.consumer.get_or_init(std::thread::current);
+        debug_assert_eq!(
+            consumer.id(),
+            std::thread::current().id(),
+            "a RunQueue has one consumer"
+        );
+        spin_then_park(|| self.state.lock().take(), None).expect("a pop without a deadline")
     }
 
-    /// [`RunQueue::pop`], calling `between_polls` (unlocked) after each
-    /// empty poll before parking.
-    fn pop_polling(&self, mut between_polls: impl FnMut()) -> Pop {
-        for _ in 0..SPIN_POLLS {
-            if let Some(pop) = self.state.lock().take() {
-                return pop;
-            }
-            between_polls();
-        }
-        let mut s = self.state.lock();
-        loop {
-            if let Some(pop) = s.take() {
-                return pop;
-            }
-            s.sleepers += 1;
-            self.cv.wait(&mut s);
-            s.sleepers -= 1;
-            // Any wake-up (notify, shutdown or spurious) settles one
-            // pending wake, keeping `wakes <= sleepers`.
-            s.wakes = s.wakes.saturating_sub(1);
-        }
-    }
-
-    /// Signal shutdown; wakes all waiters.
+    /// Signal shutdown and wake the consumer.
     pub fn shutdown(&self) {
-        let mut s = self.state.lock();
-        s.shutdown = true;
-        drop(s);
-        self.cv.notify_all();
+        self.state.lock().shutdown = true;
+        self.wake();
+    }
+
+    /// Unpark the consumer, if it has popped yet (called unlocked).
+    pub(crate) fn wake(&self) {
+        if let Some(consumer) = self.consumer.get() {
+            consumer.unpark();
+        }
     }
 
     /// Number of queued envelopes.
@@ -131,6 +113,7 @@ mod tests {
     use super::*;
     use crate::envelope::{ArrayId, EntryId};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn env(tag: usize) -> Envelope {
         Envelope::new(ArrayId(0), tag, EntryId(0), Box::new(()))
@@ -163,14 +146,22 @@ mod tests {
     #[test]
     fn blocking_pop_wakes_on_push() {
         let q = Arc::new(RunQueue::new());
+        let (tx, rx) = std::sync::mpsc::channel();
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || match q2.pop() {
-            Pop::Work(e) => e.index,
-            Pop::Shutdown => usize::MAX,
+        std::thread::spawn(move || {
+            let got = match q2.pop() {
+                Pop::Work(e) => e.index,
+                Pop::Shutdown => usize::MAX,
+            };
+            tx.send(got).unwrap();
         });
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // Long enough for the popper to finish its spin and park.
+        std::thread::sleep(Duration::from_millis(10));
         q.push(env(7));
-        assert_eq!(h.join().unwrap(), 7);
+        let got = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a parked popper was never woken");
+        assert_eq!(got, 7);
     }
 
     #[test]
@@ -181,129 +172,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(matches!(q.pop(), Pop::Work(_)));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn a_burst_of_pushes_wakes_every_sleeper() {
-        // Several poppers park on one queue; a burst of pushes must wake
-        // each of them, although every push after the first lands while
-        // earlier wake-ups are still pending.
-        const POPPERS: usize = 3;
-        for _ in 0..200 {
-            let q = Arc::new(RunQueue::new());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let poppers: Vec<_> = (0..POPPERS)
-                .map(|_| {
-                    let (q, tx) = (Arc::clone(&q), tx.clone());
-                    std::thread::spawn(move || {
-                        if let Pop::Work(e) = q.pop() {
-                            tx.send(e.index).unwrap();
-                        }
-                    })
-                })
-                .collect();
-            while q.state.lock().sleepers < POPPERS {
-                std::thread::yield_now();
-            }
-            for i in 0..POPPERS {
-                q.push(env(i));
-            }
-            let mut got: Vec<usize> = (0..POPPERS)
-                .map(|_| {
-                    rx.recv_timeout(std::time::Duration::from_secs(30))
-                        .expect("a parked popper was never woken")
-                })
-                .collect();
-            got.sort_unstable();
-            assert_eq!(got, (0..POPPERS).collect::<Vec<_>>());
-            for p in poppers {
-                p.join().unwrap();
-            }
-            let s = q.state.lock();
-            assert_eq!((s.sleepers, s.wakes), (0, 0));
-        }
-    }
-
-    /// Starts `pop_polling` on a thread and returns once the popper has
-    /// found the queue empty: it waits inside its first between-poll
-    /// call until the returned sender sends. The thread returns the pop
-    /// and how many times it found the queue empty.
-    fn popper_paused_after_first_poll(
-        q: &Arc<RunQueue>,
-    ) -> (
-        std::sync::mpsc::Sender<()>,
-        std::thread::JoinHandle<(Pop, usize)>,
-    ) {
-        let (polled_tx, polled_rx) = std::sync::mpsc::channel();
-        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
-        let q = Arc::clone(q);
-        let popper = std::thread::spawn(move || {
-            let mut polls = 0;
-            let pop = q.pop_polling(|| {
-                polls += 1;
-                if polls == 1 {
-                    polled_tx.send(()).unwrap();
-                    resume_rx.recv().unwrap();
-                }
-            });
-            (pop, polls)
-        });
-        polled_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("the popper never polled its empty queue");
-        (resume_tx, popper)
-    }
-
-    #[test]
-    fn a_push_during_the_spin_is_taken_without_a_notify() {
-        let q = Arc::new(RunQueue::new());
-        let (resume, popper) = popper_paused_after_first_poll(&q);
-        q.push(env(9));
-        {
-            // The popper is between polls: not parked, so no notify.
-            let s = q.state.lock();
-            assert_eq!((s.sleepers, s.wakes), (0, 0), "the push notified");
-        }
-        resume.send(()).unwrap();
-        let (pop, polls) = popper.join().unwrap();
-        assert!(matches!(pop, Pop::Work(e) if e.index == 9));
-        assert_eq!(polls, 1, "the push is taken at the next poll");
-        let s = q.state.lock();
-        assert_eq!((s.sleepers, s.wakes), (0, 0));
-    }
-
-    #[test]
-    fn a_spinning_popper_sees_shutdown_at_its_next_poll() {
-        let q = Arc::new(RunQueue::new());
-        let (resume, popper) = popper_paused_after_first_poll(&q);
-        q.shutdown();
-        resume.send(()).unwrap();
-        let (pop, polls) = popper.join().unwrap();
-        assert!(matches!(pop, Pop::Shutdown));
-        assert_eq!(polls, 1, "shutdown is seen at the next poll");
-        assert_eq!(q.state.lock().sleepers, 0);
-    }
-
-    #[test]
-    fn an_idle_popper_parks_after_its_spin() {
-        let q = Arc::new(RunQueue::new());
-        let popper = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut polls = 0;
-                let pop = q.pop_polling(|| polls += 1);
-                (pop, polls)
-            })
-        };
-        while q.state.lock().sleepers == 0 {
-            std::thread::yield_now();
-        }
-        q.push(env(4));
-        let (pop, polls) = popper.join().unwrap();
-        assert!(matches!(pop, Pop::Work(e) if e.index == 4));
-        assert_eq!(polls, SPIN_POLLS, "the spin is bounded");
-        let s = q.state.lock();
-        assert_eq!((s.sleepers, s.wakes), (0, 0));
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! Nothing on the per-envelope path takes a shared lock: the array
 //! table is append-only with lock-free lookups, each worker caches the
 //! hook and re-reads it only when the hook epoch moves, and the pause
-//! gate is an atomic flag that is locked only while paused.
+//! gate is an atomic flag: a paused worker parks on its own thread.
 
 use crate::array::{ArrayBuilder, ArrayDispatch, ChareArray, Mapping};
 use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 use crate::hook::{ExecutedTask, SchedulerHook};
+use crate::park::spin_then_park;
 use crate::queue::{Pop, RunQueue};
 use hetmem::{AppendTable, Clock, MonotonicClock, TimeNs};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::any::Any;
 use std::collections::HashMap;
@@ -130,13 +131,10 @@ impl RuntimeBuilder {
             arrays: AppendTable::new(),
             hook: Mutex::new(None),
             hook_epoch: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
+            counts: Counts::default(),
             threads: Mutex::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
             paused: AtomicBool::new(false),
-            pause_gate: Mutex::new(()),
-            pause_cv: Condvar::new(),
         });
         let mut threads = rt.threads.lock();
         for pe in 0..rt.pes {
@@ -161,6 +159,16 @@ struct ArrayEntry {
     object: Arc<dyn Any + Send + Sync>,
 }
 
+/// The message counters every worker bumps per envelope, on a cache
+/// line of their own, away from the fields workers only read (the
+/// pause flag, the hook epoch, the queue table).
+#[derive(Default)]
+#[repr(align(64))]
+struct Counts {
+    sent: AtomicU64,
+    processed: AtomicU64,
+}
+
 /// The message-driven runtime.
 pub struct Runtime {
     pes: usize,
@@ -175,15 +183,12 @@ pub struct Runtime {
     /// shutdown); a worker that reads a new epoch (Acquire) re-reads
     /// the slot.
     hook_epoch: AtomicU64,
-    sent: AtomicU64,
-    processed: AtomicU64,
+    counts: Counts,
     threads: Mutex<Vec<JoinHandle<()>>>,
     shutting_down: AtomicBool,
-    /// The pause gate; `pause_gate` and `pause_cv` park workers only
-    /// while it is closed.
+    /// The pause gate: workers park at their pause point while it is
+    /// closed.
     paused: AtomicBool,
-    pause_gate: Mutex<()>,
-    pause_cv: Condvar,
 }
 
 /// A worker's copy of the installed hook, refreshed when the runtime's
@@ -302,7 +307,7 @@ impl Runtime {
     ) {
         let env = Envelope::new(array, index, entry, Box::new(msg));
         let pe = self.dispatch(array).home_pe(index);
-        self.sent.fetch_add(1, Ordering::Relaxed);
+        self.counts.sent.fetch_add(1, Ordering::Relaxed);
         self.queues[pe].push(env);
     }
 
@@ -337,13 +342,13 @@ impl Runtime {
 
     /// Messages sent so far.
     pub fn sent_count(&self) -> u64 {
-        self.sent.load(Ordering::Acquire)
+        self.counts.sent.load(Ordering::Acquire)
     }
 
     /// Messages fully processed so far: executed and, for admitted
     /// `[prefetch]` messages, post-processed by the hook.
     pub fn processed_count(&self) -> u64 {
-        self.processed.load(Ordering::Acquire)
+        self.counts.processed.load(Ordering::Acquire)
     }
 
     /// Account for an intercepted message the hook consumed without
@@ -351,7 +356,7 @@ impl Runtime {
     /// message would otherwise hold `processed < sent` forever and wedge
     /// [`Runtime::wait_quiescence_ms`].
     pub fn note_dropped(&self) {
-        self.processed.fetch_add(1, Ordering::Release);
+        self.counts.processed.fetch_add(1, Ordering::Release);
     }
 
     /// Poll until the system is quiescent: no hook-pending tasks, all
@@ -405,22 +410,16 @@ impl Runtime {
     /// gate then guarantees nothing starts executing while the
     /// snapshot reads block payloads.
     pub fn pause(&self) {
-        self.set_paused(true);
+        self.paused.store(true, Ordering::Release);
     }
 
-    /// Lift the [`Runtime::pause`] gate and wake the PE workers.
+    /// Lift the [`Runtime::pause`] gate and wake the PE workers. Each
+    /// worker is its run queue's consumer, so the unpark that follows
+    /// the flag's store cannot be lost (see [`crate::park`]).
     pub fn resume(&self) {
-        self.set_paused(false);
-    }
-
-    /// Close or open the pause gate. The flag changes under the gate
-    /// lock, so a worker checking it in [`Runtime::pause_point`] cannot
-    /// miss the wake-up.
-    fn set_paused(&self, paused: bool) {
-        let _gate = self.pause_gate.lock();
-        self.paused.store(paused, Ordering::Release);
-        if !paused {
-            self.pause_cv.notify_all();
+        self.paused.store(false, Ordering::Release);
+        for q in &self.queues {
+            q.wake();
         }
     }
 
@@ -432,13 +431,7 @@ impl Runtime {
     /// Block while the pause gate is closed (worker threads call this
     /// between envelopes). An open gate costs one atomic load.
     fn pause_point(&self) {
-        if !self.is_paused() {
-            return;
-        }
-        let mut gate = self.pause_gate.lock();
-        while self.is_paused() {
-            self.pause_cv.wait(&mut gate);
-        }
+        spin_then_park(|| (!self.is_paused()).then_some(()), None);
     }
 
     /// Stop the PE threads (drains queued work first) and join them.
@@ -447,7 +440,7 @@ impl Runtime {
             return;
         }
         // A paused runtime must wake its workers or the join wedges.
-        self.set_paused(false);
+        self.resume();
         for q in &self.queues {
             q.shutdown();
         }
@@ -538,7 +531,7 @@ fn process(
         end = rt.clock.now();
     }
     // Counted only after post-processing: quiescence relies on it.
-    rt.processed.fetch_add(1, Ordering::Release);
+    rt.counts.processed.fetch_add(1, Ordering::Release);
     end
 }
 

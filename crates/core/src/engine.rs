@@ -328,24 +328,9 @@ impl FetchEngine {
         evicted
     }
 
-    /// Evict one specific block to DDR4 regardless of policy (used by
-    /// cache-mode conflict eviction). Fails if the block is referenced
-    /// or mid-move.
-    pub fn force_evict(
-        &self,
-        block: hetmem::BlockId,
-        tracer: &Tracer,
-        tag: u32,
-    ) -> Result<(), crate::FetchError> {
-        if self.try_evict(block, tracer, tag) {
-            Ok(())
-        } else {
-            Err(crate::FetchError::NoSpace)
-        }
-    }
-
-    /// Evict a single block if it is in HBM with refcount zero.
-    fn try_evict(&self, block: hetmem::BlockId, tracer: &Tracer, tag: u32) -> bool {
+    /// Evict a single block if it is in HBM with refcount zero (cache
+    /// mode's conflict eviction calls this directly).
+    pub(crate) fn try_evict(&self, block: hetmem::BlockId, tracer: &Tracer, tag: u32) -> bool {
         let registry = self.mem.registry();
         if registry.node_of(block) != Some(HBM) || registry.refcount(block) > 0 {
             return false;

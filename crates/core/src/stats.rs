@@ -164,9 +164,9 @@ pub struct OocStats {
     /// Tasks that exhausted their retry budget (or were drained by the
     /// stall watchdog) and ran from DDR4 instead of HBM.
     pub degraded_tasks: u64,
-    /// Crashed IO threads respawned by the supervisor.
+    /// Restarts of a crashed IO thread's loop.
     pub io_restarts: u64,
-    /// IO-thread panics caught by the supervisor.
+    /// IO-thread panics, caught in the thread or at its join.
     pub io_panics: u64,
     /// Tasks rejected at interception because their declared working
     /// set can never fit in HBM (admission guard under

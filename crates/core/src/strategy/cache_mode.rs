@@ -118,18 +118,14 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         // Write the victim back to DDR4 (demand eviction), unless
         // LRU-on-demand already did.
         if let Some(old) = occupant.filter(|&old| registry.node_of(old) == Some(HBM)) {
-            match evict_block(shared, old, tracer, tag) {
-                Ok(()) => {
-                    cache.conflict_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    // Lost a race (victim re-referenced): restore it and
-                    // bypass the new dependence.
-                    cache.sets.lock()[set] = Some(old);
-                    cache.bypasses.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
+            if !shared.engine.try_evict(old, tracer, tag) {
+                // Lost a race (victim re-referenced): restore it and
+                // bypass the new dependence.
+                cache.sets.lock()[set] = Some(old);
+                cache.bypasses.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
+            cache.conflict_evictions.fetch_add(1, Ordering::Relaxed);
         }
         // Fill on the critical path (cache mode has no prefetch).
         let size = registry.size_of(dep.block) as u64;
@@ -147,18 +143,6 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
     }
     // Cache mode always admits: un-staged deps run from DDR4.
     shared.admit(task, false);
-}
-
-/// Post-processing: cached blocks stay resident; only refs drop.
-pub(super) fn after_complete(_shared: &Shared, _pe: usize, _cache: &CacheState) {}
-
-fn evict_block(
-    shared: &Shared,
-    block: BlockId,
-    tracer: &projections::Tracer,
-    tag: u32,
-) -> Result<(), crate::FetchError> {
-    shared.engine.force_evict(block, tracer, tag)
 }
 
 #[cfg(test)]

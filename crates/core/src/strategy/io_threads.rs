@@ -16,75 +16,106 @@
 //! corresponding to the worker threads"): fetches overlap with
 //! computation instead of stalling it.
 //!
-//! # Polling before sleeping
+//! # Sleeping and waking
 //!
-//! Each task crosses threads twice here: a worker parks it in a wait
-//! queue and signals its IO thread, and the IO thread hands it back
-//! through a PE's run queue. An IO thread that runs out of work
-//! therefore re-reads its signal generation a few times, yielding its
-//! core between reads, before it sleeps on the condvar (see
-//! `WaitQueues::wait_signal_timeout`); workers do the same on their run
-//! queues. A hand-off that lands during those polls is taken without a
-//! futex wake. The timed rescan (`IDLE_RESCAN_MS`) still backs up a
-//! lost signal.
+//! Each IO thread has a private [`Doorbell`]. A worker that queues a
+//! task, or frees HBM by completing one, rings the doorbell of the IO
+//! thread serving that queue: it bumps the generation, then unparks the
+//! thread. An IO thread reads the generation before each scan and, if
+//! the scan ends without progress, waits with
+//! [`converse::park::spin_then_park`] until the generation moves on, or
+//! for at most `IDLE_RESCAN_MS` (a backstop rescan). No ring is lost,
+//! by the argument of [`converse::park`]: the thread registers before
+//! its first scan, each queue's mutex orders a push before or after the
+//! scan reads that queue, and a producer rings only after its push.
 //!
 //! # Supervision
 //!
 //! IO threads are the runtime's single point of failure: a panicked or
-//! wedged IO thread strands every task in its wait queues forever. The
-//! pool therefore runs a supervisor thread that
-//!
-//! * catches IO-thread panics (`catch_unwind`) and respawns the thread
-//!   within a bounded restart budget ([`IO_RESTART_BUDGET`]);
-//! * watches per-thread heartbeats and the admitted/completed counters,
-//!   and — when queued tasks make no progress past the
-//!   [`WATCHDOG_STALL_MS`] deadline — drains the wait queues in
-//!   degraded mode (tasks run from DDR4) instead of letting the run
-//!   wedge.
+//! wedged IO thread strands every task in its wait queues forever. So
+//! an IO thread catches its own panics and restarts its loop in place,
+//! so the thread its doorbell unparks never changes, at most
+//! [`IO_RESTART_BUDGET`] times. A supervisor thread runs a stall
+//! watchdog: when queued tasks make no progress past
+//! [`WATCHDOG_STALL_MS`], it drains the wait queues in degraded mode
+//! (tasks run from DDR4) instead of letting the run wedge.
 
 use super::Shared;
 use crate::task::OocTask;
-use projections::{LaneId, SpanKind};
+use crate::waitqueue::WaitQueues;
+use converse::park::spin_then_park;
+use projections::{LaneId, SpanKind, Tracer};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Liveness backstop: an IO thread re-scans its queues at least this
-/// often even if a wake-up signal is lost to a race.
+/// often even if no ring wakes it.
 const IDLE_RESCAN_MS: u64 = 5;
 
-/// How often the supervisor samples worker health and queue progress.
+/// How often the supervisor samples queue progress.
 const SUPERVISE_TICK_MS: u64 = 5;
 
 /// Wait-queue stall deadline: if queued tasks make no progress for this
 /// long, the watchdog drains them in degraded mode.
 const WATCHDOG_STALL_MS: u64 = 1_000;
 
-/// How many times a crashed IO thread may be respawned before its
+/// How many times a crashed IO thread may restart its loop before its
 /// queues fall back to the watchdog's degraded drain.
 const IO_RESTART_BUDGET: u32 = 2;
 
-/// One supervised IO thread.
-struct Worker {
-    handle: JoinHandle<()>,
-    group: usize,
-    /// Set by the worker's panic wrapper; distinguishes a crash from a
-    /// normal (shutdown or no-queues) return.
-    crashed: Arc<AtomicBool>,
+/// One IO thread's private wake-up: a generation every ring bumps, and
+/// the thread a ring unparks.
+#[derive(Default)]
+struct Doorbell {
+    generation: AtomicU64,
+    /// The IO thread, registered before its first scan.
+    thread: OnceLock<Thread>,
+}
+
+impl Doorbell {
+    /// Bump the generation, then unpark the registered thread, if any
+    /// (a thread reads the generation only after registering).
+    fn ring(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if let Some(t) = self.thread.get() {
+            t.unpark();
+        }
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// Spin, then park the registered thread until the generation moves
+    /// past `seen`, `stop` answers true, or `deadline` passes.
+    fn wait(&self, seen: u64, stop: impl Fn() -> bool, deadline: Instant) {
+        spin_then_park(
+            || (self.generation() != seen || stop()).then_some(()),
+            Some(deadline),
+        );
+    }
+}
+
+/// The IO thread, of `threads`, that serves wait queue `q` of
+/// `nqueues`: each serves a contiguous run of `ceil(nqueues / threads)`
+/// queues, so with more threads than queues the last threads serve
+/// none.
+fn io_thread_of(q: usize, nqueues: usize, threads: usize) -> usize {
+    q / nqueues.div_ceil(threads)
 }
 
 /// A pool of IO threads, each serving a contiguous subgroup of wait
-/// queues round-robin, plus a supervisor thread that respawns crashed
-/// workers and breaks wait-queue stalls.
-pub struct IoThreadPool {
+/// queues round-robin, plus a supervisor thread that breaks wait-queue
+/// stalls.
+pub(super) struct IoThreadPool {
     shared: Arc<Shared>,
-    workers: Arc<parking_lot::Mutex<Vec<Worker>>>,
-    supervisor: parking_lot::Mutex<Option<JoinHandle<()>>>,
-    joined: AtomicBool,
-    groups: usize,
+    bells: Arc<[Doorbell]>,
+    /// The IO threads and the supervisor; taken by the first shutdown.
+    threads: parking_lot::Mutex<Option<Vec<JoinHandle<()>>>>,
 }
 
 impl IoThreadPool {
@@ -92,90 +123,67 @@ impl IoThreadPool {
     /// plus their supervisor. Fails (without leaking already-spawned
     /// threads past shutdown) if the OS refuses a thread.
     pub(super) fn spawn(shared: Arc<Shared>, threads: usize) -> io::Result<Self> {
-        let heartbeats: Arc<Vec<AtomicU64>> =
-            Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
-        let workers = Arc::new(parking_lot::Mutex::new(Vec::with_capacity(threads)));
-        {
-            let mut slots = workers.lock();
-            for g in 0..threads {
-                match spawn_worker(&shared, &heartbeats, g, threads) {
-                    Ok(w) => slots.push(w),
-                    Err(e) => {
-                        // Unwind cleanly: stop what we started.
-                        shared.waitq.shutdown();
-                        for w in slots.drain(..) {
-                            let _ = w.handle.join();
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let sup_shared = Arc::clone(&shared);
-        let sup_workers = Arc::clone(&workers);
-        let sup_beats = Arc::clone(&heartbeats);
-        let supervisor = match std::thread::Builder::new()
-            .name("io-supervisor".into())
-            .spawn(move || supervise(sup_shared, sup_workers, sup_beats, threads))
-        {
-            Ok(h) => h,
-            Err(e) => {
-                shared.waitq.shutdown();
-                for w in workers.lock().drain(..) {
-                    let _ = w.handle.join();
-                }
-                return Err(e);
-            }
-        };
-        Ok(Self {
+        let pool = Self {
+            bells: (0..threads).map(|_| Doorbell::default()).collect(),
+            threads: parking_lot::Mutex::new(Some(Vec::with_capacity(threads + 1))),
             shared,
-            workers,
-            supervisor: parking_lot::Mutex::new(Some(supervisor)),
-            joined: AtomicBool::new(false),
-            groups: threads,
-        })
+        };
+        if let Err(e) = pool.start(threads) {
+            // Unwind cleanly: stop what we started.
+            pool.shutdown();
+            return Err(e);
+        }
+        Ok(pool)
+    }
+
+    fn start(&self, threads: usize) -> io::Result<()> {
+        let mut handles = self.threads.lock();
+        let handles = handles.as_mut().expect("a new pool");
+        for g in 0..threads {
+            handles.push(spawn_io_thread(&self.shared, &self.bells, g)?);
+        }
+        let shared = Arc::clone(&self.shared);
+        handles.push(
+            std::thread::Builder::new()
+                .name("io-supervisor".into())
+                .spawn(move || supervise(&shared, threads))?,
+        );
+        Ok(())
     }
 
     /// Queue a freshly intercepted task and wake its IO thread.
     pub(super) fn intercept(&self, task: OocTask) {
-        let q = self.shared.waitq.queue_for_pe(task.pe);
-        let group = self.group_of_queue(q);
+        let bell = self.bell_for_pe(task.pe);
         self.shared.waitq.push(task);
-        self.shared.waitq.signal(group);
+        bell.ring();
     }
 
     /// A task completed on `pe` (its eviction already ran): wake the IO
     /// thread responsible for that PE — space may have been freed.
     pub(super) fn after_complete(&self, pe: usize) {
-        let q = self.shared.waitq.queue_for_pe(pe);
-        self.shared.waitq.signal(self.group_of_queue(q));
+        self.bell_for_pe(pe).ring();
     }
 
-    /// Which IO thread serves wait queue `q`.
-    fn group_of_queue(&self, q: usize) -> usize {
-        let nqueues = self.shared.waitq.queue_count();
-        let per = nqueues.div_ceil(self.groups);
-        (q / per).min(self.groups - 1)
+    /// The doorbell of the IO thread serving `pe`'s wait queue.
+    fn bell_for_pe(&self, pe: usize) -> &Doorbell {
+        let waitq = &self.shared.waitq;
+        let q = waitq.queue_for_pe(pe);
+        &self.bells[io_thread_of(q, waitq.queue_count(), self.bells.len())]
     }
 
-    /// Join the supervisor and all IO threads (after
-    /// `WaitQueues::shutdown`). Returns how many workers terminated by
-    /// panic over the pool's lifetime — callers should surface a
-    /// nonzero count instead of discarding it. Idempotent: repeat calls
-    /// return 0 so the count is reported once.
-    pub fn join(&self) -> usize {
-        if self.joined.swap(true, Ordering::AcqRel) {
+    /// Shut the wait queues down, wake every IO thread and join them
+    /// and the supervisor. Returns how many IO-thread panics the pool
+    /// saw over its lifetime — callers should surface a nonzero count
+    /// instead of discarding it. A panic that escaped a thread's own
+    /// catch (e.g. in thread-local teardown) is counted too.
+    /// Idempotent: repeat calls return 0 so the count is reported once.
+    pub(super) fn shutdown(&self) -> usize {
+        let Some(handles) = self.threads.lock().take() else {
             return 0;
-        }
-        if let Some(sup) = self.supervisor.lock().take() {
-            let _ = sup.join();
-        }
-        let mut slots = self.workers.lock();
-        for w in slots.drain(..) {
-            if w.handle.join().is_err() && !w.crashed.load(Ordering::Acquire) {
-                // A panic that escaped the catch_unwind wrapper (e.g.
-                // in thread-local teardown): count it rather than
-                // silently dropping the error like the old code did.
+        };
+        stop(&self.shared.waitq, &self.bells);
+        for h in handles {
+            if h.join().is_err() {
                 self.shared.stats.bump_io_panic();
             }
         }
@@ -183,93 +191,72 @@ impl IoThreadPool {
     }
 }
 
-/// Spawn one IO thread whose panics are caught, counted and flagged so
-/// the supervisor can respawn it.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    heartbeats: &Arc<Vec<AtomicU64>>,
-    group: usize,
-    groups: usize,
-) -> io::Result<Worker> {
-    let crashed = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&crashed);
-    let shared2 = Arc::clone(shared);
-    let heartbeats = Arc::clone(heartbeats);
-    let handle = std::thread::Builder::new()
-        .name(format!("io{group}"))
-        .spawn(move || {
-            let run =
-                AssertUnwindSafe(|| io_loop(Arc::clone(&shared2), &heartbeats, group, groups));
-            if catch_unwind(run).is_err() {
-                shared2.stats.bump_io_panic();
-                flag.store(true, Ordering::Release);
-            }
-        })?;
-    Ok(Worker {
-        handle,
-        group,
-        crashed,
-    })
+/// Shut the wait queues down and ring every doorbell, so each IO
+/// thread sees the shutdown at its next check.
+fn stop(waitq: &WaitQueues, bells: &[Doorbell]) {
+    waitq.shutdown();
+    for bell in bells {
+        bell.ring();
+    }
 }
 
-/// The supervisor body: respawn crashed workers within budget, and
-/// break wait-queue stalls by draining tasks in degraded mode.
-fn supervise(
-    shared: Arc<Shared>,
-    workers: Arc<parking_lot::Mutex<Vec<Worker>>>,
-    heartbeats: Arc<Vec<AtomicU64>>,
-    groups: usize,
-) {
+/// Spawn IO thread `group`. A panic in its loop is caught and counted,
+/// and the loop restarts in the same thread up to [`IO_RESTART_BUDGET`]
+/// times; past that the thread exits and the watchdog drains its
+/// queues.
+fn spawn_io_thread(
+    shared: &Arc<Shared>,
+    bells: &Arc<[Doorbell]>,
+    group: usize,
+) -> io::Result<JoinHandle<()>> {
+    let (shared, bells) = (Arc::clone(shared), Arc::clone(bells));
+    std::thread::Builder::new()
+        .name(format!("io{group}"))
+        .spawn(move || {
+            let bell = &bells[group];
+            // Register before the first scan: see the module doc.
+            bell.thread.get_or_init(std::thread::current);
+            let nqueues = shared.waitq.queue_count();
+            let my_queues: Vec<usize> = (0..nqueues)
+                .filter(|&q| io_thread_of(q, nqueues, bells.len()) == group)
+                .collect();
+            if my_queues.is_empty() {
+                return;
+            }
+            let tracer = shared.collector.tracer(LaneId::io(group as u32));
+            for restart in 0..=IO_RESTART_BUDGET {
+                if restart > 0 {
+                    shared.stats.bump_io_restart();
+                }
+                let run = AssertUnwindSafe(|| io_loop(&shared, bell, group, &my_queues, &tracer));
+                if catch_unwind(run).is_ok() {
+                    return;
+                }
+                shared.stats.bump_io_panic();
+            }
+            eprintln!(
+                "io{group}: exceeded its restart budget ({IO_RESTART_BUDGET}); \
+                 its queues fall back to the degraded drain"
+            );
+        })
+}
+
+/// The supervisor body: the stall watchdog. Queued tasks with no
+/// admissions or completions for [`WATCHDOG_STALL_MS`] mean the
+/// pipeline is wedged (an IO thread past its budget, a lost wake-up,
+/// or HBM starvation); the watchdog then drains the wait queues in
+/// degraded mode.
+fn supervise(shared: &Shared, groups: usize) {
     // The watchdog's degraded admissions trace on their own IO lane,
-    // one past the worker groups.
+    // one past the IO threads.
     let tracer = shared.collector.tracer(LaneId::io(groups as u32));
-    let mut restarts = vec![0u32; groups];
     let mut last_counts = (u64::MAX, u64::MAX);
-    let mut last_beats: Vec<u64> = heartbeats
-        .iter()
-        .map(|h| h.load(Ordering::Relaxed))
-        .collect();
     let mut last_progress = Instant::now();
     loop {
-        if shared.waitq.is_shutdown() {
-            return;
-        }
         std::thread::sleep(Duration::from_millis(SUPERVISE_TICK_MS));
         if shared.waitq.is_shutdown() {
             return;
         }
-
-        // Respawn crashed workers within the per-group restart budget.
-        {
-            let mut slots = workers.lock();
-            for i in 0..slots.len() {
-                if !slots[i].handle.is_finished() || !slots[i].crashed.load(Ordering::Acquire) {
-                    continue;
-                }
-                let dead = slots.swap_remove(i);
-                let g = dead.group;
-                let _ = dead.handle.join();
-                if restarts[g] < IO_RESTART_BUDGET {
-                    restarts[g] += 1;
-                    shared.stats.bump_io_restart();
-                    match spawn_worker(&shared, &heartbeats, g, groups) {
-                        Ok(w) => slots.push(w),
-                        Err(e) => eprintln!("io-supervisor: respawn of io{g} failed: {e}"),
-                    }
-                } else {
-                    eprintln!(
-                        "io-supervisor: io{g} exceeded its restart budget \
-                         ({IO_RESTART_BUDGET}); its queues fall back to the degraded drain"
-                    );
-                }
-                // Indices shifted under us; re-examine next tick.
-                break;
-            }
-        }
-
-        // Stall watchdog: queued tasks with no admissions/completions
-        // for the deadline means the pipeline is wedged (dead thread
-        // past its budget, lost wakeup, or HBM starvation).
         // A checkpoint pause intentionally halts admissions; don't read
         // that as a stall and drain the queues in degraded mode.
         if shared.rt.is_paused() {
@@ -287,12 +274,6 @@ fn supervise(
         if last_progress.elapsed() < Duration::from_millis(WATCHDOG_STALL_MS) {
             continue;
         }
-        let beats: Vec<u64> = heartbeats
-            .iter()
-            .map(|h| h.load(Ordering::Relaxed))
-            .collect();
-        let alive = beats != last_beats;
-        last_beats = beats;
         let mut drained = 0usize;
         for q in 0..shared.waitq.queue_count() {
             while let Some(task) = shared.waitq.pop(q) {
@@ -303,28 +284,16 @@ fn supervise(
         if drained > 0 {
             eprintln!(
                 "io-supervisor: {queued} queued task(s) made no progress for \
-                 {WATCHDOG_STALL_MS} ms (IO threads {}); drained {drained} task(s) in degraded mode",
-                if alive {
-                    "alive but starved"
-                } else {
-                    "not heartbeating"
-                },
+                 {WATCHDOG_STALL_MS} ms; drained {drained} task(s) in degraded mode"
             );
         }
         last_progress = Instant::now();
     }
 }
 
-/// The IO thread body: Algorithm 1 of the paper.
-fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: usize) {
-    let tracer = shared.collector.tracer(LaneId::io(group as u32));
-    let clock = Arc::clone(shared.rt.clock());
-    let nqueues = shared.waitq.queue_count();
-    let per = nqueues.div_ceil(groups);
-    let my_queues: Vec<usize> = (group * per..((group + 1) * per).min(nqueues)).collect();
-    if my_queues.is_empty() {
-        return;
-    }
+/// The IO thread body: Algorithm 1 of the paper. Returns at shutdown.
+fn io_loop(shared: &Shared, bell: &Doorbell, group: usize, my_queues: &[usize], tracer: &Tracer) {
+    let clock = shared.rt.clock();
     // Rotating cursor so all wait queues are served equally (§IV-B's
     // load-balance argument for one queue per PE).
     let mut cursor = 0usize;
@@ -332,10 +301,9 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
         if shared.waitq.is_shutdown() {
             return;
         }
-        heartbeats[group].fetch_add(1, Ordering::Relaxed);
         // Checkpoint pause: a paused runtime is quiescent, and the
         // snapshot must not race with block migrations, so IO threads
-        // idle (still heartbeating) until resume.
+        // idle until resume.
         if shared.rt.is_paused() {
             std::thread::sleep(std::time::Duration::from_millis(1));
             continue;
@@ -343,9 +311,9 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
         if shared.memory().faults().take_io_panic(group) {
             panic!("injected IO-thread fault (io{group})");
         }
-        // Snapshot the generation before scanning: anything signalled
-        // during the scan will be seen by the next wait.
-        let seen = shared.waitq.signal_generation(group);
+        // Snapshot the generation before scanning: a ring during the
+        // scan moves it, so the wait below returns at once.
+        let seen = bell.generation();
         let mut made_progress = false;
         let mut blocked = false;
         for i in 0..my_queues.len() {
@@ -353,10 +321,8 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
             let Some(task) = shared.waitq.pop(q) else {
                 continue;
             };
-            match shared.try_admit(task, &tracer) {
-                Ok(()) => {
-                    made_progress = true;
-                }
+            match shared.try_admit(task, tracer) {
+                Ok(()) => made_progress = true,
                 Err(refused) => {
                     // HBM is full: put the task back at the head and go
                     // to sleep until a completion evicts something.
@@ -373,9 +339,8 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
         // Empty queues or no space: conditional wait, with a timed
         // rescan as a liveness backstop.
         let t0 = clock.now();
-        shared
-            .waitq
-            .wait_signal_timeout(group, seen, IDLE_RESCAN_MS);
+        let rescan = Instant::now() + Duration::from_millis(IDLE_RESCAN_MS);
+        bell.wait(seen, || shared.waitq.is_shutdown(), rescan);
         let t1 = clock.now();
         if t1 > t0 {
             tracer.record(SpanKind::Idle, t0, t1, group as u32);
@@ -385,13 +350,18 @@ fn io_loop(shared: Arc<Shared>, heartbeats: &[AtomicU64], group: usize, groups: 
 
 #[cfg(test)]
 mod tests {
-    use super::IO_RESTART_BUDGET;
+    use super::{stop, Doorbell, IO_RESTART_BUDGET};
     use crate::config::{OocConfig, StrategyKind, WaitQueueTopology};
     use crate::engine::MAX_FETCH_RETRIES;
     use crate::handle::IoHandle;
     use crate::placement::Placement;
     use crate::strategy::OocHook;
-    use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, RuntimeBuilder};
+    use crate::task::OocTask;
+    use crate::waitqueue::WaitQueues;
+    use converse::{
+        ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, Envelope, ExecCtx,
+        RuntimeBuilder,
+    };
     use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
     use std::sync::Arc;
 
@@ -723,6 +693,119 @@ mod tests {
         assert!(
             stats.degraded_tasks > 0,
             "watchdog must degrade-drain the orphaned queues"
+        );
+    }
+
+    /// Far longer than any test waits: a wait that returns was ended by
+    /// a ring or by shutdown, not by its deadline.
+    fn far() -> std::time::Instant {
+        std::time::Instant::now() + std::time::Duration::from_secs(60)
+    }
+
+    fn bells(n: usize) -> Arc<[Doorbell]> {
+        (0..n).map(|_| Doorbell::default()).collect()
+    }
+
+    /// Spawns a registered thread waiting on `bell` with `stop`; once it
+    /// has waited long enough to park, calls `wake`. Returns the
+    /// generation the waiter saw on return.
+    fn wait_then(
+        bell: &Arc<[Doorbell]>,
+        stop: impl Fn() -> bool + Send + 'static,
+        wake: impl FnOnce(),
+    ) -> u64 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let bell2 = Arc::clone(bell);
+        std::thread::spawn(move || {
+            bell2[0].thread.get_or_init(std::thread::current);
+            let seen = bell2[0].generation();
+            bell2[0].wait(seen, stop, far());
+            tx.send(bell2[0].generation()).unwrap();
+        });
+        // Long enough for the waiter to finish its spin and park.
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        wake();
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a parked IO thread was never woken")
+    }
+
+    #[test]
+    fn a_ring_wakes_a_parked_io_thread() {
+        let bell = bells(1);
+        assert_eq!(wait_then(&bell, || false, || bell[0].ring()), 1);
+    }
+
+    #[test]
+    fn shutdown_unblocks_a_parked_io_thread() {
+        let (wq, bell) = (
+            Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 1)),
+            bells(1),
+        );
+        let wq2 = Arc::clone(&wq);
+        wait_then(&bell, move || wq2.is_shutdown(), || stop(&wq, &bell));
+        assert!(wq.is_shutdown());
+    }
+
+    #[test]
+    fn a_ring_with_nobody_parked_still_moves_the_generation() {
+        let bell = bells(1);
+        bell[0].ring();
+        bell[0].ring();
+        assert_eq!(bell[0].generation(), 2);
+        // A waiter arriving after the rings returns at once.
+        let t0 = std::time::Instant::now();
+        bell[0].wait(0, || false, far());
+        assert!(t0.elapsed() < std::time::Duration::from_secs(30));
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_across_many_handoffs() {
+        // Two relays ping-pong a task between their wait queues: each
+        // hand-off pushes the task and rings a relay that has usually
+        // just parked, so a ring that skipped a needed unpark would
+        // stall the exchange until the 60 s deadline.
+        const N: usize = 100_000;
+        let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 2));
+        let bell = bells(2);
+        let relay = |from: usize, to: usize| {
+            let (wq, bell) = (Arc::clone(&wq), Arc::clone(&bell));
+            move || {
+                bell[from].thread.get_or_init(std::thread::current);
+                let mut moved = 0;
+                while moved < N {
+                    let seen = bell[from].generation();
+                    if let Some(mut t) = wq.pop(from) {
+                        t.pe = to;
+                        wq.push(t);
+                        bell[to].ring();
+                        moved += 1;
+                        continue;
+                    }
+                    bell[from].wait(seen, || false, far());
+                }
+            }
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let a = std::thread::spawn(relay(0, 1));
+        let b = std::thread::spawn(relay(1, 0));
+        wq.push(OocTask {
+            env: Envelope::new(ArrayId(0), 7, EntryId(0), Box::new(())),
+            pe: 0,
+            enqueued_at: 0,
+            bytes: 0,
+        });
+        bell[0].ring();
+        std::thread::spawn(move || {
+            a.join().unwrap();
+            b.join().unwrap();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("hand-offs wedged: a wake-up was lost");
+        assert_eq!(
+            wq.pop(0).expect("the task ends where it began").env.index,
+            7
         );
     }
 }

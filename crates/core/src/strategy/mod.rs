@@ -24,7 +24,6 @@ mod io_threads;
 mod sync_fetch;
 
 pub use cache_mode::{CacheState, CacheStats};
-pub use io_threads::IoThreadPool;
 
 use crate::config::{OocConfig, OversizePolicy, StrategyKind};
 use crate::engine::{FetchEngine, FetchError};
@@ -34,6 +33,7 @@ use crate::waitqueue::WaitQueues;
 use converse::{EntryId, Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
 use hetmem::Memory;
+use io_threads::IoThreadPool;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,7 +72,7 @@ pub(crate) struct Shared {
     /// Last hetcheck token handed out; tokens are minted only while a
     /// checker is attached.
     next_token: AtomicU64,
-    pub waitq: Arc<WaitQueues>,
+    pub waitq: WaitQueues,
     pub stats: Arc<StatCells>,
     pub collector: Arc<TraceCollector>,
     /// Worker-lane tracers, one per PE, taken from the collector once.
@@ -316,21 +316,7 @@ impl OocHook {
         checker: Option<Arc<Checker>>,
     ) -> std::io::Result<Arc<Self>> {
         let stats = Arc::new(StatCells::default());
-        let io_threads = match kind {
-            StrategyKind::Baseline => {
-                panic!("Baseline runs without a hook; do not construct OocHook for it")
-            }
-            StrategyKind::SyncFetch | StrategyKind::CacheMode { .. } => 0,
-            StrategyKind::IoThreads { threads } => {
-                assert!(threads > 0, "need at least one IO thread");
-                threads
-            }
-        };
-        let waitq = Arc::new(WaitQueues::new(
-            config.wait_queues,
-            rt.pes(),
-            io_threads.max(1),
-        ));
+        let waitq = WaitQueues::new(config.wait_queues, rt.pes());
         let collector = Arc::clone(rt.collector());
         let worker_tracers = (0..rt.pes())
             .map(|pe| collector.tracer(LaneId::worker(pe as u32)))
@@ -352,10 +338,13 @@ impl OocHook {
         let flavour = match kind {
             StrategyKind::SyncFetch => Flavour::Sync,
             StrategyKind::IoThreads { threads } => {
+                assert!(threads > 0, "need at least one IO thread");
                 Flavour::Io(IoThreadPool::spawn(Arc::clone(&shared), threads)?)
             }
             StrategyKind::CacheMode { sets } => Flavour::Cache(CacheState::new(sets)),
-            StrategyKind::Baseline => unreachable!(),
+            StrategyKind::Baseline => {
+                panic!("Baseline runs without a hook; do not construct OocHook for it")
+            }
         };
         Ok(Arc::new(Self { shared, flavour }))
     }
@@ -413,9 +402,8 @@ impl OocHook {
     /// Stop IO threads and join them. Idempotent. Panicked IO threads
     /// are reported rather than silently discarded.
     pub fn shutdown(&self) {
-        self.shared.waitq.shutdown();
         if let Flavour::Io(pool) = &self.flavour {
-            let panicked = pool.join();
+            let panicked = pool.shutdown();
             if panicked > 0 {
                 eprintln!(
                     "OocHook: {panicked} IO-thread panic(s) were caught and supervised this run"
@@ -464,7 +452,8 @@ impl SchedulerHook for OocHook {
         match &self.flavour {
             Flavour::Sync => sync_fetch::after_complete(&self.shared, done.pe),
             Flavour::Io(pool) => pool.after_complete(done.pe),
-            Flavour::Cache(state) => cache_mode::after_complete(&self.shared, done.pe, state),
+            // Cached blocks stay resident; only the refs dropped.
+            Flavour::Cache(_) => {}
         }
     }
 

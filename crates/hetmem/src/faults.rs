@@ -52,7 +52,7 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     }
 
     /// Polled by each IO-thread loop iteration; returning true makes
-    /// that thread panic (to exercise supervision/respawn). Consumed:
+    /// that thread panic (to exercise supervision/restart). Consumed:
     /// a given request fires at most once.
     fn take_io_panic(&self, _thread: usize) -> bool {
         false

@@ -18,9 +18,11 @@ enum Ev {
     Arrive(usize),
     /// A PE should look for work.
     PeTick(usize),
+    /// A PE finished a task's trailing eviction: it is free again.
+    PeFree(usize),
     /// An IO thread should look for work.
     IoTick(usize),
-    /// A task's execution (and trailing eviction) finished.
+    /// A task's execution finished; its trailing eviction starts.
     TaskDone { task: usize, pe: usize },
     /// An IO thread finished fetching a task's dependences.
     FetchDone { io: usize, task: usize },
@@ -389,9 +391,9 @@ impl Simulator {
 
     fn handle_task_done(&mut self, task: usize, pe: usize, t: VTime) {
         self.completed += 1;
+        // The PE stays busy through the eviction; `PeFree` releases it.
         let after_evict = self.do_complete(task, t);
         self.pes[pe].busy_ns += after_evict - t;
-        self.pes[pe].busy = false;
         self.makespan = self.makespan.max(after_evict);
 
         // DAG successors become runnable at compute completion (halo
@@ -430,7 +432,7 @@ impl Simulator {
                 }
             }
         }
-        self.push_event(after_evict, Ev::PeTick(pe));
+        self.push_event(after_evict, Ev::PeFree(pe));
     }
 
     /// Run to completion and report.
@@ -439,6 +441,10 @@ impl Simulator {
             match ev {
                 Ev::Arrive(task) => self.handle_arrive(task, t),
                 Ev::PeTick(pe) => self.handle_pe_tick(pe, t),
+                Ev::PeFree(pe) => {
+                    self.pes[pe].busy = false;
+                    self.handle_pe_tick(pe, t);
+                }
                 Ev::IoTick(g) => self.handle_io_tick(g, t),
                 Ev::FetchDone { io, task } => self.handle_fetch_done(io, task, t),
                 Ev::TaskDone { task, pe } => self.handle_task_done(task, pe, t),
@@ -633,5 +639,33 @@ mod tests {
         let b = run();
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.queue_wait_ns, b.queue_wait_ns);
+    }
+
+    #[test]
+    fn a_pe_is_never_busy_twice_at_once() {
+        // Fig. 8's 2 GB point: 1024 chares of 32 MiB on the paper's
+        // KNL. A task's trailing eviction keeps its PE busy, so a
+        // same-PE successor cannot start during it.
+        for strategy in [
+            SimStrategy::Baseline,
+            SimStrategy::SyncFetch,
+            SimStrategy::IoThreads { threads: 1 },
+            SimStrategy::IoThreads { threads: 64 },
+        ] {
+            let wl = crate::workload::stencil_workload(&crate::workload::StencilSpec {
+                chares: (16, 8, 8),
+                block_bytes: 32 * MB,
+                iterations: 3,
+                pes: 64,
+                hbm_fraction: 0.0,
+                flops_ns: 0,
+            });
+            let r = Simulator::new(SimConfig::knl_paper(strategy), wl).run();
+            let util = r.pe_utilization();
+            assert!(util <= 1.0, "{strategy:?}: utilisation {util}");
+            for (pe, &busy) in r.pe_busy_ns.iter().enumerate() {
+                assert!(busy <= r.makespan_ns, "{strategy:?}: PE {pe} double-booked");
+            }
+        }
     }
 }
