@@ -4,11 +4,14 @@
 //! (§IV-C of the paper): it hands out real, 64-byte-aligned heap memory
 //! while debiting a per-node byte budget, and fails — like the real call
 //! on a full MCDRAM — when the budget is exhausted. Freeing (dropping the
-//! buffer) credits the budget back, mirroring `numa_free`.
+//! buffer) credits the budget back, mirroring `numa_free`. The host block
+//! behind a small buffer may outlive it as its thread's spare (see
+//! [`AlignedBuf`]); that holds host memory only, never node budget.
 
 use crate::error::MemError;
 use crate::node::NodeId;
 use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
+use std::cell::Cell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,6 +28,64 @@ const NATURAL_ALIGN: usize = 16;
 /// Extra bytes that always fit a `BUF_ALIGN`-aligned start inside a
 /// `NATURAL_ALIGN`-aligned block.
 const ALIGN_PAD: usize = BUF_ALIGN - NATURAL_ALIGN;
+
+/// The largest block (layout size) a thread keeps as its spare.
+const SPARE_MAX: usize = 64 << 10;
+
+/// A thread's spare: the last block it freed, if no larger than
+/// `SPARE_MAX`, with its layout.
+struct Spare(Cell<Option<(NonNull<u8>, Layout)>>);
+
+impl Drop for Spare {
+    fn drop(&mut self) {
+        if let Some((raw, layout)) = self.0.take() {
+            // SAFETY: a parked block is a live allocation of `layout`
+            // that only this slot owns.
+            unsafe { dealloc(raw.as_ptr(), layout) };
+        }
+    }
+}
+
+thread_local! {
+    static SPARE: Spare = const { Spare(Cell::new(None)) };
+}
+
+/// Take this thread's spare block if it has exactly `layout`.
+fn take_spare(layout: Layout) -> Option<NonNull<u8>> {
+    SPARE
+        .try_with(|spare| match spare.0.get() {
+            Some((raw, parked)) if parked == layout => {
+                spare.0.set(None);
+                Some(raw)
+            }
+            _ => None,
+        })
+        .ok()
+        .flatten()
+}
+
+/// Park `raw` as this thread's spare and free the block it displaces.
+/// A block above `SPARE_MAX`, or one dropped while the thread's locals
+/// are torn down, is freed at once.
+///
+/// # Safety
+///
+/// `raw` is a live allocation of `layout` that the caller owns and
+/// never touches again.
+unsafe fn park_or_free(raw: NonNull<u8>, layout: Layout) {
+    let freed = if layout.size() <= SPARE_MAX {
+        SPARE
+            .try_with(|spare| spare.0.replace(Some((raw, layout))))
+            .unwrap_or(Some((raw, layout)))
+    } else {
+        Some((raw, layout))
+    };
+    if let Some((raw, layout)) = freed {
+        // SAFETY: `raw` came from the caller, or from the slot, which
+        // owned it; either way it is a live allocation of `layout`.
+        unsafe { dealloc(raw.as_ptr(), layout) };
+    }
+}
 
 /// Book-keeping shared between an allocator and the buffers it produced,
 /// so a buffer can credit the budget back when dropped even if it
@@ -151,8 +212,15 @@ impl NodeAllocator {
 /// The buffer sits `offset` bytes into a block over-allocated by
 /// `ALIGN_PAD` bytes at the allocator's natural alignment, so no
 /// allocation pays for `posix_memalign`. Only `len` is debited from the
-/// node budget. Dropping the buffer frees the memory and credits the
-/// node budget — the `numa_free` step of the paper's migration routine.
+/// node budget. Dropping the buffer credits the node budget — the
+/// `numa_free` step of the paper's migration routine.
+///
+/// A dropped block of at most `SPARE_MAX` bytes is parked as its thread's
+/// one spare instead of freed, and the thread's next buffer of the same
+/// layout reuses it, so a copying move (destination allocated before its
+/// same-size source is freed) takes and parks a block without touching
+/// the system allocator. Parking displaces and frees the previous spare;
+/// thread exit frees the last one.
 pub struct AlignedBuf {
     ptr: NonNull<u8>,
     len: usize,
@@ -177,28 +245,38 @@ impl AlignedBuf {
             (NonNull::<u8>::dangling(), 0)
         } else {
             let layout = Self::layout(len);
-            // SAFETY: the layout's size is at least `ALIGN_PAD` > 0.
-            let raw = unsafe {
-                if src.is_some() {
-                    alloc(layout)
-                } else {
-                    alloc_zeroed(layout)
-                }
-            };
-            let raw = NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
+            let spare = take_spare(layout);
+            let raw = spare.unwrap_or_else(|| {
+                // SAFETY: the layout's size is at least `ALIGN_PAD` > 0.
+                let raw = unsafe {
+                    if src.is_some() {
+                        alloc(layout)
+                    } else {
+                        alloc_zeroed(layout)
+                    }
+                };
+                NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
+            });
             // `raw` is `NATURAL_ALIGN`-aligned, so the next `BUF_ALIGN`
             // boundary is at most `ALIGN_PAD` bytes on.
             let offset = raw.as_ptr().align_offset(BUF_ALIGN);
             assert!(offset <= ALIGN_PAD, "allocator broke its alignment");
             // SAFETY: `offset + len` is within the block of
             // `len + ALIGN_PAD` bytes that `raw` starts.
-            (unsafe { raw.add(offset) }, offset)
+            let ptr = unsafe { raw.add(offset) };
+            if spare.is_some() && src.is_none() {
+                // SAFETY: `ptr` starts `len` bytes of the spare block
+                // this buffer now owns; they still hold its last
+                // owner's data.
+                unsafe { std::ptr::write_bytes(ptr.as_ptr(), 0, len) };
+            }
+            (ptr, offset)
         };
         if let Some(src) = src {
             assert_eq!(src.len(), len, "source length differs");
-            // SAFETY: `ptr` starts `len` fresh bytes of its block (or
-            // dangles with `len == 0`), disjoint from `src`; this
-            // initialises them before anything reads them.
+            // SAFETY: `ptr` starts `len` bytes of a block only this
+            // buffer owns (or dangles with `len == 0`), disjoint from
+            // `src`; this initialises them before anything reads them.
             unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), ptr.as_ptr(), len) };
         }
         Self {
@@ -265,7 +343,7 @@ impl Drop for AlignedBuf {
         if self.len > 0 {
             // SAFETY: `new` allocated the block `offset` bytes before
             // `ptr` with this same layout, and nothing else frees it.
-            unsafe { dealloc(self.ptr.as_ptr().sub(self.offset), Self::layout(self.len)) };
+            unsafe { park_or_free(self.ptr.sub(self.offset), Self::layout(self.len)) };
         }
         self.budget.release(self.len as u64);
     }
@@ -346,6 +424,81 @@ mod tests {
         }
         assert_eq!(buf.as_slice()[7], 7);
         assert_eq!(buf.as_slice()[127], 127);
+    }
+
+    /// The layout this thread's spare slot holds, if any.
+    fn parked() -> Option<Layout> {
+        SPARE.with(|spare| spare.0.get().map(|(_, layout)| layout))
+    }
+
+    #[test]
+    fn a_dropped_block_backs_the_next_same_size_alloc_on_its_thread() {
+        let a = NodeAllocator::new(8192);
+        let first = a.alloc(4096, HBM).unwrap();
+        let base = first.as_slice().as_ptr();
+        drop(first);
+        assert_eq!(parked(), Some(AlignedBuf::layout(4096)));
+        assert_eq!((a.used(), a.peak_used(), a.alloc_count()), (0, 4096, 1));
+
+        let second = a.alloc(4096, HBM).unwrap();
+        assert_eq!(second.as_slice().as_ptr(), base, "spare block not reused");
+        assert_eq!(parked(), None, "a taken spare stays parked");
+        assert_eq!((a.used(), a.peak_used(), a.alloc_count()), (4096, 4096, 2));
+
+        // A copying move: the destination is allocated before its
+        // source is freed, so the two blocks alternate through the slot.
+        let third = a.alloc_filled(4096, Some(second.as_slice()), HBM).unwrap();
+        assert_eq!((a.used(), a.peak_used(), a.alloc_count()), (8192, 8192, 3));
+        drop(second);
+        let fourth = a.alloc_filled(4096, Some(third.as_slice()), HBM).unwrap();
+        assert_eq!(fourth.as_slice().as_ptr(), base);
+        drop(third);
+        drop(fourth);
+        assert_eq!((a.used(), a.peak_used(), a.alloc_count()), (0, 8192, 4));
+    }
+
+    #[test]
+    fn a_reused_block_comes_back_zeroed() {
+        let a = NodeAllocator::new(1 << 16);
+        let mut dirty = a.alloc(4096, HBM).unwrap();
+        dirty.as_mut_slice().fill(0xA5);
+        let base = dirty.as_slice().as_ptr();
+        drop(dirty);
+        let buf = a.alloc(4096, HBM).unwrap();
+        assert_eq!(buf.as_slice().as_ptr(), base, "spare block not reused");
+        assert!(
+            buf.as_slice().iter().all(|&b| b == 0),
+            "old contents leaked"
+        );
+    }
+
+    #[test]
+    fn another_size_or_one_above_the_cap_is_never_served_from_the_slot() {
+        let a = NodeAllocator::new(1 << 20);
+        let small = a.alloc(4096, HBM).unwrap();
+        let base = small.as_slice().as_ptr();
+        drop(small);
+        // Held to the end, so none displaces the 4096 spare.
+        let mut others = Vec::new();
+        for len in [4095, 4097, 8192] {
+            let other = a.alloc(len, HBM).unwrap();
+            assert_ne!(other.as_slice().as_ptr(), base, "{len}: served the spare");
+            assert_eq!(parked(), Some(AlignedBuf::layout(4096)), "{len}: taken");
+            others.push(other);
+        }
+
+        // A block above the cap is freed, not parked: the spare survives.
+        let cap = SPARE_MAX - ALIGN_PAD;
+        drop(a.alloc(cap + 1, HBM).unwrap());
+        assert_eq!(parked(), Some(AlignedBuf::layout(4096)));
+        let big = a.alloc(cap + 1, HBM).unwrap();
+        assert_eq!(parked(), Some(AlignedBuf::layout(4096)));
+        drop(big);
+
+        // A block exactly at the cap is parked.
+        drop(others);
+        drop(a.alloc(cap, HBM).unwrap());
+        assert_eq!(parked(), Some(AlignedBuf::layout(cap)));
     }
 
     #[test]
