@@ -1,4 +1,4 @@
-//! Design-choice ablations (DESIGN.md A1–A6): each isolates one
+//! Design-choice ablations (DESIGN.md A1 and A3–A6): each isolates one
 //! mechanism the paper proposes, motivates, or defers to future work.
 
 use bench::{emit, Scale, Table};
@@ -62,28 +62,6 @@ fn main() {
                 label.to_string(),
                 format!("{:.2}", r.total_ns as f64 / 1e9),
                 format!("{:.1}", r.stats.mean_queue_wait_ms()),
-            ]);
-        }
-        body.push_str(&table.render());
-        body.push('\n');
-    }
-
-    // A2: memory pool for migration buffers (§IV-C future work).
-    {
-        let mut table = Table::new(&["A2: migration buffers", "total (s)", "fetches"]);
-        for (label, pool) in [("alloc/free (paper)", false), ("memory pool", true)] {
-            let cfg = StencilConfig {
-                ooc: OocConfig {
-                    use_memory_pool: pool,
-                    ..OocConfig::default()
-                },
-                ..stencil_cfg(iterations)
-            };
-            let r = run_stencil(&cfg);
-            table.row(vec![
-                label.to_string(),
-                format!("{:.2}", r.total_ns as f64 / 1e9),
-                r.stats.fetches.to_string(),
             ]);
         }
         body.push_str(&table.render());
@@ -186,7 +164,7 @@ fn main() {
 
     body.push_str(
         "expectations: A1 shared queue inflates wait under one IO thread;\n\
-         A2 pool trims fetch latency; A3 node-level run queue helps imbalance;\n\
+         A3 node-level run queue helps imbalance;\n\
          A4 throughput saturates once IO threads cover the fetch demand;\n\
          A5 cache mode pays demand-miss latency the flat-mode runtime hides;\n\
          A6 LRU keeps reused read-only blocks resident (fewer fetches).\n",

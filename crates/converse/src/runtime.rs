@@ -351,14 +351,6 @@ impl Runtime {
         self.counts.processed.load(Ordering::Acquire)
     }
 
-    /// Account for an intercepted message the hook consumed without
-    /// re-injecting (e.g. an admission-guard rejection). A dropped
-    /// message would otherwise hold `processed < sent` forever and wedge
-    /// [`Runtime::wait_quiescence_ms`].
-    pub fn note_dropped(&self) {
-        self.counts.processed.fetch_add(1, Ordering::Release);
-    }
-
     /// Poll until the system is quiescent: no hook-pending tasks, all
     /// run queues empty, every sent message processed. Returns false on
     /// timeout.

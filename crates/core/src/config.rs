@@ -82,26 +82,6 @@ pub enum WaitQueueTopology {
     SharedSingle,
 }
 
-/// What the admission guard does with a task whose total declared
-/// dependence bytes exceed HBM capacity. Such a task
-/// can never be fully prefetched: without the guard it would wait in
-/// the queue forever (or panic deep in the fetch path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OversizePolicy {
-    /// Run the task immediately in degraded mode: its dependences stay
-    /// in DDR4 and the kernel pays the slow-tier bandwidth. The run
-    /// completes, just slower — the paper's over-decomposition advice
-    /// applies, but a mis-sized chare is not fatal.
-    #[default]
-    Degrade,
-    /// Refuse the task: drop the message, count it in
-    /// [`crate::OocStats::rejected_tasks`] and record a structured
-    /// [`crate::strategy::RejectedTask`] retrievable from the hook.
-    /// The run continues without the task (its completion latch, if
-    /// any, will not fire for it).
-    Reject,
-}
-
 /// Full configuration of the memory-aware layer. The fast and slow
 /// nodes are always [`hetmem::HBM`] and [`hetmem::DDR4`], and the
 /// fault-tolerance tuning is fixed: `MAX_FETCH_RETRIES` and
@@ -117,12 +97,6 @@ pub struct OocConfig {
     /// of the chare's home PE (the paper's planned "node-level run
     /// queue" — ablation A3).
     pub node_level_run_queue: bool,
-    /// Recycle migration buffers through per-node memory pools (the
-    /// paper's §IV-C future-work optimisation — ablation A2).
-    pub use_memory_pool: bool,
-    /// What to do with a task whose declared working set can never fit
-    /// in HBM (see [`OversizePolicy`]).
-    pub oversize_policy: OversizePolicy,
     /// Periodic checkpoint policy for iterative drivers: checkpoint
     /// every N iterations. 0 disables periodic checkpoints (explicit
     /// [`crate::OocRuntime::checkpoint`] calls still work). The
@@ -137,8 +111,6 @@ impl Default for OocConfig {
             eviction: EvictionPolicy::OnComplete,
             wait_queues: WaitQueueTopology::PerPe,
             node_level_run_queue: false,
-            use_memory_pool: false,
-            oversize_policy: OversizePolicy::Degrade,
             checkpoint_every: 0,
         }
     }
@@ -166,8 +138,6 @@ mod tests {
         assert_eq!(c.eviction, EvictionPolicy::OnComplete);
         assert_eq!(c.wait_queues, WaitQueueTopology::PerPe);
         assert!(!c.node_level_run_queue);
-        assert!(!c.use_memory_pool);
-        assert_eq!(c.oversize_policy, OversizePolicy::Degrade);
         assert_eq!(c.checkpoint_every, 0, "periodic checkpoints are opt-in");
     }
 }

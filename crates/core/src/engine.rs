@@ -98,14 +98,9 @@ pub struct FetchEngine {
 impl FetchEngine {
     /// Build an engine for `mem` under `config`.
     pub fn new(mem: Arc<Memory>, config: OocConfig, stats: Arc<StatCells>) -> Self {
-        let engine = if config.use_memory_pool {
-            MigrationEngine::with_pools(Arc::clone(&mem))
-        } else {
-            MigrationEngine::new(Arc::clone(&mem))
-        };
         Self {
+            engine: MigrationEngine::new(Arc::clone(&mem)),
             mem,
-            engine,
             config,
             stats,
         }
@@ -114,11 +109,6 @@ impl FetchEngine {
     /// The memory subsystem.
     pub fn memory(&self) -> &Arc<Memory> {
         &self.mem
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &OocConfig {
-        &self.config
     }
 
     /// Bytes of HBM still available under its budget.
@@ -133,12 +123,12 @@ impl FetchEngine {
     ///
     /// It never refuses a task a full attempt would admit: a block in
     /// HBM or mid-move counts 0 bytes and a repeated block counts once.
-    /// It answers `false` where a fetch can find space that
-    /// `hbm_available` does not show (on-demand LRU eviction, pooled
-    /// HBM buffers), and for a task larger than HBM, which
-    /// [`FetchEngine::fetch_all`] reports as `TaskTooLarge`.
+    /// It answers `false` under on-demand LRU eviction, where a fetch
+    /// can find space that `hbm_available` does not show, and for a
+    /// task larger than HBM, which [`FetchEngine::fetch_all`] reports
+    /// as `TaskTooLarge`.
     pub(crate) fn cannot_fit(&self, deps: &[Dep], needed: u64) -> bool {
-        if self.config.eviction == EvictionPolicy::LruOnDemand || self.config.use_memory_pool {
+        if self.config.eviction == EvictionPolicy::LruOnDemand {
             return false;
         }
         let available = self.hbm_available();
@@ -468,32 +458,25 @@ mod tests {
     #[test]
     fn cannot_fit_defers_where_a_fetch_finds_hidden_space() {
         use AccessMode::ReadWrite;
-        // On-demand LRU eviction and a pooled HBM buffer both give a
-        // fetch space that `hbm_available` does not show.
-        for config in [
-            OocConfig {
-                eviction: EvictionPolicy::LruOnDemand,
-                ..OocConfig::default()
-            },
-            OocConfig {
-                use_memory_pool: true,
-                ..OocConfig::default()
-            },
-        ] {
-            let (mem, engine, tracer) = setup_with(1500, config);
-            let a = block(&mem, 1000, "a");
-            let b = block(&mem, 1000, "b");
-            let d_a = vec![dep(a, ReadWrite)];
-            engine.add_refs(&d_a);
-            fetch(&engine, &d_a, &tracer).unwrap();
-            engine.release_refs(&d_a);
-            engine.evict_unreferenced(&d_a, &tracer, 0);
-            assert_eq!(engine.hbm_available(), 500, "{config:?}");
-            let d_b = vec![dep(b, ReadWrite)];
-            assert!(!engine.cannot_fit(&d_b, 1000), "{config:?}");
-            engine.add_refs(&d_b);
-            fetch(&engine, &d_b, &tracer).unwrap();
-        }
+        // On-demand LRU eviction gives a fetch space that
+        // `hbm_available` does not show.
+        let config = OocConfig {
+            eviction: EvictionPolicy::LruOnDemand,
+            ..OocConfig::default()
+        };
+        let (mem, engine, tracer) = setup_with(1500, config);
+        let a = block(&mem, 1000, "a");
+        let b = block(&mem, 1000, "b");
+        let d_a = vec![dep(a, ReadWrite)];
+        engine.add_refs(&d_a);
+        fetch(&engine, &d_a, &tracer).unwrap();
+        engine.release_refs(&d_a);
+        engine.evict_unreferenced(&d_a, &tracer, 0);
+        assert_eq!(engine.hbm_available(), 500);
+        let d_b = vec![dep(b, ReadWrite)];
+        assert!(!engine.cannot_fit(&d_b, 1000));
+        engine.add_refs(&d_b);
+        fetch(&engine, &d_b, &tracer).unwrap();
         // A task larger than HBM is left to fetch_all's TaskTooLarge.
         let (mem, engine, _) = setup(1500);
         let big = block(&mem, 2000, "big");

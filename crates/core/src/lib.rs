@@ -47,12 +47,12 @@ pub mod strategy;
 pub mod task;
 pub mod waitqueue;
 
-pub use config::{EvictionPolicy, OocConfig, OversizePolicy, StrategyKind, WaitQueueTopology};
+pub use config::{EvictionPolicy, OocConfig, StrategyKind, WaitQueueTopology};
 pub use engine::{FetchEngine, FetchError};
 pub use handle::IoHandle;
 pub use ooc::OocRuntime;
 pub use placement::Placement;
 pub use stats::OocStats;
-pub use strategy::{CacheStats, OocHook, RejectedTask};
+pub use strategy::{CacheStats, OocHook};
 pub use task::OocTask;
 pub use waitqueue::WaitQueues;

@@ -65,34 +65,26 @@ impl OocRuntime {
     /// `strategy` under `config`. The runtime shares the memory
     /// subsystem's clock so traces and bandwidth charges agree.
     ///
-    /// Panics if the OS refuses to spawn an IO thread; use
-    /// [`OocRuntime::try_new`] to handle that case gracefully.
-    pub fn new(mem: Arc<Memory>, pes: usize, strategy: StrategyKind, config: OocConfig) -> Self {
-        Self::try_new(mem, pes, strategy, config).expect("spawn IO threads")
-    }
-
-    /// Fallible [`OocRuntime::new`]: a refused IO-thread spawn comes
-    /// back as an error with the partially built runtime already shut
-    /// down, instead of aborting the process.
-    ///
     /// A hetcheck checker is attached automatically when one is
     /// installed in [`hetcheck::global`] or when the `sanitizer` cargo
     /// feature is on; use [`OocRuntime::try_new_with_checker`] to pass
     /// one explicitly.
-    pub fn try_new(
-        mem: Arc<Memory>,
-        pes: usize,
-        strategy: StrategyKind,
-        config: OocConfig,
-    ) -> std::io::Result<Self> {
+    ///
+    /// Panics if the OS refuses to spawn an IO thread; use
+    /// [`OocRuntime::try_new_with_checker`] to handle that case
+    /// gracefully.
+    pub fn new(mem: Arc<Memory>, pes: usize, strategy: StrategyKind, config: OocConfig) -> Self {
         Self::try_new_with_checker(mem, pes, strategy, config, default_checker())
+            .expect("spawn IO threads")
     }
 
-    /// [`OocRuntime::try_new`] with an explicit hetcheck checker (or
-    /// explicitly none — `None` here disables the global/feature
-    /// defaults too). The checker is installed as the block registry's
-    /// observer, so it sees block traffic even under
-    /// [`StrategyKind::Baseline`], where no scheduler hook exists.
+    /// Fallible [`OocRuntime::new`] with an explicit hetcheck checker
+    /// (or explicitly none — `None` here disables the global/feature
+    /// defaults too). A refused IO-thread spawn comes back as an error
+    /// with the partially built runtime already shut down. The checker
+    /// is installed as the block registry's observer, so it sees block
+    /// traffic even under [`StrategyKind::Baseline`], where no
+    /// scheduler hook exists.
     pub fn try_new_with_checker(
         mem: Arc<Memory>,
         pes: usize,
@@ -188,15 +180,6 @@ impl OocRuntime {
     /// Wait for quiescence (all messages executed, nothing pending).
     pub fn wait_quiescence_ms(&self, timeout_ms: u64) -> bool {
         self.rt.wait_quiescence_ms(timeout_ms)
-    }
-
-    /// Tasks refused by the admission guard under
-    /// [`crate::OversizePolicy::Reject`] (empty otherwise).
-    pub fn rejected_tasks(&self) -> Vec<crate::strategy::RejectedTask> {
-        self.hook
-            .as_ref()
-            .map(|h| h.rejected_tasks())
-            .unwrap_or_default()
     }
 
     /// The driver's iteration counter (persisted across

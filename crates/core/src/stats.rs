@@ -24,10 +24,12 @@ macro_rules! stat_cells {
             }
 
             /// Snapshot the counters. `violations` is not a cell: the
-            /// runtime fills it from the attached checker.
+            /// runtime fills it from the attached checker. Nor is
+            /// `rejected_tasks`, which is always 0.
             pub fn snapshot(&self) -> OocStats {
                 OocStats {
                     $($field: self.$field.load(Ordering::Relaxed),)*
+                    rejected_tasks: 0,
                     violations: 0,
                 }
             }
@@ -49,7 +51,6 @@ stat_cells!(
     degraded_tasks,
     io_restarts,
     io_panics,
-    rejected_tasks,
     checkpoints,
     checkpoint_bytes,
     restores,
@@ -102,10 +103,6 @@ impl StatCells {
         self.io_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump_rejected(&self) {
-        self.rejected_tasks.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn bump_checkpoint(&self, bytes: u64) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -115,22 +112,13 @@ impl StatCells {
         self.restores.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// [`OocStats::in_flight`] from the three counters it needs, without
+    /// [`OocStats::in_flight`] from the two counters it needs, without
     /// a full snapshot (quiescence polls this).
     pub(crate) fn in_flight(&self) -> u64 {
-        in_flight(
-            self.intercepted.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-            self.rejected_tasks.load(Ordering::Relaxed),
-        )
+        self.intercepted
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.completed.load(Ordering::Relaxed))
     }
-}
-
-/// Tasks intercepted but neither completed nor rejected.
-fn in_flight(intercepted: u64, completed: u64, rejected: u64) -> u64 {
-    intercepted
-        .saturating_sub(completed)
-        .saturating_sub(rejected)
 }
 
 /// Point-in-time statistics of the memory-aware runtime.
@@ -168,9 +156,9 @@ pub struct OocStats {
     pub io_restarts: u64,
     /// IO-thread panics, caught in the thread or at its join.
     pub io_panics: u64,
-    /// Tasks rejected at interception because their declared working
-    /// set can never fit in HBM (admission guard under
-    /// [`crate::config::OversizePolicy::Reject`]).
+    /// Always 0: nothing writes it, because an oversize task runs
+    /// degraded and is counted in `degraded_tasks`. The field stays
+    /// for its readers and for the checkpoint image layout.
     pub rejected_tasks: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
@@ -184,11 +172,9 @@ pub struct OocStats {
 }
 
 impl OocStats {
-    /// Tasks intercepted but not yet completed. Rejected tasks were
-    /// intercepted but will never run — they are not outstanding work,
-    /// and quiescence must not wait on them.
+    /// Tasks intercepted but not yet completed.
     pub fn in_flight(&self) -> u64 {
-        in_flight(self.intercepted, self.completed, self.rejected_tasks)
+        self.intercepted.saturating_sub(self.completed)
     }
 
     /// Mean wait-queue delay per admitted task, in milliseconds.
@@ -219,9 +205,6 @@ impl OocStats {
                 "  retries {}  degraded {}  io-restarts {}/{}",
                 self.transient_retries, self.degraded_tasks, self.io_restarts, self.io_panics
             ));
-        }
-        if self.rejected_tasks > 0 {
-            line.push_str(&format!("  rejected {}", self.rejected_tasks));
         }
         if self.checkpoints + self.restores > 0 {
             line.push_str(&format!(
@@ -268,9 +251,6 @@ mod tests {
         c.bump_completed();
         assert_eq!(c.snapshot().in_flight(), 1);
         assert_eq!(c.in_flight(), 1);
-        c.bump_intercepted();
-        c.bump_rejected();
-        assert_eq!(c.in_flight(), 1);
     }
 
     #[test]
@@ -289,18 +269,6 @@ mod tests {
         assert!(s
             .render()
             .contains("retries 1  degraded 1  io-restarts 1/1"));
-    }
-
-    #[test]
-    fn rejected_tasks_are_not_in_flight() {
-        let c = StatCells::default();
-        c.bump_intercepted();
-        c.bump_intercepted();
-        c.bump_rejected();
-        c.bump_completed();
-        let s = c.snapshot();
-        assert_eq!(s.in_flight(), 0);
-        assert!(s.render().contains("rejected 1"));
     }
 
     #[test]

@@ -515,16 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_pool_ablation_still_completes() {
-        let config = OocConfig {
-            use_memory_pool: true,
-            ..OocConfig::default()
-        };
-        let stats = run_with(StrategyKind::multi_io(2), config, 2, 6);
-        assert_eq!(stats.completed, 6);
-    }
-
-    #[test]
     fn killed_io_thread_is_respawned_and_run_completes() {
         let block_bytes = 512 * 8;
         let topo = Topology::knl_flat_scaled_with(2 * block_bytes + 64, 1 << 24);

@@ -25,37 +25,18 @@ mod sync_fetch;
 
 pub use cache_mode::{CacheState, CacheStats};
 
-use crate::config::{OocConfig, OversizePolicy, StrategyKind};
+use crate::config::{OocConfig, StrategyKind};
 use crate::engine::{FetchEngine, FetchError};
 use crate::stats::StatCells;
 use crate::task::OocTask;
 use crate::waitqueue::WaitQueues;
-use converse::{EntryId, Envelope, ExecutedTask, Runtime, SchedulerHook};
+use converse::{Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
 use hetmem::Memory;
 use io_threads::IoThreadPool;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A task refused by the admission guard under
-/// [`OversizePolicy::Reject`]: its declared dependence bytes exceed
-/// what HBM can ever hold, so it would otherwise wait in the queue
-/// forever. The structured record is the error surface — retrievable
-/// via `OocRuntime::rejected_tasks`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RejectedTask {
-    /// PE the message was intercepted on.
-    pub pe: usize,
-    /// Index of the target chare.
-    pub chare: usize,
-    /// Entry method the message targeted.
-    pub entry: EntryId,
-    /// Total declared dependence bytes.
-    pub needed: u64,
-    /// HBM capacity — the most a task may declare.
-    pub capacity: u64,
-}
 
 /// A task [`Shared::try_admit`] found no space for, handed back.
 pub(crate) struct Refused {
@@ -93,9 +74,6 @@ pub(crate) struct Shared {
     /// Bumped with Release after the space is freed and read with
     /// Acquire, so an attempt that reads a bump sees the freed space.
     pub released: AtomicU64,
-    /// Structured records of tasks refused by the admission guard
-    /// (see [`RejectedTask`]).
-    pub rejected: parking_lot::Mutex<Vec<RejectedTask>>,
 }
 
 impl Shared {
@@ -174,25 +152,6 @@ impl Shared {
                 Ok(())
             }
         }
-    }
-
-    /// Refuse an oversize task under [`OversizePolicy::Reject`]: drop
-    /// its message, count it, and keep a structured record. No
-    /// references were taken, so nothing needs releasing; the rejected
-    /// counter keeps `pending()` balanced so quiescence does not wait
-    /// on the task.
-    pub(crate) fn reject(&self, task: OocTask, needed: u64, capacity: u64) {
-        self.rejected.lock().push(RejectedTask {
-            pe: task.pe,
-            chare: task.env.index,
-            entry: task.env.entry,
-            needed,
-            capacity,
-        });
-        self.stats.bump_rejected();
-        // The dropped envelope was counted at send time; balance the
-        // quiescence accounting or the runtime never looks idle.
-        self.rt.note_dropped();
     }
 
     /// Admit a task in degraded mode without attempting a fetch at all
@@ -331,7 +290,6 @@ impl OocHook {
             node_level_run_queue: config.node_level_run_queue,
             admission: parking_lot::Mutex::new(()),
             released: AtomicU64::new(0),
-            rejected: parking_lot::Mutex::new(Vec::new()),
             checker,
             rt,
         });
@@ -376,13 +334,6 @@ impl OocHook {
         }
     }
 
-    /// Structured records of tasks refused by the admission guard
-    /// (empty unless [`OversizePolicy::Reject`] is configured and an
-    /// oversize task arrived).
-    pub fn rejected_tasks(&self) -> Vec<RejectedTask> {
-        self.shared.rejected.lock().clone()
-    }
-
     /// Overwrite the hook's counters with a checkpointed snapshot
     /// (restore path — see `StatCells::adopt`).
     pub(crate) fn adopt_stats(&self, s: &crate::OocStats) {
@@ -418,19 +369,11 @@ impl SchedulerHook for OocHook {
         let task = self.shared.make_task(pe, env);
         // Admission guard: a task whose declared working set exceeds
         // HBM capacity can never be fully prefetched — queued, it
-        // would wait forever (no eviction can make enough room).
-        // Detect it here, before it enters any queue, uniformly for
-        // every flavour.
-        let needed = task.bytes;
-        let capacity = self.shared.engine.hbm_task_capacity();
-        if needed > capacity {
-            match self.shared.engine.config().oversize_policy {
-                OversizePolicy::Degrade => {
-                    let tracer = self.shared.worker_tracer(pe);
-                    self.shared.admit_degraded(task, tracer);
-                }
-                OversizePolicy::Reject => self.shared.reject(task, needed, capacity),
-            }
+        // would wait forever (no eviction can make enough room). It
+        // runs degraded from DDR4 instead, uniformly for every flavour.
+        if task.bytes > self.shared.engine.hbm_task_capacity() {
+            let tracer = self.shared.worker_tracer(pe);
+            self.shared.admit_degraded(task, tracer);
             return;
         }
         match &self.flavour {

@@ -27,10 +27,7 @@
 //!   state (`INHBM` / `INDDR` in the paper), reference counts and
 //!   per-block locks, the substrate behind `CkIOHandle`;
 //! * [`MigrationEngine`] — the paper's three-step move: allocate on the
-//!   destination node, charged `memcpy`, free the source;
-//! * [`MemoryPool`] — the "memory pool in each memory type" optimisation
-//!   the paper leaves as future work (§IV-C), used by the ablation
-//!   benchmarks.
+//!   destination node, charged `memcpy`, free the source.
 //!
 //! All time handling goes through the [`Clock`] trait so that unit and
 //! property tests can run against a deterministic [`VirtualClock`].
@@ -44,7 +41,6 @@ pub mod error;
 pub mod faults;
 pub mod migrate;
 pub mod node;
-pub mod pool;
 pub mod stats;
 pub mod table;
 pub mod topology;
@@ -63,7 +59,6 @@ pub use error::MemError;
 pub use faults::{FaultAction, FaultInjector, FaultStats, NoFaults, SeededFaults};
 pub use migrate::MigrationEngine;
 pub use node::{MemKind, NodeId, DDR4, HBM};
-pub use pool::MemoryPool;
 pub use stats::{MemStats, NodeStats};
 pub use table::AppendTable;
 pub use topology::{NodeSpec, Topology};
@@ -155,11 +150,6 @@ impl Memory {
     /// The shared block registry (the `CkIOHandle` metadata store).
     pub fn registry(&self) -> &BlockRegistry {
         &self.registry
-    }
-
-    /// Number of memory nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The allocator for `node`.
@@ -254,7 +244,7 @@ mod tests {
     #[test]
     fn facade_wires_nodes() {
         let mem = Memory::new(Topology::knl_flat_scaled());
-        assert_eq!(mem.node_count(), 2);
+        assert_eq!(mem.topology().nodes().len(), 2);
         assert!(
             mem.topology().nodes()[HBM.index()].bandwidth_bytes_per_sec
                 > mem.topology().nodes()[DDR4.index()].bandwidth_bytes_per_sec

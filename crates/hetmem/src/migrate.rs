@@ -11,41 +11,24 @@
 //! the destination is allocated, *and* is charged against both nodes' bandwidth regulators (read from the
 //! source, penalised write to the destination), which is what produces
 //! the Figure 7 cost curves.
-//!
-//! When built with a [`MemoryPool`] (the paper's future-work
-//! optimisation) destination buffers come from a per-node freelist,
-//! skipping the allocate/free pair.
 
-use crate::alloc::AlignedBuf;
 use crate::block::BlockId;
 use crate::clock::TimeNs;
 use crate::error::MemError;
 use crate::faults::FaultAction;
 use crate::node::NodeId;
-use crate::pool::MemoryPool;
 use crate::Memory;
 use std::sync::Arc;
 
 /// Moves registered blocks between memory nodes.
 pub struct MigrationEngine {
     mem: Arc<Memory>,
-    pools: Option<Vec<MemoryPool>>,
 }
 
 impl MigrationEngine {
-    /// An engine that allocates destination buffers directly.
+    /// An engine over `mem`'s nodes and registry.
     pub fn new(mem: Arc<Memory>) -> Self {
-        Self { mem, pools: None }
-    }
-
-    /// An engine that recycles destination buffers through per-node
-    /// memory pools (ablation A2 / the paper's future-work §IV-C note).
-    pub fn with_pools(mem: Arc<Memory>) -> Self {
-        let pools = (0..mem.node_count()).map(|_| MemoryPool::new()).collect();
-        Self {
-            mem,
-            pools: Some(pools),
-        }
+        Self { mem }
     }
 
     /// Move block `id` to node `dst`.
@@ -110,7 +93,7 @@ impl MigrationEngine {
         // Step 1: create space in the destination memory, as a copy of
         // the source if the contents move.
         let src_bytes = copy.then(|| src_buf.as_slice());
-        let dst_buf = match self.acquire_dst(size, src_bytes, dst) {
+        let dst_buf = match self.mem.alloc_filled(size, src_bytes, dst) {
             Ok(b) => b,
             Err(e) => {
                 registry.abort_move(id, src_buf);
@@ -143,37 +126,12 @@ impl MigrationEngine {
             clock.now()
         };
 
-        // Step 3: free the source (numa_free) — via the pool if enabled.
-        self.release_src(src_buf);
+        // Step 3: free the source (numa_free).
+        drop(src_buf);
 
         registry.complete_move(id, dst_buf);
 
         Ok((t0, end))
-    }
-
-    fn acquire_dst(
-        &self,
-        size: usize,
-        src: Option<&[u8]>,
-        dst: NodeId,
-    ) -> Result<AlignedBuf, MemError> {
-        if let Some(pools) = &self.pools {
-            if let Some(mut buf) = pools[dst.index()].take(size) {
-                if let Some(src) = src {
-                    buf.as_mut_slice().copy_from_slice(src);
-                }
-                return Ok(buf);
-            }
-        }
-        self.mem.alloc_filled(size, src, dst)
-    }
-
-    fn release_src(&self, buf: AlignedBuf) {
-        if let Some(pools) = &self.pools {
-            pools[buf.node().index()].put(buf);
-        } else {
-            drop(buf);
-        }
     }
 }
 
@@ -341,23 +299,6 @@ mod tests {
         assert!(dt >= 1_000_000, "spike not charged: dt={dt}");
         assert_eq!(mem.registry().node_of(id), Some(HBM));
         assert_eq!(faults.stats().delay_ns, 1_000_000);
-    }
-
-    #[test]
-    fn pooled_engine_recycles_buffers() {
-        let mem = small_mem();
-        let engine = MigrationEngine::with_pools(Arc::clone(&mem));
-        let (id, pattern) = patterned_block(&mem, 1024);
-        engine.migrate(id, HBM, true, true).unwrap();
-        engine.migrate(id, DDR4, true, true).unwrap();
-        // Going back to HBM should reuse the pooled HBM buffer: no new
-        // allocation beyond the ones already made.
-        let allocs_before = mem.stats().nodes[HBM.index()].alloc_count;
-        engine.migrate(id, HBM, true, true).unwrap();
-        let allocs_after = mem.stats().nodes[HBM.index()].alloc_count;
-        assert_eq!(allocs_before, allocs_after);
-        let g = mem.registry().access(id, AccessMode::ReadOnly);
-        assert_eq!(g.bytes(), &pattern[..], "recycled buffer holds stale bytes");
     }
 
     /// Checks, under the slot lock, that the lock-free residency
