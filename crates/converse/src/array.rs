@@ -12,7 +12,6 @@
 use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 use crate::runtime::{Chare, ExecCtx, Runtime};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How chare indices map to PEs.
@@ -52,7 +51,8 @@ pub struct ChareArray<C: Chare> {
     chares: Vec<Mutex<C>>,
     mapping: Mapping,
     pes: usize,
-    entries: HashMap<EntryId, EntryOptions>,
+    /// Options of entry `i` at index `i`, frozen at registration.
+    entries: Vec<EntryOptions>,
 }
 
 impl<C: Chare> ChareArray<C> {
@@ -61,7 +61,7 @@ impl<C: Chare> ChareArray<C> {
         count: usize,
         mapping: Mapping,
         pes: usize,
-        entries: HashMap<EntryId, EntryOptions>,
+        entries: Vec<EntryOptions>,
         mut factory: impl FnMut(usize) -> C,
     ) -> Self {
         Self {
@@ -110,7 +110,10 @@ impl<C: Chare> ArrayDispatch for ChareArray<C> {
     }
 
     fn entry_options(&self, entry: EntryId) -> EntryOptions {
-        self.entries.get(&entry).copied().unwrap_or_default()
+        self.entries
+            .get(entry.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 }
 
@@ -126,7 +129,8 @@ impl<C: Chare> ArrayDispatch for ChareArray<C> {
 /// ```
 pub struct ArrayBuilder<'rt, C: Chare> {
     rt: &'rt Arc<Runtime>,
-    entries: HashMap<EntryId, EntryOptions>,
+    /// The dense entry table the scheduler indexes by [`EntryId`].
+    entries: Vec<EntryOptions>,
     mapping: Mapping,
     _marker: std::marker::PhantomData<C>,
 }
@@ -136,15 +140,21 @@ impl<'rt, C: Chare> ArrayBuilder<'rt, C> {
     pub fn new(rt: &'rt Arc<Runtime>) -> Self {
         Self {
             rt,
-            entries: HashMap::new(),
+            entries: Vec::new(),
             mapping: Mapping::Block,
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Declare an entry method and its options.
+    /// Declare an entry method and its options. Undeclared entries get
+    /// the default options. Entry ids index a dense table, so number
+    /// them from 0.
     pub fn entry(mut self, id: EntryId, opts: EntryOptions) -> Self {
-        self.entries.insert(id, opts);
+        let i = id.0 as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, EntryOptions::default());
+        }
+        self.entries[i] = opts;
         self
     }
 
@@ -185,6 +195,26 @@ mod tests {
         assert_eq!(m.home_pe(6, 7, 3), 2);
         // Index beyond the last block clamps to the last PE.
         assert_eq!(m.home_pe(9, 10, 3), 2);
+    }
+
+    #[test]
+    fn entry_options_are_looked_up_by_id() {
+        struct Quiet;
+        impl Chare for Quiet {
+            type Msg = ();
+            fn execute(&mut self, _e: EntryId, _m: (), _c: &mut ExecCtx<'_>) {}
+        }
+        let rt = crate::RuntimeBuilder::new(1).build();
+        let array = ArrayBuilder::<Quiet>::new(&rt)
+            .entry(EntryId(3), EntryOptions::prefetch())
+            .entry(EntryId(1), EntryOptions::default())
+            .build(1, |_| Quiet);
+        let opts = |e| rt.entry_options(array, EntryId(e));
+        assert_eq!(opts(3), EntryOptions::prefetch());
+        for undeclared_or_plain in [0, 1, 2, 4, 1000] {
+            assert_eq!(opts(undeclared_or_plain), EntryOptions::default());
+        }
+        rt.shutdown();
     }
 
     #[test]

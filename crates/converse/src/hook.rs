@@ -14,8 +14,18 @@
 //! dependences are in HBM. After an admitted envelope executes, the
 //! scheduler calls [`SchedulerHook::on_complete`] (the post-processing
 //! step, where eviction happens).
+//!
+//! # Clock readings
+//!
+//! A clock reading costs tens of nanoseconds, so the scheduler and the
+//! hook share theirs. Both callbacks get the scheduler's latest reading
+//! as `now`, which the hook can use as the time the callback started.
+//! Each returns the hook's own last reading, which the scheduler takes
+//! as the callback's end and the next envelope's start, or `None` if the
+//! hook read no clock, and the scheduler then reads it once.
 
 use crate::envelope::{ChareIndex, Dep, Envelope};
+use hetmem::TimeNs;
 
 /// Identity of an executed, previously intercepted task.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +44,10 @@ pub struct ExecutedTask {
 pub trait SchedulerHook: Send + Sync {
     /// Take ownership of an unadmitted `[prefetch]` message before
     /// execution (pre-processing). The hook must eventually re-inject
-    /// it via `Runtime::inject` with `admitted = true`.
-    fn on_intercept(&self, pe: usize, env: Envelope);
+    /// it via `Runtime::inject` with `admitted = true`. `now` is the
+    /// scheduler's latest clock reading; returns the hook's last one, or
+    /// `None` if it read none (see the module doc).
+    fn on_intercept(&self, pe: usize, env: Envelope, now: TimeNs) -> Option<TimeNs>;
 
     /// An admitted message is about to execute on `pe`: called on the
     /// worker thread right before the entry method runs — the hook for
@@ -45,8 +57,10 @@ pub trait SchedulerHook: Send + Sync {
 
     /// An admitted message finished executing (post-processing). Called
     /// on the same worker thread as [`SchedulerHook::on_execute_begin`],
-    /// right after the entry method returns.
-    fn on_complete(&self, done: ExecutedTask);
+    /// right after the entry method returns, with the reading that ended
+    /// it as `now`. Returns the hook's last reading, or `None` if it
+    /// read none (see the module doc).
+    fn on_complete(&self, done: ExecutedTask, now: TimeNs) -> Option<TimeNs>;
 
     /// Number of intercepted-but-not-yet-completed tasks; the runtime's
     /// quiescence detection treats these as outstanding work.
@@ -67,11 +81,13 @@ mod tests {
     }
 
     impl SchedulerHook for PassThrough {
-        fn on_intercept(&self, _pe: usize, env: Envelope) {
+        fn on_intercept(&self, _pe: usize, env: Envelope, _now: TimeNs) -> Option<TimeNs> {
             self.intercepted.lock().push(env.index);
+            None
         }
-        fn on_complete(&self, done: ExecutedTask) {
+        fn on_complete(&self, done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
             self.completed.lock().push(done.token);
+            None
         }
         fn pending(&self) -> usize {
             0
@@ -84,13 +100,15 @@ mod tests {
             intercepted: Mutex::new(vec![]),
             completed: Mutex::new(vec![]),
         });
-        hook.on_intercept(0, Envelope::new(ArrayId(0), 3, EntryId(1), Box::new(())));
-        hook.on_complete(ExecutedTask {
+        let env = Envelope::new(ArrayId(0), 3, EntryId(1), Box::new(()));
+        assert_eq!(hook.on_intercept(0, env, 5), None);
+        let done = ExecutedTask {
             index: 3,
             token: 11,
             pe: 0,
             deps: Vec::new(),
-        });
+        };
+        assert_eq!(hook.on_complete(done, 6), None);
         assert_eq!(hook.pending(), 0);
     }
 }

@@ -1,11 +1,14 @@
-//! Per-PE FIFO run queues with blocking pop.
+//! Per-PE FIFO run queues with blocking and non-blocking pops.
 //!
 //! "Tasks are picked up in FIFO order from the run queue and scheduled"
 //! (§IV-B). Each PE owns one [`RunQueue`], and the PE's worker is its
 //! only consumer. A worker that finds its queue empty waits with
 //! [`crate::park::spin_then_park`]: it polls a few times, yielding its
 //! core between polls, then parks on its own thread; the worker loop
-//! records the whole wait as idle. A push unparks the worker after
+//! records the whole wait as idle. The worker looks first with
+//! [`RunQueue::try_pop`], which never waits, and blocks only when that
+//! finds nothing, so only a real wait costs it a clock reading. A push
+//! unparks the worker after
 //! unlocking, which costs one atomic swap and no futex call unless the
 //! worker is really parked.
 
@@ -53,7 +56,8 @@ impl State {
 #[derive(Default)]
 pub struct RunQueue {
     state: Mutex<State>,
-    /// The thread that pops, set by its first [`RunQueue::pop`].
+    /// The thread that pops, set by its first [`RunQueue::pop`] or
+    /// [`RunQueue::try_pop`].
     consumer: OnceLock<Thread>,
 }
 
@@ -75,13 +79,27 @@ impl RunQueue {
     /// A queue has one consumer: every pop must come from the thread
     /// that made the first one (checked in debug builds).
     pub fn pop(&self) -> Pop {
+        self.register_consumer();
+        spin_then_park(|| self.state.lock().take(), None).expect("a pop without a deadline")
+    }
+
+    /// Non-blocking pop: what [`RunQueue::pop`] would return at once,
+    /// or `None` if it would wait. The same one-consumer rule holds.
+    pub fn try_pop(&self) -> Option<Pop> {
+        // Registered before the look, as in `pop`: a push that finds the
+        // queue empty after this look must find the consumer to wake.
+        self.register_consumer();
+        self.state.lock().take()
+    }
+
+    /// Register the calling thread as the consumer on its first pop.
+    fn register_consumer(&self) {
         let consumer = self.consumer.get_or_init(std::thread::current);
         debug_assert_eq!(
             consumer.id(),
             std::thread::current().id(),
             "a RunQueue has one consumer"
         );
-        spin_then_park(|| self.state.lock().take(), None).expect("a pop without a deadline")
     }
 
     /// Signal shutdown and wake the consumer.
@@ -162,6 +180,17 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("a parked popper was never woken");
         assert_eq!(got, 7);
+    }
+
+    #[test]
+    fn try_pop_takes_work_without_waiting() {
+        let q = RunQueue::new();
+        assert!(q.try_pop().is_none());
+        q.push(env(4));
+        assert!(matches!(q.try_pop(), Some(Pop::Work(e)) if e.index == 4));
+        assert!(q.try_pop().is_none());
+        q.shutdown();
+        assert!(matches!(q.try_pop(), Some(Pop::Shutdown)));
     }
 
     #[test]

@@ -21,7 +21,6 @@ use hetmem::{AppendTable, Clock, MonotonicClock, TimeNs};
 use parking_lot::Mutex;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -250,9 +249,11 @@ impl Runtime {
     }
 
     /// Register a chare array (usually via [`ArrayBuilder`]).
+    /// `entries[i]` holds the options of `EntryId(i)`; entries past its
+    /// end get the default options.
     pub fn register_array<C: Chare>(
         self: &Arc<Self>,
-        entries: HashMap<EntryId, EntryOptions>,
+        entries: Vec<EntryOptions>,
         mapping: Mapping,
         count: usize,
         factory: impl FnMut(usize) -> C,
@@ -421,9 +422,14 @@ impl Runtime {
     }
 
     /// Block while the pause gate is closed (worker threads call this
-    /// between envelopes). An open gate costs one atomic load.
-    fn pause_point(&self) {
+    /// between envelopes); returns whether it waited. An open gate costs
+    /// one atomic load.
+    fn pause_point(&self) -> bool {
+        if !self.is_paused() {
+            return false;
+        }
         spin_then_park(|| (!self.is_paused()).then_some(()), None);
+        true
     }
 
     /// Stop the PE threads (drains queued work first) and join them.
@@ -457,25 +463,38 @@ impl Drop for Runtime {
     }
 }
 
-/// The scheduler loop. One envelope's end time starts the next idle
-/// span, so an executed envelope reads the clock at most three times:
-/// when its idle wait ends (also its start), when it returns and, if
-/// the hook post-processes it, after that.
+/// The scheduler loop. Each clock reading serves everything up to the
+/// next one: an envelope starts at the reading that ended the one
+/// before, so a busy worker reads no clock between envelopes. Only a
+/// real wait, on an empty queue or a closed pause gate, ends with a
+/// reading, and only a real wait is recorded as `Idle`. An executed
+/// envelope reads the clock once when it returns, and once more after
+/// the hook's post-processing if the hook read none.
 fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
+    let queue = &rt.queues[pe];
     let mut hooks = HookCache::new();
-    let mut idle_start = rt.clock.now();
-    while let Pop::Work(env) = rt.queues[pe].pop() {
-        rt.pause_point();
-        let now = rt.clock.now();
-        if now > idle_start {
-            tracer.record(SpanKind::Idle, idle_start, now, pe as u32);
+    let mut now = rt.clock.now();
+    loop {
+        let (pop, waited) = match queue.try_pop() {
+            Some(pop) => (pop, false),
+            None => (queue.pop(), true),
+        };
+        let Pop::Work(env) = pop else {
+            return;
+        };
+        if rt.pause_point() || waited {
+            let wake = rt.clock.now();
+            if wake > now {
+                tracer.record(SpanKind::Idle, now, wake, pe as u32);
+            }
+            now = wake;
         }
-        idle_start = process(&rt, pe, env, now, &tracer, &mut hooks);
+        now = process(&rt, pe, env, now, &tracer, &mut hooks);
     }
 }
 
-/// Deliver one envelope whose idle wait ended at `start`; returns when
-/// its processing ended.
+/// Deliver one envelope that starts at the reading `start`; returns the
+/// reading that ended its processing.
 fn process(
     rt: &Arc<Runtime>,
     pe: usize,
@@ -490,8 +509,8 @@ fn process(
     // §IV-B interception: unadmitted [prefetch] messages go to the hook.
     if opts.prefetch && !env.admitted {
         if let Some(hook) = hooks.get(rt) {
-            hook.on_intercept(pe, env);
-            return rt.clock.now();
+            let end = hook.on_intercept(pe, env, start);
+            return end.unwrap_or_else(|| rt.clock.now());
         }
         // No hook installed: fall through and execute directly (the
         // baseline configurations run this way).
@@ -519,8 +538,9 @@ fn process(
     let mut end = rt.clock.now();
     tracer.record(kind, start, end, done.index as u32);
     if let Some(hook) = hook {
-        hook.on_complete(done);
-        end = rt.clock.now();
+        end = hook
+            .on_complete(done, end)
+            .unwrap_or_else(|| rt.clock.now());
     }
     // Counted only after post-processing: quiescence relies on it.
     rt.counts.processed.fetch_add(1, Ordering::Release);
@@ -685,16 +705,18 @@ mod tests {
             outstanding: AtomicU64,
         }
         impl SchedulerHook for AdmitHook {
-            fn on_intercept(&self, pe: usize, mut env: Envelope) {
+            fn on_intercept(&self, pe: usize, mut env: Envelope, _now: TimeNs) -> Option<TimeNs> {
                 self.intercepted.lock().push(env.index);
                 self.outstanding.fetch_add(1, Ordering::SeqCst);
                 env.admitted = true;
                 env.token = 77;
                 self.rt.inject(pe, env);
+                None
             }
-            fn on_complete(&self, done: ExecutedTask) {
+            fn on_complete(&self, done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
                 self.completed.lock().push(done.token);
                 self.outstanding.fetch_sub(1, Ordering::SeqCst);
+                None
             }
             fn pending(&self) -> usize {
                 self.outstanding.load(Ordering::SeqCst) as usize
@@ -725,8 +747,12 @@ mod tests {
     /// runtime can never look quiescent.
     struct WedgedHook;
     impl SchedulerHook for WedgedHook {
-        fn on_intercept(&self, _pe: usize, _env: Envelope) {}
-        fn on_complete(&self, _done: ExecutedTask) {}
+        fn on_intercept(&self, _pe: usize, _env: Envelope, _now: TimeNs) -> Option<TimeNs> {
+            None
+        }
+        fn on_complete(&self, _done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
+            None
+        }
         fn pending(&self) -> usize {
             1
         }
@@ -855,17 +881,19 @@ mod tests {
             outstanding: Arc<AtomicU64>,
         }
         impl SchedulerHook for DelayedAdmit {
-            fn on_intercept(&self, pe: usize, env: Envelope) {
+            fn on_intercept(&self, pe: usize, env: Envelope, _now: TimeNs) -> Option<TimeNs> {
                 // The message has left its run queue but is not yet
                 // pending: the window a single-pass check must cover.
                 jitter(&mut (env.index as u64 * 0x9E37_79B9 + 1));
                 self.intercepted.fetch_add(1, Ordering::SeqCst);
                 self.to_admit.lock().send((pe, env)).unwrap();
+                None
             }
-            fn on_complete(&self, done: ExecutedTask) {
+            fn on_complete(&self, done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
                 jitter(&mut (done.index as u64 * 0x85EB_CA6B + 1));
                 self.outstanding.fetch_sub(1, Ordering::SeqCst);
                 self.completed.fetch_add(1, Ordering::SeqCst);
+                None
             }
             fn pending(&self) -> usize {
                 let completed = self.completed.load(Ordering::SeqCst);
@@ -973,6 +1001,126 @@ mod tests {
         assert!(rt.wait_quiescence_ms(2000));
         assert_eq!(rt.processed_count(), 4);
         rt.shutdown();
+    }
+
+    const EP_HOLD: EntryId = EntryId(2);
+
+    /// Holds its worker in [`EP_HOLD`] until the test has passed the
+    /// barrier twice: once to see it running, once to release it.
+    struct Holder {
+        gate: Arc<std::sync::Barrier>,
+    }
+
+    impl Chare for Holder {
+        type Msg = ();
+        fn execute(&mut self, entry: EntryId, _m: (), _c: &mut ExecCtx<'_>) {
+            if entry == EP_HOLD {
+                self.gate.wait();
+                self.gate.wait();
+            }
+        }
+    }
+
+    /// A 1-PE runtime with one `Holder` and the barrier it holds on.
+    fn holding_runtime() -> (Arc<Runtime>, ArrayId, Arc<std::sync::Barrier>) {
+        let rt = runtime(1);
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let g2 = Arc::clone(&gate);
+        let array = rt
+            .array_builder::<Holder>()
+            .entry(EP_PING, EntryOptions::default())
+            .entry(EP_HOLD, EntryOptions::default())
+            .build(1, move |_| Holder {
+                gate: Arc::clone(&g2),
+            });
+        (rt, array, gate)
+    }
+
+    /// The worker lane's spans from the hold's on, once the runtime is
+    /// quiet: the hold's `Entry` span comes first.
+    fn spans_from_hold(rt: &Runtime) -> Vec<projections::Span> {
+        assert!(rt.wait_quiescence_ms(5000));
+        rt.shutdown();
+        let trace = rt.collector().finish();
+        let lane = &trace.lanes[0];
+        assert_eq!(lane.lane, LaneId::worker(0));
+        let first = lane
+            .spans
+            .iter()
+            .position(|s| s.kind == SpanKind::Entry)
+            .expect("the hold ran");
+        lane.spans[first..].to_vec()
+    }
+
+    #[test]
+    fn back_to_back_envelopes_record_no_idle_span() {
+        const N: usize = 32;
+        let (rt, array, gate) = holding_runtime();
+        rt.send(array, 0, EP_HOLD, ());
+        gate.wait();
+        // Queued before the hold returns: the worker never waits.
+        for _ in 0..N {
+            rt.send(array, 0, EP_PING, ());
+        }
+        gate.wait();
+        let spans = spans_from_hold(&rt);
+        assert_eq!(spans.len(), N + 1, "{spans:?}");
+        for pair in spans.windows(2) {
+            assert_eq!(pair[1].kind, SpanKind::Entry, "{spans:?}");
+            assert_eq!(
+                pair[1].start_ns, pair[0].end_ns,
+                "each envelope starts at the reading that ended the one before"
+            );
+        }
+    }
+
+    /// Asserts `spans` is the hold, one `Idle` span, then one envelope,
+    /// with the idle span running from the hold's end to the envelope's
+    /// start: the wake reading. Returns the idle span.
+    fn one_idle_between(spans: &[projections::Span]) -> projections::Span {
+        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            [SpanKind::Entry, SpanKind::Idle, SpanKind::Entry],
+            "{spans:?}"
+        );
+        let (hold, idle, ping) = (spans[0], spans[1], spans[2]);
+        assert_eq!(idle.start_ns, hold.end_ns);
+        assert_eq!(idle.end_ns, ping.start_ns);
+        idle
+    }
+
+    #[test]
+    fn a_worker_that_waited_records_one_idle_span_ending_at_its_wake() {
+        let (rt, array, gate) = holding_runtime();
+        rt.send(array, 0, EP_HOLD, ());
+        gate.wait();
+        gate.wait();
+        // Quiescence is reached once the hold is counted; the worker's
+        // next step is its look at the empty queue, long before 20 ms.
+        assert!(rt.wait_quiescence_ms(5000));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        rt.send(array, 0, EP_PING, ());
+        one_idle_between(&spans_from_hold(&rt));
+    }
+
+    #[test]
+    fn a_pause_is_recorded_as_idle_not_as_the_next_envelope() {
+        let (rt, array, gate) = holding_runtime();
+        rt.send(array, 0, EP_HOLD, ());
+        gate.wait();
+        rt.pause();
+        rt.send(array, 0, EP_PING, ());
+        gate.wait();
+        // The worker takes the queued ping and stops at the closed gate.
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        rt.resume();
+        let spans = spans_from_hold(&rt);
+        let idle = one_idle_between(&spans);
+        assert!(
+            spans[2].duration_ns() < idle.duration_ns(),
+            "the pause leaked into the envelope's span: {spans:?}"
+        );
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //! fetching (so nothing evicts them between fetch and execution) and
 //! released at completion; blocks whose count returns to zero are
 //! evicted (paper policy) or left for LRU-on-demand eviction (ablation).
+//!
+//! Every method that can move a block or wait takes the caller's latest
+//! clock reading as `now: &mut TimeNs` and leaves in it the last reading
+//! it made: the end of its last move, block wait or backoff sleep. Each
+//! move and each wait still reads its own start, so a `Fetch`, `Evict`
+//! or `BlockWait` span times exactly that move or wait.
 
 use crate::config::{EvictionPolicy, OocConfig};
 use crate::stats::StatCells;
 use converse::Dep;
-use hetmem::{MemError, Memory, MigrationEngine, DDR4, HBM};
+use hetmem::{MemError, Memory, MigrationEngine, TimeNs, DDR4, HBM};
 use projections::{SpanKind, Tracer};
 use std::sync::Arc;
 
@@ -165,7 +171,13 @@ impl FetchEngine {
     /// Returns whether the task held the last reference to a block that
     /// was not in DDR4 — HBM space it pinned during the attempt, which
     /// a concurrent admission may have been refused for.
-    pub(crate) fn roll_back(&self, deps: &[Dep], tracer: &Tracer, tag: u32) -> bool {
+    pub(crate) fn roll_back(
+        &self,
+        deps: &[Dep],
+        tracer: &Tracer,
+        tag: u32,
+        now: &mut TimeNs,
+    ) -> bool {
         let registry = self.mem.registry();
         let mut unpinned = false;
         for d in deps {
@@ -173,7 +185,7 @@ impl FetchEngine {
                 unpinned |= registry.node_of(d.block) != Some(DDR4);
             }
         }
-        self.evict_unreferenced(deps, tracer, tag);
+        self.evict_unreferenced(deps, tracer, tag, now);
         unpinned
     }
 
@@ -186,20 +198,22 @@ impl FetchEngine {
     /// `needed` is the deps' total payload bytes (the task sums them
     /// once, at interception). Call with the task's refs held so fetched
     /// blocks cannot be evicted underneath us. Records one `Fetch` span
-    /// per actual move on `tracer`.
+    /// per actual move on `tracer`, and advances `now` as the module doc
+    /// describes.
     pub fn fetch_all(
         &self,
         deps: &[Dep],
         needed: u64,
         tracer: &Tracer,
         tag: u32,
+        now: &mut TimeNs,
     ) -> Result<(), FetchError> {
         let capacity = self.hbm_task_capacity();
         if needed > capacity {
             return Err(FetchError::TaskTooLarge { needed, capacity });
         }
         for d in deps {
-            self.ensure_in_hbm(d, tracer, tag)?;
+            self.ensure_in_hbm(d, tracer, tag, now)?;
         }
         Ok(())
     }
@@ -213,7 +227,13 @@ impl FetchEngine {
 
     /// Bring one dependence into HBM (§IV-B: "for any dependence that
     /// is INDDR, brings it into HBM and changes its state to INHBM").
-    fn ensure_in_hbm(&self, dep: &Dep, tracer: &Tracer, tag: u32) -> Result<(), FetchError> {
+    fn ensure_in_hbm(
+        &self,
+        dep: &Dep,
+        tracer: &Tracer,
+        tag: u32,
+        now: &mut TimeNs,
+    ) -> Result<(), FetchError> {
         let registry = self.mem.registry();
         let mut transient_attempts: u32 = 0;
         loop {
@@ -223,8 +243,8 @@ impl FetchEngine {
                     // Another thread is moving it; wait for the verdict.
                     let t0 = self.mem.clock().now();
                     let node = registry.wait_resident(dep.block);
-                    let t1 = self.mem.clock().now();
-                    tracer.record(SpanKind::BlockWait, t0, t1, tag);
+                    *now = self.mem.clock().now();
+                    tracer.record(SpanKind::BlockWait, t0, *now, tag);
                     if node == HBM {
                         return Ok(());
                     }
@@ -233,6 +253,7 @@ impl FetchEngine {
                     let copy = dep.mode.reads_old_contents();
                     match self.engine.migrate_span(dep.block, HBM, false, copy) {
                         Ok((t0, t1)) => {
+                            *now = t1;
                             tracer.record(SpanKind::Fetch, t0, t1, tag);
                             self.stats.bump_fetches(registry.size_of(dep.block) as u64);
                             return Ok(());
@@ -240,7 +261,7 @@ impl FetchEngine {
                         Err(MemError::CapacityExceeded { .. }) => {
                             if self.config.eviction == EvictionPolicy::LruOnDemand {
                                 let size = registry.size_of(dep.block) as u64;
-                                if self.make_space_lru(size, tracer, tag) {
+                                if self.make_space_lru(size, tracer, tag, now) {
                                     continue;
                                 }
                             }
@@ -266,7 +287,7 @@ impl FetchEngine {
                             transient_attempts += 1;
                             self.stats.bump_transient_retry();
                             if delay > 0 {
-                                self.mem.clock().sleep(delay);
+                                *now = self.mem.clock().sleep(delay);
                             }
                             continue;
                         }
@@ -301,9 +322,16 @@ impl FetchEngine {
     }
 
     /// Evict `deps` whose reference count is zero back to DDR4 — the
-    /// paper's post-processing step. Records `Evict` spans on `tracer`.
-    /// Returns the number of blocks actually evicted.
-    pub fn evict_unreferenced(&self, deps: &[Dep], tracer: &Tracer, tag: u32) -> usize {
+    /// paper's post-processing step. Records `Evict` spans on `tracer`
+    /// and advances `now` as the module doc describes. Returns the
+    /// number of blocks actually evicted.
+    pub fn evict_unreferenced(
+        &self,
+        deps: &[Dep],
+        tracer: &Tracer,
+        tag: u32,
+        now: &mut TimeNs,
+    ) -> usize {
         if self.config.eviction == EvictionPolicy::LruOnDemand {
             // Lazy policy: leave blocks in HBM; space is reclaimed on
             // demand by make_space_lru.
@@ -311,7 +339,7 @@ impl FetchEngine {
         }
         let mut evicted = 0;
         for d in deps {
-            if self.try_evict(d.block, tracer, tag) {
+            if self.try_evict(d.block, tracer, tag, now) {
                 evicted += 1;
             }
         }
@@ -320,7 +348,13 @@ impl FetchEngine {
 
     /// Evict a single block if it is in HBM with refcount zero (cache
     /// mode's conflict eviction calls this directly).
-    pub(crate) fn try_evict(&self, block: hetmem::BlockId, tracer: &Tracer, tag: u32) -> bool {
+    pub(crate) fn try_evict(
+        &self,
+        block: hetmem::BlockId,
+        tracer: &Tracer,
+        tag: u32,
+        now: &mut TimeNs,
+    ) -> bool {
         let registry = self.mem.registry();
         if registry.node_of(block) != Some(HBM) || registry.refcount(block) > 0 {
             return false;
@@ -328,6 +362,7 @@ impl FetchEngine {
         // Evicted contents must persist: always copy.
         match self.engine.migrate_span(block, DDR4, true, true) {
             Ok((t0, t1)) => {
+                *now = t1;
                 tracer.record(SpanKind::Evict, t0, t1, tag);
                 self.stats.bump_evictions(registry.size_of(block) as u64);
                 true
@@ -348,14 +383,14 @@ impl FetchEngine {
     /// LRU-on-demand eviction: free at least `needed` bytes of HBM by
     /// evicting least-recently-touched zero-refcount blocks. Returns
     /// true if enough space was freed.
-    fn make_space_lru(&self, needed: u64, tracer: &Tracer, tag: u32) -> bool {
+    fn make_space_lru(&self, needed: u64, tracer: &Tracer, tag: u32, now: &mut TimeNs) -> bool {
         let registry = self.mem.registry();
         for block in registry.resident_on(HBM) {
             if self.hbm_available() >= needed {
                 return true;
             }
             if registry.refcount(block) == 0 {
-                self.try_evict(block, tracer, tag);
+                self.try_evict(block, tracer, tag, now);
             }
         }
         self.hbm_available() >= needed
@@ -394,7 +429,7 @@ mod tests {
     fn fetch(engine: &FetchEngine, deps: &[Dep], tracer: &Tracer) -> Result<(), FetchError> {
         let registry = engine.memory().registry();
         let needed = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
-        engine.fetch_all(deps, needed, tracer, 0)
+        engine.fetch_all(deps, needed, tracer, 0, &mut 0)
     }
 
     #[test]
@@ -426,7 +461,7 @@ mod tests {
         engine.release_refs(&d_c);
         // After a's task completes and evicts, c fits.
         engine.release_refs(&d_a);
-        assert_eq!(engine.evict_unreferenced(&d_a, &tracer, 0), 1);
+        assert_eq!(engine.evict_unreferenced(&d_a, &tracer, 0, &mut 0), 1);
         engine.add_refs(&d_c);
         fetch(&engine, &d_c, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(c), Some(HBM));
@@ -471,7 +506,7 @@ mod tests {
         engine.add_refs(&d_a);
         fetch(&engine, &d_a, &tracer).unwrap();
         engine.release_refs(&d_a);
-        engine.evict_unreferenced(&d_a, &tracer, 0);
+        engine.evict_unreferenced(&d_a, &tracer, 0, &mut 0);
         assert_eq!(engine.hbm_available(), 500);
         let d_b = vec![dep(b, ReadWrite)];
         assert!(!engine.cannot_fit(&d_b, 1000));
@@ -501,10 +536,10 @@ mod tests {
         // Another task still references a.
         engine.add_refs(&deps);
         engine.release_refs(&deps);
-        assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0), 0);
+        assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0, &mut 0), 0);
         assert_eq!(mem.registry().node_of(a), Some(HBM));
         engine.release_refs(&deps);
-        assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0), 1);
+        assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0, &mut 0), 1);
         assert_eq!(mem.registry().node_of(a), Some(DDR4));
     }
 
@@ -519,7 +554,7 @@ mod tests {
         assert_eq!(mem.stats().nodes[HBM.index()].bytes_charged, 0);
         // Eviction persists the written data: bytes are charged then.
         engine.release_refs(&deps);
-        engine.evict_unreferenced(&deps, &tracer, 0);
+        engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
         assert!(mem.stats().nodes[DDR4.index()].bytes_charged >= 4096);
     }
 
@@ -617,7 +652,7 @@ mod tests {
             fetch(&engine, &deps, &tracer).unwrap();
             engine.release_refs(&deps);
             // OnComplete eviction is a no-op under LRU policy.
-            assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0), 0);
+            assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0, &mut 0), 0);
         }
         assert_eq!(mem.registry().node_of(a), Some(HBM));
         assert_eq!(mem.registry().node_of(b), Some(HBM));

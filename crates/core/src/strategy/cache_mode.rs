@@ -27,7 +27,7 @@
 
 use super::Shared;
 use crate::task::OocTask;
-use hetmem::{BlockId, HBM};
+use hetmem::{BlockId, TimeNs, HBM};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,8 +81,9 @@ impl CacheState {
 }
 
 /// Pre-processing: demand-fill each dependence's set, bypassing on
-/// conflict; always admit.
-pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
+/// conflict; always admit. `now` is the worker's latest clock reading,
+/// advanced past every move.
+pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask, now: &mut TimeNs) {
     let tracer = shared.worker_tracer(task.pe);
     let tag = task.env.index as u32;
     let registry = shared.memory().registry();
@@ -118,7 +119,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         // Write the victim back to DDR4 (demand eviction), unless
         // LRU-on-demand already did.
         if let Some(old) = occupant.filter(|&old| registry.node_of(old) == Some(HBM)) {
-            if !shared.engine.try_evict(old, tracer, tag) {
+            if !shared.engine.try_evict(old, tracer, tag, now) {
                 // Lost a race (victim re-referenced): restore it and
                 // bypass the new dependence.
                 cache.sets.lock()[set] = Some(old);
@@ -130,7 +131,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         // Fill on the critical path (cache mode has no prefetch).
         let size = registry.size_of(dep.block) as u64;
         let one = std::slice::from_ref(dep);
-        match shared.engine.fetch_all(one, size, tracer, tag) {
+        match shared.engine.fetch_all(one, size, tracer, tag, now) {
             Ok(()) => {
                 cache.misses.fetch_add(1, Ordering::Relaxed);
             }
@@ -142,7 +143,7 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask) {
         }
     }
     // Cache mode always admits: un-staged deps run from DDR4.
-    shared.admit(task, false);
+    shared.admit(task, false, *now);
 }
 
 #[cfg(test)]

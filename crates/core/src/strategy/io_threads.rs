@@ -275,9 +275,11 @@ fn supervise(shared: &Shared, groups: usize) {
             continue;
         }
         let mut drained = 0usize;
+        // Off the hot path: one reading starts the drain.
+        let mut now = shared.rt.clock().now();
         for q in 0..shared.waitq.queue_count() {
             while let Some(task) = shared.waitq.pop(q) {
-                shared.admit_degraded(task, &tracer);
+                shared.admit_degraded(task, &tracer, &mut now);
                 drained += 1;
             }
         }
@@ -292,20 +294,27 @@ fn supervise(shared: &Shared, groups: usize) {
 }
 
 /// The IO thread body: Algorithm 1 of the paper. Returns at shutdown.
+///
+/// Like a worker, the thread carries its latest clock reading: a scan
+/// starts at the reading that ended the last wait, each admission
+/// advances it past its moves, and an `Idle` wait starts at it and ends
+/// with a fresh reading.
 fn io_loop(shared: &Shared, bell: &Doorbell, group: usize, my_queues: &[usize], tracer: &Tracer) {
     let clock = shared.rt.clock();
     // Rotating cursor so all wait queues are served equally (§IV-B's
     // load-balance argument for one queue per PE).
     let mut cursor = 0usize;
+    let mut now = clock.now();
     loop {
         if shared.waitq.is_shutdown() {
             return;
         }
         // Checkpoint pause: a paused runtime is quiescent, and the
         // snapshot must not race with block migrations, so IO threads
-        // idle until resume.
+        // idle until resume. The pause is not recorded as idle.
         if shared.rt.is_paused() {
             std::thread::sleep(std::time::Duration::from_millis(1));
+            now = clock.now();
             continue;
         }
         if shared.memory().faults().take_io_panic(group) {
@@ -321,7 +330,7 @@ fn io_loop(shared: &Shared, bell: &Doorbell, group: usize, my_queues: &[usize], 
             let Some(task) = shared.waitq.pop(q) else {
                 continue;
             };
-            match shared.try_admit(task, tracer) {
+            match shared.try_admit(task, tracer, &mut now) {
                 Ok(()) => made_progress = true,
                 Err(refused) => {
                     // HBM is full: put the task back at the head and go
@@ -338,13 +347,13 @@ fn io_loop(shared: &Shared, bell: &Doorbell, group: usize, my_queues: &[usize], 
         }
         // Empty queues or no space: conditional wait, with a timed
         // rescan as a liveness backstop.
-        let t0 = clock.now();
         let rescan = Instant::now() + Duration::from_millis(IDLE_RESCAN_MS);
         bell.wait(seen, || shared.waitq.is_shutdown(), rescan);
-        let t1 = clock.now();
-        if t1 > t0 {
-            tracer.record(SpanKind::Idle, t0, t1, group as u32);
+        let wake = clock.now();
+        if wake > now {
+            tracer.record(SpanKind::Idle, now, wake, group as u32);
         }
+        now = wake;
     }
 }
 

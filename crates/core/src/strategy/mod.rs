@@ -18,6 +18,11 @@
 //!    and zero-refcount blocks are evicted to DDR4 on the worker thread
 //!    (the paper's "it evicts its own data"), then whoever might now be
 //!    able to make progress is woken.
+//!
+//! Each step carries the thread's latest clock reading as `now` (see
+//! `converse::hook` and [`crate::engine`]): a task reads the clock only
+//! to time a block move, a block wait or a sleep, and every admission
+//! timestamp reuses the reading that came before it.
 
 mod cache_mode;
 mod io_threads;
@@ -32,7 +37,7 @@ use crate::task::OocTask;
 use crate::waitqueue::WaitQueues;
 use converse::{Envelope, ExecutedTask, Runtime, SchedulerHook};
 use hetcheck::Checker;
-use hetmem::Memory;
+use hetmem::{Memory, TimeNs};
 use io_threads::IoThreadPool;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,9 +87,10 @@ impl Shared {
         &self.worker_tracers[pe]
     }
 
-    /// Wrap an intercepted envelope as an [`OocTask`]: put its declared
-    /// dependences in the envelope and sum their bytes.
-    pub fn make_task(&self, pe: usize, mut env: Envelope) -> OocTask {
+    /// Wrap an envelope intercepted at the reading `now` as an
+    /// [`OocTask`]: put its declared dependences in the envelope and sum
+    /// their bytes.
+    pub fn make_task(&self, pe: usize, mut env: Envelope, now: TimeNs) -> OocTask {
         env.deps = self.rt.deps_for(&env);
         let registry = self.memory().registry();
         let bytes = env
@@ -96,7 +102,7 @@ impl Shared {
         OocTask {
             pe,
             env,
-            enqueued_at: self.rt.clock().now(),
+            enqueued_at: now,
             bytes,
         }
     }
@@ -109,8 +115,14 @@ impl Shared {
     /// fetch cannot strand HBM capacity — and the task is returned to
     /// the caller. A fetch whose transient-fault retry budget is
     /// exhausted degrades instead of failing: the task runs from DDR4
-    /// rather than wedging its queue.
-    pub fn try_admit(&self, task: OocTask, tracer: &Tracer) -> Result<(), Refused> {
+    /// rather than wedging its queue. `now` is the caller's latest
+    /// reading and is advanced past every move (see [`crate::engine`]).
+    pub fn try_admit(
+        &self,
+        task: OocTask,
+        tracer: &Tracer,
+        now: &mut TimeNs,
+    ) -> Result<(), Refused> {
         if self.engine.cannot_fit(&task.env.deps, task.bytes) {
             self.stats.bump_no_space();
             return Err(Refused {
@@ -119,18 +131,18 @@ impl Shared {
             });
         }
         let tag = task.env.index as u32;
-        let t0 = self.rt.clock().now();
+        let t0 = *now;
         self.engine.add_refs(&task.env.deps);
         match self
             .engine
-            .fetch_all(&task.env.deps, task.bytes, tracer, tag)
+            .fetch_all(&task.env.deps, task.bytes, tracer, tag, now)
         {
             Ok(()) => {
-                self.admit(task, false);
+                self.admit(task, false, *now);
                 Ok(())
             }
             Err(FetchError::NoSpace) => {
-                let unpinned = self.engine.roll_back(&task.env.deps, tracer, tag);
+                let unpinned = self.engine.roll_back(&task.env.deps, tracer, tag, now);
                 if unpinned {
                     self.released.fetch_add(1, Ordering::AcqRel);
                 }
@@ -139,7 +151,7 @@ impl Shared {
             Err(FetchError::Exhausted { .. }) => {
                 // Refs stay held; any deps that did land in HBM are
                 // used from there, the rest are read at DDR4 speed.
-                self.degrade(task, tracer, t0);
+                self.degrade(task, tracer, t0, now);
                 Ok(())
             }
             Err(FetchError::TaskTooLarge { .. }) => {
@@ -148,33 +160,36 @@ impl Shared {
                 // enter a queue. Kept as defence in depth — a task
                 // that slips through runs degraded from DDR4 instead
                 // of panicking or waiting forever.
-                self.degrade(task, tracer, t0);
+                self.degrade(task, tracer, t0, now);
                 Ok(())
             }
         }
     }
 
     /// Admit a task in degraded mode without attempting a fetch at all
-    /// (refs taken here) — the stall watchdog's drain path.
-    pub(crate) fn admit_degraded(&self, task: OocTask, tracer: &Tracer) {
-        let t0 = self.rt.clock().now();
+    /// (refs taken here): the path of an oversize task and of the stall
+    /// watchdog's drain.
+    pub(crate) fn admit_degraded(&self, task: OocTask, tracer: &Tracer, now: &mut TimeNs) {
+        let t0 = *now;
         self.engine.add_refs(&task.env.deps);
-        self.degrade(task, tracer, t0);
+        self.degrade(task, tracer, t0, now);
     }
 
-    /// Record and count a degraded admission (refs already held).
-    fn degrade(&self, task: OocTask, tracer: &Tracer, t0: hetmem::TimeNs) {
+    /// Record and count a degraded admission that began at `t0` (refs
+    /// already held). Degrading is rare, so it reads the clock for its
+    /// span's end and leaves that reading in `now`.
+    fn degrade(&self, task: OocTask, tracer: &Tracer, t0: TimeNs, now: &mut TimeNs) {
         let tag = task.env.index as u32;
-        let now = self.rt.clock().now();
-        tracer.record(SpanKind::Degraded, t0, now, tag);
+        *now = self.rt.clock().now();
+        tracer.record(SpanKind::Degraded, t0, *now, tag);
         self.stats.bump_degraded();
-        self.admit(task, true);
+        self.admit(task, true, *now);
     }
 
-    /// Mark and inject an admitted task: its deps are in HBM (or, for a
-    /// `degraded` task or the cache-mode path, deliberately left
-    /// where they are) and its refs are held.
-    pub fn admit(&self, task: OocTask, degraded: bool) {
+    /// Mark and inject an admitted task, admitted at the reading `now`:
+    /// its deps are in HBM (or, for a `degraded` task or the cache-mode
+    /// path, deliberately left where they are) and its refs are held.
+    pub fn admit(&self, task: OocTask, degraded: bool, now: TimeNs) {
         let OocTask {
             mut env,
             pe,
@@ -187,7 +202,6 @@ impl Shared {
             checker.task_admitted(env.token, blocks, degraded);
         }
         env.admitted = true;
-        let now = self.rt.clock().now();
         self.stats.bump_queue_wait(now.saturating_sub(enqueued_at));
         self.stats.bump_admitted();
         let target = if self.node_level_run_queue {
@@ -200,10 +214,10 @@ impl Shared {
 
     /// Post-processing shared by all strategies: release the finished
     /// task's references and, if `evict`, evict its now-unreferenced
-    /// blocks on the calling (worker) thread. Cache mode passes `false`:
-    /// a cached block stays in its set until a conflicting fill
-    /// displaces it.
-    pub fn finish_task(&self, done: &ExecutedTask, evict: bool) {
+    /// blocks on the calling (worker) thread, advancing `now`. Cache mode
+    /// passes `false`: a cached block stays in its set until a
+    /// conflicting fill displaces it.
+    pub fn finish_task(&self, done: &ExecutedTask, evict: bool, now: &mut TimeNs) {
         if let Some(checker) = &self.checker {
             checker.exit_task(done.token);
             checker.task_completed(done.token);
@@ -212,7 +226,7 @@ impl Shared {
         self.engine.release_refs(&done.deps);
         if evict {
             self.engine
-                .evict_unreferenced(&done.deps, tracer, done.index as u32);
+                .evict_unreferenced(&done.deps, tracer, done.index as u32, now);
         }
         self.released.fetch_add(1, Ordering::AcqRel);
         // Count the task completed only after its eviction finished, so
@@ -364,23 +378,33 @@ impl OocHook {
     }
 }
 
+/// The hook's answer to the scheduler: its last reading `end`, or `None`
+/// if it is still the scheduler's `start`. A clock that did not tick
+/// between the two also answers `None`, which costs the scheduler one
+/// more reading of the same time.
+fn own_reading(start: TimeNs, end: TimeNs) -> Option<TimeNs> {
+    (end != start).then_some(end)
+}
+
 impl SchedulerHook for OocHook {
-    fn on_intercept(&self, pe: usize, env: Envelope) {
-        let task = self.shared.make_task(pe, env);
+    fn on_intercept(&self, pe: usize, env: Envelope, start: TimeNs) -> Option<TimeNs> {
+        let mut now = start;
+        let task = self.shared.make_task(pe, env, now);
         // Admission guard: a task whose declared working set exceeds
         // HBM capacity can never be fully prefetched — queued, it
         // would wait forever (no eviction can make enough room). It
         // runs degraded from DDR4 instead, uniformly for every flavour.
         if task.bytes > self.shared.engine.hbm_task_capacity() {
             let tracer = self.shared.worker_tracer(pe);
-            self.shared.admit_degraded(task, tracer);
-            return;
+            self.shared.admit_degraded(task, tracer, &mut now);
+        } else {
+            match &self.flavour {
+                Flavour::Sync => sync_fetch::intercept(&self.shared, task, &mut now),
+                Flavour::Io(pool) => pool.intercept(task),
+                Flavour::Cache(state) => cache_mode::intercept(&self.shared, state, task, &mut now),
+            }
         }
-        match &self.flavour {
-            Flavour::Sync => sync_fetch::intercept(&self.shared, task),
-            Flavour::Io(pool) => pool.intercept(task),
-            Flavour::Cache(state) => cache_mode::intercept(&self.shared, state, task),
-        }
+        own_reading(start, now)
     }
 
     fn on_execute_begin(&self, _pe: usize, env: &Envelope) {
@@ -389,15 +413,17 @@ impl SchedulerHook for OocHook {
         }
     }
 
-    fn on_complete(&self, done: ExecutedTask) {
+    fn on_complete(&self, done: ExecutedTask, start: TimeNs) -> Option<TimeNs> {
+        let mut now = start;
         let evict = !matches!(self.flavour, Flavour::Cache(_));
-        self.shared.finish_task(&done, evict);
+        self.shared.finish_task(&done, evict, &mut now);
         match &self.flavour {
-            Flavour::Sync => sync_fetch::after_complete(&self.shared, done.pe),
+            Flavour::Sync => sync_fetch::after_complete(&self.shared, done.pe, &mut now),
             Flavour::Io(pool) => pool.after_complete(done.pe),
             // Cached blocks stay resident; only the refs dropped.
             Flavour::Cache(_) => {}
         }
+        own_reading(start, now)
     }
 
     fn pending(&self) -> usize {

@@ -47,6 +47,7 @@
 
 use super::Shared;
 use crate::task::OocTask;
+use hetmem::TimeNs;
 use std::sync::atomic::Ordering;
 
 /// Pre-processing on the worker thread: fetch the task's data right
@@ -59,12 +60,14 @@ use std::sync::atomic::Ordering;
 /// same lock, so for every completion `C` racing this park, either the
 /// park's check sees `C`'s bump (and retries), or the park's critical
 /// section precedes `C`'s barrier and `C`'s scan finds the task.
-pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
+///
+/// `now` is the worker's latest clock reading, advanced past every move.
+pub(super) fn intercept(shared: &Shared, mut task: OocTask, now: &mut TimeNs) {
     let tracer = shared.worker_tracer(task.pe);
     loop {
         let seen = shared.released.load(Ordering::Acquire);
         // Synchronous fetch: runs right here, on the PE's thread.
-        match shared.try_admit(task, tracer) {
+        match shared.try_admit(task, tracer, now) {
             Ok(()) => return,
             Err(refused) => {
                 task = refused.task;
@@ -109,7 +112,9 @@ pub(super) fn intercept(shared: &Shared, mut task: OocTask) {
 /// counter's order sees the other's bump and rescans. A scan that sees
 /// no foreign release since it began returns: any later release brings
 /// its own scan.
-pub(super) fn after_complete(shared: &Shared, pe: usize) {
+///
+/// `now` is the worker's latest clock reading, advanced past every move.
+pub(super) fn after_complete(shared: &Shared, pe: usize, now: &mut TimeNs) {
     drop(shared.admission.lock());
     let nqueues = shared.waitq.queue_count();
     let first = shared.waitq.queue_for_pe(pe);
@@ -120,7 +125,7 @@ pub(super) fn after_complete(shared: &Shared, pe: usize) {
             let q = (first + offset) % nqueues;
             // Drain this queue until a head does not fit.
             while let Some(task) = shared.waitq.pop(q) {
-                if let Err(refused) = shared.try_admit(task, tracer) {
+                if let Err(refused) = shared.try_admit(task, tracer, now) {
                     shared.waitq.push_front(refused.task);
                     let own = u64::from(refused.unpinned);
                     if shared.released.load(Ordering::Acquire) != seen + own {
@@ -349,7 +354,7 @@ mod tests {
         shared.engine.add_refs(&held);
         shared
             .engine
-            .fetch_all(&held, block_bytes, tracer, 0)
+            .fetch_all(&held, block_bytes, tracer, 0, &mut 0)
             .unwrap();
 
         let mut env = Envelope::new(ArrayId(0), 1, EP_COMPUTE, Box::new(()));
@@ -360,7 +365,7 @@ mod tests {
             enqueued_at: 0,
             bytes: block_bytes,
         };
-        let refused = match shared.try_admit(task, tracer) {
+        let refused = match shared.try_admit(task, tracer, &mut 0) {
             Ok(()) => panic!("b1 cannot fit beside the held b0"),
             Err(refused) => refused,
         };

@@ -40,7 +40,7 @@ fn fetch(
 ) -> Result<(), FetchError> {
     let registry = engine.memory().registry();
     let needed = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
-    engine.fetch_all(deps, needed, tracer, 0)
+    engine.fetch_all(deps, needed, tracer, 0, &mut 0)
 }
 
 fn mode(m: u8) -> AccessMode {
@@ -105,7 +105,7 @@ proptest! {
             prop_assert!(hbm.used_bytes <= hbm.capacity_bytes);
             // Complete the task.
             engine.release_refs(&deps);
-            engine.evict_unreferenced(&deps, &tracer, 0);
+            engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
         }
         // Every block still exists exactly once somewhere.
         let total: u64 = sizes.iter().map(|&s| s as u64).sum();
@@ -174,7 +174,7 @@ proptest! {
                     Err(e) => panic!("unexpected error {e}"),
                 });
                 engine.release_refs(&deps);
-                engine.evict_unreferenced(&deps, &tracer, 0);
+                engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
                 // Invariants hold under chaos too: capacity respected,
                 // no block lost.
                 let ms = mem.stats();
@@ -213,7 +213,7 @@ proptest! {
             engine.add_refs(&deps);
             fetch(&engine, &deps, &tracer).unwrap();
             engine.release_refs(&deps);
-            engine.evict_unreferenced(&deps, &tracer, 0);
+            engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
         }
         for &b in &blocks {
             prop_assert_eq!(mem.registry().refcount(b), 0);

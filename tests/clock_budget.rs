@@ -7,10 +7,11 @@
 //! repeatable gates.
 
 use converse::{
-    ArrayId, Chare, EntryId, EntryOptions, Envelope, ExecCtx, ExecutedTask, Runtime,
+    ArrayId, Chare, Dep, EntryId, EntryOptions, Envelope, ExecCtx, ExecutedTask, Runtime,
     RuntimeBuilder, SchedulerHook,
 };
-use hetmem::{Clock, Memory, NodeSpec, TimeNs, Topology, VirtualClock, DDR4, HBM};
+use hetmem::{AccessMode, Clock, Memory, NodeSpec, TimeNs, Topology, VirtualClock, DDR4, HBM};
+use hetrt_core::{IoHandle, OocConfig, OocHook, Placement, StrategyKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,6 +122,10 @@ fn a_capped_migration_adds_one_clock_read() {
 const EP_PLAIN: EntryId = EntryId(0);
 const EP_PREFETCH: EntryId = EntryId(1);
 
+/// Reads allowed beyond a per-envelope or per-task budget: a busy
+/// worker's only other read is its wake from the pause gate.
+const WAKE_READS: u64 = 4;
+
 struct Noop;
 
 impl Chare for Noop {
@@ -136,39 +141,37 @@ struct Admit {
 }
 
 impl SchedulerHook for Admit {
-    fn on_intercept(&self, pe: usize, mut env: Envelope) {
+    fn on_intercept(&self, pe: usize, mut env: Envelope, _now: TimeNs) -> Option<TimeNs> {
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         env.admitted = true;
         self.rt.inject(pe, env);
+        None
     }
-    fn on_complete(&self, _done: ExecutedTask) {
+    fn on_complete(&self, _done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
         self.outstanding.fetch_sub(1, Ordering::SeqCst);
+        None
     }
     fn pending(&self) -> usize {
         self.outstanding.load(Ordering::SeqCst) as usize
     }
 }
 
-/// Clock reads the single PE makes to process `n` sends of `entry`.
-/// Quiescence counts a message only after the worker's last read for
-/// it, so everything is counted once it returns.
-fn worker_reads(
-    rt: &Runtime,
-    clock: &CountingClock,
-    array: ArrayId,
-    entry: EntryId,
-    n: u64,
-) -> u64 {
+/// Clock reads the single PE makes to process the messages `send`
+/// queues while the pause gate is closed, so the worker stays busy
+/// from its wake at the gate to the last one. Quiescence counts a
+/// message only after the worker's last read for it, so everything is
+/// counted once it returns.
+fn busy_worker_reads(rt: &Runtime, clock: &CountingClock, send: impl FnOnce()) -> u64 {
     reads_of(clock, || {
-        for _ in 0..n {
-            rt.send(array, 0, entry, ());
-        }
+        rt.pause();
+        send();
+        rt.resume();
         assert!(rt.wait_quiescence_ms(10_000), "runtime never went quiet");
     })
 }
 
 #[test]
-fn an_executed_envelope_costs_at_most_three_clock_reads() {
+fn every_hand_off_on_a_busy_worker_costs_one_clock_read() {
     const N: u64 = 200;
     let clock = Arc::new(CountingClock::default());
     let rt = RuntimeBuilder::new(1).clock(clock.clone()).build();
@@ -182,18 +185,123 @@ fn an_executed_envelope_costs_at_most_three_clock_reads() {
         .entry(EP_PLAIN, EntryOptions::default())
         .entry(EP_PREFETCH, EntryOptions::prefetch())
         .build(1, |_| Noop);
-    // Let the worker make its start-up read before counting.
-    worker_reads(&rt, &clock, array, EP_PLAIN, 1);
+    let send = |entry| {
+        let rt = &rt;
+        move || {
+            for _ in 0..N {
+                rt.send(array, 0, entry, ());
+            }
+        }
+    };
 
-    let plain = worker_reads(&rt, &clock, array, EP_PLAIN, N);
-    assert!(plain <= 3 * N, "{plain} reads for {N} plain envelopes");
-    // A [prefetch] message is processed twice: intercepted (at most two
-    // reads: the end of the idle wait and of the interception), then
-    // executed as an admitted envelope (at most three).
-    let prefetch = worker_reads(&rt, &clock, array, EP_PREFETCH, N);
+    // A plain envelope reads only the end of its execution.
+    let plain = busy_worker_reads(&rt, &clock, send(EP_PLAIN));
     assert!(
-        prefetch <= (2 + 3) * N,
+        plain <= N + WAKE_READS,
+        "{plain} reads for {N} plain envelopes"
+    );
+    // A [prefetch] message is handed off three times: intercepted, then
+    // executed as an admitted envelope and post-processed. `Admit` reads
+    // no clock, so the scheduler reads once after each.
+    let prefetch = busy_worker_reads(&rt, &clock, send(EP_PREFETCH));
+    assert!(
+        prefetch <= 3 * N + WAKE_READS,
         "{prefetch} reads for {N} prefetch messages"
     );
+    rt.shutdown();
+}
+
+/// A no-op `[prefetch]` chare that re-sends itself until it has run
+/// `runs` times: a closed loop of managed tasks.
+struct Tick {
+    block: IoHandle<f64>,
+    array: Option<ArrayId>,
+    runs: u32,
+}
+
+impl Chare for Tick {
+    type Msg = ();
+    fn execute(&mut self, _entry: EntryId, _msg: (), ctx: &mut ExecCtx<'_>) {
+        self.runs -= 1;
+        if self.runs > 0 {
+            let array = self.array.expect("array id is set before the first send");
+            ctx.send(array, ctx.index(), EP_PREFETCH, ());
+        }
+    }
+    fn deps(&self, _entry: EntryId, _msg: &()) -> Vec<Dep> {
+        vec![self.block.dep(AccessMode::ReadWrite)]
+    }
+}
+
+#[test]
+fn a_managed_task_stays_within_its_clock_budget() {
+    const CHARES: usize = 16;
+    const RUNS: u32 = 50;
+    const BLOCK_ELEMS: usize = 512;
+    const TASKS: u64 = CHARES as u64 * RUNS as u64;
+    // Free bandwidth, no copy-rate cap, and HBM for half the blocks, so
+    // admissions are refused and parked tasks admitted by later scans.
+    let free = 1 << 55;
+    let block_bytes = (BLOCK_ELEMS * 8) as u64;
+    let topology = Topology::new(vec![
+        NodeSpec::new("DDR4", 1 << 24, free),
+        NodeSpec::new("HBM", CHARES as u64 / 2 * block_bytes, free),
+    ]);
+    let clock = Arc::new(CountingClock::default());
+    let mem = Memory::with_clock(topology, clock.clone());
+    let rt = RuntimeBuilder::new(1).clock(clock.clone()).build();
+    let blocks: Vec<IoHandle<f64>> = (0..CHARES)
+        .map(|i| {
+            IoHandle::new(
+                &mem,
+                BLOCK_ELEMS,
+                Placement::DdrOnly,
+                HBM,
+                DDR4,
+                format!("b{i}"),
+            )
+            .unwrap()
+        })
+        .collect();
+    let array = rt
+        .array_builder::<Tick>()
+        .entry(EP_PREFETCH, EntryOptions::prefetch())
+        .build(CHARES, |i| Tick {
+            block: blocks[i].clone(),
+            array: None,
+            runs: RUNS,
+        });
+    let ticks = rt.array::<Tick>(array);
+    for i in 0..CHARES {
+        ticks.with_chare(i, |t| t.array = Some(array));
+    }
+    let hook = OocHook::new(
+        Arc::clone(&rt),
+        Arc::clone(&mem),
+        StrategyKind::SyncFetch,
+        OocConfig::default(),
+    )
+    .unwrap();
+    rt.set_hook(hook.clone());
+
+    let reads = busy_worker_reads(&rt, &clock, || {
+        for i in 0..CHARES {
+            rt.send(array, i, EP_PREFETCH, ());
+        }
+    });
+    let stats = hook.stats();
+    assert_eq!(stats.completed, TASKS);
+    assert_eq!((stats.fetches, stats.evictions), (TASKS, TASKS));
+    assert!(stats.no_space_events > 0, "HBM never filled");
+    // A move reads its start and one wake per charge (3), for the fetch
+    // and the eviction; the execution's end is 1 more, and an intercept
+    // refused without a move costs the scheduler 1.
+    assert!(
+        reads <= 8 * TASKS + WAKE_READS,
+        "{reads} reads for {TASKS} managed tasks ({:.2} per task)",
+        reads as f64 / TASKS as f64
+    );
+    drop(ticks);
+    hook.shutdown();
     rt.shutdown();
 }
