@@ -25,7 +25,7 @@
 //!   in §IV-B;
 //! * [`CompletionLatch`] and quiescence counters for termination;
 //! * [`park::spin_then_park`] — how an idle queue consumer waits: poll,
-//!   then park on its own thread until a producer unparks it.
+//!   then park, with no deadline, until a producer unparks it.
 
 pub mod array;
 pub mod envelope;

@@ -27,8 +27,9 @@
 //! check of `ready`. Other code that parks the same thread (a blocking
 //! channel receive, say) may consume a token, but only outside this
 //! loop, and the loop checks `ready` before it parks.
-
-use std::time::Instant;
+//!
+//! A wait has no deadline: any other event that must end it (a
+//! shutdown, freed space) is folded into `ready` and unparks likewise.
 
 /// How many times [`spin_then_park`] checks `ready`, yielding its core
 /// between checks, before it parks. A hand-off from another thread
@@ -36,47 +37,36 @@ use std::time::Instant;
 /// 256 polls.
 pub const SPIN_POLLS: usize = 64;
 
-/// Wait on the calling thread until `ready` answers `Some`, or until
-/// `deadline` (if any) passes, which returns `None`.
+/// Wait on the calling thread until `ready` answers `Some`, and return
+/// its answer.
 ///
 /// `ready` is checked `SPIN_POLLS` (64) times with
-/// [`std::thread::yield_now`] between checks, then the thread parks
-/// (with [`std::thread::park_timeout`] if there is a deadline) and
+/// [`std::thread::yield_now`] between checks, then the thread parks and
 /// checks again after every return. Yielding rather than busy-spinning
 /// leaves the core to the thread that is about to hand over work; a
 /// hand-off that lands during the spin costs its producer no futex
 /// wake. See the module doc for what the caller must guarantee.
-pub fn spin_then_park<T>(ready: impl FnMut() -> Option<T>, deadline: Option<Instant>) -> Option<T> {
-    spin_then_park_polling(ready, deadline, std::thread::yield_now)
+pub fn spin_then_park<T>(ready: impl FnMut() -> Option<T>) -> T {
+    spin_then_park_polling(ready, std::thread::yield_now)
 }
 
 /// [`spin_then_park`], calling `between_polls` after each of the
 /// `SPIN_POLLS` checks that finds nothing, instead of yielding.
 fn spin_then_park_polling<T>(
     mut ready: impl FnMut() -> Option<T>,
-    deadline: Option<Instant>,
     mut between_polls: impl FnMut(),
-) -> Option<T> {
+) -> T {
     for _ in 0..SPIN_POLLS {
         if let Some(v) = ready() {
-            return Some(v);
+            return v;
         }
         between_polls();
     }
     loop {
         if let Some(v) = ready() {
-            return Some(v);
+            return v;
         }
-        match deadline {
-            None => std::thread::park(),
-            Some(deadline) => {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return None;
-                }
-                std::thread::park_timeout(left);
-            }
-        }
+        std::thread::park();
     }
 }
 
@@ -133,7 +123,6 @@ mod tests {
             let mut polls = 0;
             let took = spin_then_park_polling(
                 || flag.check(),
-                None,
                 || {
                     polls += 1;
                     if polls == 1 {
@@ -142,7 +131,7 @@ mod tests {
                     }
                 },
             );
-            (took.unwrap(), polls)
+            (took, polls)
         });
         polled_rx
             .recv_timeout(Duration::from_secs(30))
@@ -191,10 +180,9 @@ mod tests {
                         }
                         flag.check()
                     },
-                    None,
                     || polls.set(polls.get() + 1),
                 );
-                (took.unwrap(), polls.get())
+                (took, polls.get())
             })
         };
         let polls_before_park = checks_rx
@@ -251,7 +239,6 @@ mod tests {
                         }
                         found
                     },
-                    None,
                     || {},
                 );
                 done_tx.send((took, checks)).unwrap();
@@ -260,17 +247,9 @@ mod tests {
         let (took, checks) = done_rx
             .recv_timeout(Duration::from_secs(30))
             .expect("the unpark before park was lost");
-        assert_eq!(took, Some(true));
+        assert!(took);
         assert_eq!(checks, SPIN_POLLS + 2, "one park, then the work");
         producer.join().unwrap();
         consumer.join().unwrap();
-    }
-
-    #[test]
-    fn a_deadline_returns_none() {
-        let flag = Flag::default();
-        let deadline = Instant::now() + Duration::from_millis(5);
-        assert_eq!(spin_then_park(|| flag.check(), Some(deadline)), None);
-        assert!(Instant::now() >= deadline);
     }
 }

@@ -80,7 +80,7 @@ impl RunQueue {
     /// that made the first one (checked in debug builds).
     pub fn pop(&self) -> Pop {
         self.register_consumer();
-        spin_then_park(|| self.state.lock().take(), None).expect("a pop without a deadline")
+        spin_then_park(|| self.state.lock().take())
     }
 
     /// Non-blocking pop: what [`RunQueue::pop`] would return at once,

@@ -428,7 +428,7 @@ impl Runtime {
         if !self.is_paused() {
             return false;
         }
-        spin_then_park(|| (!self.is_paused()).then_some(()), None);
+        spin_then_park(|| (!self.is_paused()).then_some(()));
         true
     }
 

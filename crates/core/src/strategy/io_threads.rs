@@ -18,16 +18,20 @@
 //!
 //! # Sleeping and waking
 //!
-//! Each IO thread has a private [`Doorbell`]. A worker that queues a
-//! task, or frees HBM by completing one, rings the doorbell of the IO
-//! thread serving that queue: it bumps the generation, then unparks the
-//! thread. An IO thread reads the generation before each scan and, if
-//! the scan ends without progress, waits with
-//! [`converse::park::spin_then_park`] until the generation moves on, or
-//! for at most `IDLE_RESCAN_MS` (a backstop rescan). No ring is lost,
-//! by the argument of [`converse::park`]: the thread registers before
-//! its first scan, each queue's mutex orders a push before or after the
-//! scan reads that queue, and a producer rings only after its push.
+//! Each IO thread has a private [`Doorbell`]; a ring bumps its
+//! generation, then unparks the thread. Queuing a task rings the IO
+//! thread serving that queue. A release of HBM space (see
+//! `Shared::released`) rings every IO thread whose `needs_space` flag
+//! is set: as in vtsim, an eviction may unblock any IO thread. An IO
+//! thread waits, with no deadline, only after a scan that found every
+//! queue empty, or that had a head refused and, with the flag then set,
+//! re-read `released` unmoved but for its own rollback. No ring is
+//! lost: for queued work by [`converse::park`]'s argument (the thread
+//! registers before its first scan, and a producer rings after its push
+//! under the queue's mutex); for freed space by a `SeqCst` Dekker pair,
+//! where a releaser bumps `released`, then reads the flags, and a
+//! refused thread sets its flag, then re-reads `released`, so either
+//! the re-read sees the bump or the releaser sees the flag and rings.
 //!
 //! # Supervision
 //!
@@ -47,14 +51,10 @@ use converse::park::spin_then_park;
 use projections::{LaneId, SpanKind, Tracer};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
-
-/// Liveness backstop: an IO thread re-scans its queues at least this
-/// often even if no ring wakes it.
-const IDLE_RESCAN_MS: u64 = 5;
 
 /// How often the supervisor samples queue progress.
 const SUPERVISE_TICK_MS: u64 = 5;
@@ -67,11 +67,13 @@ const WATCHDOG_STALL_MS: u64 = 1_000;
 /// queues fall back to the watchdog's degraded drain.
 const IO_RESTART_BUDGET: u32 = 2;
 
-/// One IO thread's private wake-up: a generation every ring bumps, and
-/// the thread a ring unparks.
+/// One IO thread's private wake-up: a generation every ring bumps, the
+/// thread a ring unparks, and whether a release should ring it.
 #[derive(Default)]
 struct Doorbell {
     generation: AtomicU64,
+    /// Set while the thread waits for HBM space, so releases ring it.
+    needs_space: AtomicBool,
     /// The IO thread, registered before its first scan.
     thread: OnceLock<Thread>,
 }
@@ -86,17 +88,20 @@ impl Doorbell {
         }
     }
 
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
     /// Spin, then park the registered thread until the generation moves
-    /// past `seen`, `stop` answers true, or `deadline` passes.
-    fn wait(&self, seen: u64, stop: impl Fn() -> bool, deadline: Instant) {
-        spin_then_park(
-            || (self.generation() != seen || stop()).then_some(()),
-            Some(deadline),
-        );
+    /// past `seen` or `stop` answers true.
+    fn wait(&self, seen: u64, stop: impl Fn() -> bool) {
+        spin_then_park(|| (self.generation.load(Ordering::SeqCst) != seen || stop()).then_some(()));
+    }
+}
+
+/// HBM space was released and `Shared::released` bumped for it: ring
+/// every IO thread waiting for space.
+fn ring_space_waiters(bells: &[Doorbell]) {
+    for bell in bells {
+        if bell.needs_space.load(Ordering::SeqCst) {
+            bell.ring();
+        }
     }
 }
 
@@ -153,22 +158,16 @@ impl IoThreadPool {
 
     /// Queue a freshly intercepted task and wake its IO thread.
     pub(super) fn intercept(&self, task: OocTask) {
-        let bell = self.bell_for_pe(task.pe);
-        self.shared.waitq.push(task);
-        bell.ring();
-    }
-
-    /// A task completed on `pe` (its eviction already ran): wake the IO
-    /// thread responsible for that PE — space may have been freed.
-    pub(super) fn after_complete(&self, pe: usize) {
-        self.bell_for_pe(pe).ring();
-    }
-
-    /// The doorbell of the IO thread serving `pe`'s wait queue.
-    fn bell_for_pe(&self, pe: usize) -> &Doorbell {
         let waitq = &self.shared.waitq;
-        let q = waitq.queue_for_pe(pe);
-        &self.bells[io_thread_of(q, waitq.queue_count(), self.bells.len())]
+        let q = waitq.queue_for_pe(task.pe);
+        waitq.push(task);
+        self.bells[io_thread_of(q, waitq.queue_count(), self.bells.len())].ring();
+    }
+
+    /// A task completed, its eviction ran and bumped `Shared::released`:
+    /// wake every IO thread waiting for space (a completion queues none).
+    pub(super) fn after_complete(&self) {
+        ring_space_waiters(&self.bells);
     }
 
     /// Shut the wait queues down, wake every IO thread and join them
@@ -213,9 +212,8 @@ fn spawn_io_thread(
     std::thread::Builder::new()
         .name(format!("io{group}"))
         .spawn(move || {
-            let bell = &bells[group];
             // Register before the first scan: see the module doc.
-            bell.thread.get_or_init(std::thread::current);
+            bells[group].thread.get_or_init(std::thread::current);
             let nqueues = shared.waitq.queue_count();
             let my_queues: Vec<usize> = (0..nqueues)
                 .filter(|&q| io_thread_of(q, nqueues, bells.len()) == group)
@@ -228,7 +226,7 @@ fn spawn_io_thread(
                 if restart > 0 {
                     shared.stats.bump_io_restart();
                 }
-                let run = AssertUnwindSafe(|| io_loop(&shared, bell, group, &my_queues, &tracer));
+                let run = AssertUnwindSafe(|| io_loop(&shared, &bells, group, &my_queues, &tracer));
                 if catch_unwind(run).is_ok() {
                     return;
                 }
@@ -299,13 +297,14 @@ fn supervise(shared: &Shared, groups: usize) {
 /// starts at the reading that ended the last wait, each admission
 /// advances it past its moves, and an `Idle` wait starts at it and ends
 /// with a fresh reading.
-fn io_loop(shared: &Shared, bell: &Doorbell, group: usize, my_queues: &[usize], tracer: &Tracer) {
+fn io_loop(shared: &Shared, bells: &[Doorbell], group: usize, queues: &[usize], tracer: &Tracer) {
+    let bell = &bells[group];
     let clock = shared.rt.clock();
     // Rotating cursor so all wait queues are served equally (§IV-B's
     // load-balance argument for one queue per PE).
     let mut cursor = 0usize;
     let mut now = clock.now();
-    loop {
+    'scan: loop {
         if shared.waitq.is_shutdown() {
             return;
         }
@@ -320,35 +319,44 @@ fn io_loop(shared: &Shared, bell: &Doorbell, group: usize, my_queues: &[usize], 
         if shared.memory().faults().take_io_panic(group) {
             panic!("injected IO-thread fault (io{group})");
         }
-        // Snapshot the generation before scanning: a ring during the
-        // scan moves it, so the wait below returns at once.
-        let seen = bell.generation();
+        // Snapshot before scanning: a ring during the scan ends the wait
+        // below at once, and a release during it forces a rescan.
+        let seen = bell.generation.load(Ordering::SeqCst);
+        let released = shared.released.load(Ordering::SeqCst);
         let mut made_progress = false;
         let mut blocked = false;
-        for i in 0..my_queues.len() {
-            let q = my_queues[(cursor + i) % my_queues.len()];
+        cursor = (cursor + 1) % queues.len();
+        for i in 0..queues.len() {
+            let q = queues[(cursor + i) % queues.len()];
             let Some(task) = shared.waitq.pop(q) else {
                 continue;
             };
             match shared.try_admit(task, tracer, &mut now) {
                 Ok(()) => made_progress = true,
                 Err(refused) => {
-                    // HBM is full: put the task back at the head and go
-                    // to sleep until a completion evicts something.
+                    // HBM is full: put the task back at the head, ask the
+                    // next release for a ring, and rescan at once if one
+                    // came during the scan (the module doc's Dekker pair).
                     shared.waitq.push_front(refused.task);
+                    if refused.unpinned {
+                        ring_space_waiters(bells);
+                    }
+                    bell.needs_space.store(true, Ordering::SeqCst);
+                    let own = u64::from(refused.unpinned);
+                    if shared.released.load(Ordering::SeqCst) != released + own {
+                        bell.needs_space.store(false, Ordering::SeqCst);
+                        continue 'scan;
+                    }
                     blocked = true;
                     break;
                 }
             }
         }
-        cursor = (cursor + 1) % my_queues.len();
         if made_progress && !blocked {
             continue;
         }
-        // Empty queues or no space: conditional wait, with a timed
-        // rescan as a liveness backstop.
-        let rescan = Instant::now() + Duration::from_millis(IDLE_RESCAN_MS);
-        bell.wait(seen, || shared.waitq.is_shutdown(), rescan);
+        bell.wait(seen, || shared.waitq.is_shutdown());
+        bell.needs_space.store(false, Ordering::SeqCst);
         let wake = clock.now();
         if wake > now {
             tracer.record(SpanKind::Idle, now, wake, group as u32);
@@ -372,6 +380,7 @@ mod tests {
         RuntimeBuilder,
     };
     use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     const EP_COMPUTE: EntryId = EntryId(0);
@@ -643,12 +652,10 @@ mod tests {
         gate.wait(); // the first task runs, its block pinned in HBM
         assert_eq!(hook.stats().fetches, 1);
         rt.pause();
-        // Longer than the IO thread's idle rescan, so it has seen the
-        // pause before the running task frees HBM.
-        std::thread::sleep(std::time::Duration::from_millis(20));
         gate.wait();
-        // The running task completes and evicts; its freed space must
-        // not start a fetch while the runtime is paused.
+        // The running task completes and evicts. Its release rings the
+        // IO thread, which then sees the pause before its next scan: the
+        // freed space must not start a fetch while the runtime is paused.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let stats = hook.stats();
         assert_eq!(stats.evictions, 1, "the running task did not finish");
@@ -695,10 +702,187 @@ mod tests {
         );
     }
 
-    /// Far longer than any test waits: a wait that returns was ended by
-    /// a ring or by shutdown, not by its deadline.
-    fn far() -> std::time::Instant {
-        std::time::Instant::now() + std::time::Duration::from_secs(60)
+    #[test]
+    fn a_completion_wakes_the_io_thread_of_another_pe() {
+        // Multi-io on 2 PEs with HBM for one block: one PE's task holds
+        // HBM behind the gate while the other PE's IO thread is refused
+        // and waits. Only the completion's release can wake that thread
+        // in time: had the release rung only its own PE's IO thread, the
+        // refused task would sit until the watchdog drained it degraded.
+        let block_elems = 512usize;
+        let mem = Memory::new(Topology::knl_flat_scaled_with(
+            (block_elems * 8) as u64 + 64,
+            1 << 24,
+        ));
+        let rt = RuntimeBuilder::new(2)
+            .clock(Arc::clone(mem.clock()))
+            .build();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let latch = Arc::new(CompletionLatch::new(2));
+        let handles: Vec<IoHandle<f64>> = (0..2)
+            .map(|i| {
+                IoHandle::new(
+                    &mem,
+                    block_elems,
+                    Placement::DdrOnly,
+                    HBM,
+                    DDR4,
+                    format!("w{i}"),
+                )
+                .unwrap()
+            })
+            .collect();
+        let (g2, l2, hs) = (Arc::clone(&gate), Arc::clone(&latch), handles.clone());
+        let parked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // One chare per PE.
+        let array = rt
+            .array_builder::<Parker>()
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .build(2, move |i| Parker {
+                data: hs[i].clone(),
+                gate: Arc::clone(&g2),
+                parked: Arc::clone(&parked),
+                latch: Arc::clone(&l2),
+            });
+        let hook = OocHook::new(
+            Arc::clone(&rt),
+            Arc::clone(&mem),
+            StrategyKind::multi_io(2),
+            OocConfig::default(),
+        )
+        .unwrap();
+        rt.set_hook(hook.clone());
+        for i in 0..2 {
+            rt.send(array, i, EP_COMPUTE, ());
+        }
+
+        gate.wait(); // one task runs, its block pinned in HBM
+        let t0 = std::time::Instant::now();
+        while hook.stats().no_space_events == 0 {
+            assert!(
+                t0.elapsed().as_secs() < 30,
+                "the other task was never refused"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        gate.wait();
+        assert!(latch.wait_timeout_ms(30_000), "tasks never completed");
+        assert!(rt.wait_quiescence_ms(10_000));
+        let stats = hook.stats();
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.fetches, 2);
+        assert_eq!(
+            stats.degraded_tasks, 0,
+            "the refused task waited for the watchdog"
+        );
+        hook.shutdown();
+        rt.shutdown();
+    }
+
+    /// Reads two blocks that other PEs' tasks also read.
+    struct Pair {
+        data: [IoHandle<f64>; 2],
+        latch: Arc<CompletionLatch>,
+        sum: f64,
+    }
+
+    impl Chare for Pair {
+        type Msg = ();
+        fn execute(&mut self, _e: EntryId, _m: (), _c: &mut ExecCtx<'_>) {
+            self.sum = self.data.iter().map(|h| h.read(|xs| xs[0])).sum();
+            self.latch.count_down();
+        }
+        fn deps(&self, _e: EntryId, _m: &()) -> Vec<Dep> {
+            self.data
+                .iter()
+                .map(|h| h.dep(AccessMode::ReadOnly))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn rollback_releases_keep_every_io_thread_live() {
+        // Four IO threads race for HBM that fits two blocks, and every
+        // task needs two blocks shared with other PEs' tasks. Attempts
+        // pin one block, find no room for the other and roll back, and
+        // each such rollback is a release that must ring the threads
+        // waiting for space: a lost ring would leave a refused task for
+        // the watchdog's degraded drain.
+        const TASKS: usize = 300;
+        const BLOCKS: usize = 6;
+        let block_elems = 512usize;
+        let mem = Memory::new(Topology::knl_flat_scaled_with(
+            2 * (block_elems * 8) as u64 + 64,
+            1 << 24,
+        ));
+        let rt = RuntimeBuilder::new(4)
+            .clock(Arc::clone(mem.clock()))
+            .build();
+        let blocks: Vec<IoHandle<f64>> = (0..BLOCKS)
+            .map(|b| {
+                let h = IoHandle::new(
+                    &mem,
+                    block_elems,
+                    Placement::DdrOnly,
+                    HBM,
+                    DDR4,
+                    format!("s{b}"),
+                )
+                .unwrap();
+                h.write(|xs| xs.fill(b as f64));
+                h
+            })
+            .collect();
+        // Task i reads block i % BLOCKS and a different block that
+        // rotates with i / BLOCKS.
+        let pair = |i: usize| {
+            let a = i % BLOCKS;
+            (a, (a + 1 + (i / BLOCKS) % (BLOCKS - 1)) % BLOCKS)
+        };
+        let latch = Arc::new(CompletionLatch::new(TASKS));
+        let (l2, bs) = (Arc::clone(&latch), blocks.clone());
+        let array = rt
+            .array_builder::<Pair>()
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .build(TASKS, move |i| {
+                let (a, b) = pair(i);
+                Pair {
+                    data: [bs[a].clone(), bs[b].clone()],
+                    latch: Arc::clone(&l2),
+                    sum: 0.0,
+                }
+            });
+        let hook = OocHook::new(
+            Arc::clone(&rt),
+            Arc::clone(&mem),
+            StrategyKind::multi_io(4),
+            OocConfig::default(),
+        )
+        .unwrap();
+        rt.set_hook(hook.clone());
+        for i in 0..TASKS {
+            rt.send(array, i, EP_COMPUTE, ());
+        }
+        assert!(latch.wait_timeout_ms(60_000), "tasks never completed");
+        assert!(rt.wait_quiescence_ms(10_000));
+
+        let arr = rt.array::<Pair>(array);
+        for i in 0..TASKS {
+            let (a, b) = pair(i);
+            assert_eq!(arr.with_chare(i, |c| c.sum), (a + b) as f64);
+        }
+        let stats = hook.stats();
+        assert_eq!(stats.completed, TASKS as u64);
+        assert_eq!(
+            stats.degraded_tasks, 0,
+            "a refused task waited for the watchdog"
+        );
+        assert!(stats.no_space_events > 0, "HBM never ran out");
+        for h in &blocks {
+            assert_eq!(h.node(), Some(DDR4), "block not evicted after run");
+        }
+        hook.shutdown();
+        rt.shutdown();
     }
 
     fn bells(n: usize) -> Arc<[Doorbell]> {
@@ -717,9 +901,9 @@ mod tests {
         let bell2 = Arc::clone(bell);
         std::thread::spawn(move || {
             bell2[0].thread.get_or_init(std::thread::current);
-            let seen = bell2[0].generation();
-            bell2[0].wait(seen, stop, far());
-            tx.send(bell2[0].generation()).unwrap();
+            let seen = bell2[0].generation.load(Ordering::SeqCst);
+            bell2[0].wait(seen, stop);
+            tx.send(bell2[0].generation.load(Ordering::SeqCst)).unwrap();
         });
         // Long enough for the waiter to finish its spin and park.
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -750,11 +934,9 @@ mod tests {
         let bell = bells(1);
         bell[0].ring();
         bell[0].ring();
-        assert_eq!(bell[0].generation(), 2);
-        // A waiter arriving after the rings returns at once.
-        let t0 = std::time::Instant::now();
-        bell[0].wait(0, || false, far());
-        assert!(t0.elapsed() < std::time::Duration::from_secs(30));
+        assert_eq!(bell[0].generation.load(Ordering::SeqCst), 2);
+        // A waiter arriving after the rings returns at its first check.
+        bell[0].wait(0, || false);
     }
 
     #[test]
@@ -762,7 +944,7 @@ mod tests {
         // Two relays ping-pong a task between their wait queues: each
         // hand-off pushes the task and rings a relay that has usually
         // just parked, so a ring that skipped a needed unpark would
-        // stall the exchange until the 60 s deadline.
+        // stall the exchange for good.
         const N: usize = 100_000;
         let wq = Arc::new(WaitQueues::new(WaitQueueTopology::PerPe, 2));
         let bell = bells(2);
@@ -772,7 +954,7 @@ mod tests {
                 bell[from].thread.get_or_init(std::thread::current);
                 let mut moved = 0;
                 while moved < N {
-                    let seen = bell[from].generation();
+                    let seen = bell[from].generation.load(Ordering::SeqCst);
                     if let Some(mut t) = wq.pop(from) {
                         t.pe = to;
                         wq.push(t);
@@ -780,7 +962,7 @@ mod tests {
                         moved += 1;
                         continue;
                     }
-                    bell[from].wait(seen, || false, far());
+                    bell[from].wait(seen, || false);
                 }
             }
         };

@@ -75,9 +75,9 @@ pub(crate) struct Shared {
     pub admission: parking_lot::Mutex<()>,
     /// Counts events that can make a refused task fit: completions
     /// (after their eviction) and refused admissions whose rollback
-    /// unpinned HBM space. SyncFetch retries or rescans when it moves.
-    /// Bumped with Release after the space is freed and read with
-    /// Acquire, so an attempt that reads a bump sees the freed space.
+    /// unpinned HBM space. SyncFetch and the IO threads rescan when it
+    /// moved during a refused attempt. Bumped after the space is freed;
+    /// `SeqCst`, as half of the IO threads' Dekker pair.
     pub released: AtomicU64,
 }
 
@@ -144,7 +144,7 @@ impl Shared {
             Err(FetchError::NoSpace) => {
                 let unpinned = self.engine.roll_back(&task.env.deps, tracer, tag, now);
                 if unpinned {
-                    self.released.fetch_add(1, Ordering::AcqRel);
+                    self.released.fetch_add(1, Ordering::SeqCst);
                 }
                 Err(Refused { task, unpinned })
             }
@@ -228,7 +228,7 @@ impl Shared {
             self.engine
                 .evict_unreferenced(&done.deps, tracer, done.index as u32, now);
         }
-        self.released.fetch_add(1, Ordering::AcqRel);
+        self.released.fetch_add(1, Ordering::SeqCst);
         // Count the task completed only after its eviction finished, so
         // quiescence covers the whole post-processing step.
         self.stats.bump_completed();
@@ -419,7 +419,7 @@ impl SchedulerHook for OocHook {
         self.shared.finish_task(&done, evict, &mut now);
         match &self.flavour {
             Flavour::Sync => sync_fetch::after_complete(&self.shared, done.pe, &mut now),
-            Flavour::Io(pool) => pool.after_complete(done.pe),
+            Flavour::Io(pool) => pool.after_complete(),
             // Cached blocks stay resident; only the refs dropped.
             Flavour::Cache(_) => {}
         }
