@@ -172,11 +172,6 @@ impl OocRuntime {
         self.hook.as_ref().and_then(|h| h.cache_stats())
     }
 
-    /// The attached hetcheck checker, if any.
-    pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.checker.as_ref()
-    }
-
     /// Wait for quiescence (all messages executed, nothing pending).
     pub fn wait_quiescence_ms(&self, timeout_ms: u64) -> bool {
         self.rt.wait_quiescence_ms(timeout_ms)

@@ -167,7 +167,8 @@ pub struct OocStats {
     /// Restores performed from a checkpoint image.
     pub restores: u64,
     /// hetcheck violations recorded by an attached checker running in
-    /// counting mode (0 when no checker is attached).
+    /// counting mode. Only [`crate::OocRuntime::stats`] fills it; it is
+    /// 0 when no checker is attached.
     pub violations: u64,
 }
 

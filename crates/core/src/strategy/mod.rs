@@ -277,11 +277,10 @@ impl OocHook {
 
     /// [`OocHook::new`] with a hetcheck checker attached: the checker
     /// receives task admission/completion events and its sanitizer
-    /// scope brackets every admitted entry method. The caller is
-    /// responsible for installing the checker as the block registry's
-    /// observer (see `Checker::install`) — typically `OocRuntime` does
-    /// both.
-    pub fn with_checker(
+    /// scope brackets every admitted entry method. The caller
+    /// ([`crate::OocRuntime::try_new_with_checker`]) installs the
+    /// checker as the block registry's observer.
+    pub(crate) fn with_checker(
         rt: Arc<Runtime>,
         mem: Arc<Memory>,
         kind: StrategyKind,
@@ -321,18 +320,10 @@ impl OocHook {
         Ok(Arc::new(Self { shared, flavour }))
     }
 
-    /// Runtime statistics.
+    /// Runtime statistics. `violations` stays 0 here:
+    /// [`crate::OocRuntime::stats`] fills it from the attached checker.
     pub fn stats(&self) -> crate::OocStats {
-        let mut stats = self.shared.stats.snapshot();
-        if let Some(checker) = &self.shared.checker {
-            stats.violations = checker.violation_count();
-        }
-        stats
-    }
-
-    /// The attached hetcheck checker, if any.
-    pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.shared.checker.as_ref()
+        self.shared.stats.snapshot()
     }
 
     /// Current wait-queue lengths (load-imbalance diagnostics).

@@ -20,8 +20,11 @@
 //! has dropped, in every build.
 //!
 //! The [`Checker`] is the spine: it implements
-//! [`hetmem::BlockObserver`], feeds the live pass, and (when
-//! recording) appends [`ScheduleEvent`]s for the offline one. Install
+//! [`hetmem::BlockObserver`] and receives each of the registry's
+//! [`hetmem::BlockEvent`]s. `Access` events feed the live pass; when
+//! recording, every other block event is stored unchanged as
+//! [`ScheduleEvent::Block`], beside the scheduler hook's `Admit` and
+//! `Complete` and the restore's `Restart`, for the offline one. Install
 //! it with [`Checker::install`]; `hetrt-core` does this automatically
 //! when a checker is attached to an `OocRuntime` (always, under the
 //! `sanitizer` cargo feature).
@@ -35,24 +38,21 @@ pub mod schedule;
 mod violation;
 
 pub use lint::{lint, LintFinding, LintReport};
-pub use schedule::{ScheduleEvent, ScheduleLog, TimedEvent, Trace, TraceMeta};
+pub use schedule::{ScheduleEvent, TimedEvent, Trace, TraceMeta};
 pub use violation::{Violation, ViolationAction, ViolationKind};
 
 use converse::Dep;
-use hetmem::{AccessMode, BlockId, BlockObserver, BlockRegistry, Clock, NodeId};
+use hetmem::{BlockEvent, BlockId, BlockObserver, BlockRegistry, Clock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// An in-memory schedule recording: the trace header, the clock that
+/// stamps events, and the append-only event log.
 struct Recording {
-    log: ScheduleLog,
+    meta: TraceMeta,
     clock: Arc<dyn Clock>,
-}
-
-impl Recording {
-    fn record(&self, event: ScheduleEvent) {
-        self.log.record(self.clock.now(), event);
-    }
+    events: Mutex<Vec<TimedEvent>>,
 }
 
 /// The live checker: sanitizer plus an optional schedule recorder,
@@ -84,8 +84,9 @@ impl Checker {
     ) -> Self {
         Checker {
             recording: Some(Recording {
-                log: ScheduleLog::new(meta),
+                meta,
                 clock,
+                events: Mutex::new(Vec::new()),
             }),
             ..Checker::new(action)
         }
@@ -100,7 +101,7 @@ impl Checker {
     /// registered *before* attachment are snapshotted into the schedule
     /// log so the offline linter sees them.
     pub fn install(self: &Arc<Self>, registry: &BlockRegistry) {
-        if let Some(rec) = &self.recording {
+        if self.recording.is_some() {
             let mut i = 0u32;
             while registry.contains(BlockId(i)) {
                 let info = registry.info(BlockId(i));
@@ -109,11 +110,11 @@ impl Checker {
                 // current node when settled, else skip (the completion
                 // event will place it).
                 if let Some(node) = info.residency.node() {
-                    rec.record(ScheduleEvent::Register {
+                    self.record(ScheduleEvent::Block(BlockEvent::Register {
                         block: info.id,
                         bytes: info.size,
-                        node: node.index(),
-                    });
+                        node,
+                    }));
                 }
                 i += 1;
             }
@@ -134,20 +135,16 @@ impl Checker {
 
     /// Record an admission (for the schedule log).
     pub fn task_admitted(&self, token: u64, blocks: Vec<BlockId>, degraded: bool) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::Admit {
-                token,
-                blocks,
-                degraded,
-            });
-        }
+        self.record(ScheduleEvent::Admit {
+            token,
+            blocks,
+            degraded,
+        });
     }
 
     /// Record a completion (for the schedule log).
     pub fn task_completed(&self, token: u64) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::Complete { token });
-        }
+        self.record(ScheduleEvent::Complete { token });
     }
 
     /// Record a restart boundary (for the schedule log): a fresh
@@ -156,9 +153,7 @@ impl Checker {
     /// restore re-registers its blocks, so the linter resets its
     /// replay state ahead of the new `Register` events.
     pub fn record_restart(&self) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::Restart);
-        }
+        self.record(ScheduleEvent::Restart);
     }
 
     /// Violations recorded so far (empty under
@@ -174,7 +169,18 @@ impl Checker {
 
     /// Snapshot the recorded schedule, if recording was enabled.
     pub fn trace(&self) -> Option<Trace> {
-        self.recording.as_ref().map(|r| r.log.snapshot())
+        self.recording.as_ref().map(|r| Trace {
+            meta: r.meta.clone(),
+            events: r.events.lock().clone(),
+        })
+    }
+
+    /// Append `event` to the schedule log, if recording.
+    fn record(&self, event: ScheduleEvent) {
+        if let Some(rec) = &self.recording {
+            let at_ns = rec.clock.now();
+            rec.events.lock().push(TimedEvent { at_ns, event });
+        }
     }
 
     fn report(&self, violation: Violation) {
@@ -197,65 +203,14 @@ impl std::fmt::Debug for Checker {
 }
 
 impl BlockObserver for Checker {
-    fn on_register(&self, block: BlockId, bytes: usize, node: NodeId) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::Register {
-                block,
-                bytes,
-                node: node.index(),
-            });
-        }
-    }
-
-    fn on_access(&self, block: BlockId, mode: AccessMode) {
-        if let Some(v) = sanitizer::check_access(block, mode) {
-            self.report(v);
-        }
-    }
-
-    fn on_add_ref(&self, block: BlockId, refcount: u32) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::AddRef {
-                block,
-                refcount: refcount as usize,
-            });
-        }
-    }
-
-    fn on_release_ref(&self, block: BlockId, refcount: u32) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::ReleaseRef {
-                block,
-                refcount: refcount as usize,
-            });
-        }
-    }
-
-    fn on_move_begin(&self, block: BlockId, _from: NodeId, to: NodeId, refcount: u32) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::MoveBegin {
-                block,
-                to: to.index(),
-                refcount: refcount as usize,
-            });
-        }
-    }
-
-    fn on_move_complete(&self, block: BlockId, node: NodeId) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::MoveComplete {
-                block,
-                node: node.index(),
-            });
-        }
-    }
-
-    fn on_move_abort(&self, block: BlockId, node: NodeId) {
-        if let Some(rec) = &self.recording {
-            rec.record(ScheduleEvent::MoveAbort {
-                block,
-                node: node.index(),
-            });
+    fn on_event(&self, event: BlockEvent) {
+        match event {
+            BlockEvent::Access { block, mode } => {
+                if let Some(v) = sanitizer::check_access(block, mode) {
+                    self.report(v);
+                }
+            }
+            _ => self.record(ScheduleEvent::Block(event)),
         }
     }
 }
@@ -263,7 +218,7 @@ impl BlockObserver for Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmem::{NodeAllocator, DDR4, HBM};
+    use hetmem::{AccessMode, NodeAllocator, DDR4, HBM};
 
     fn registry_with_block(bytes: usize) -> (Arc<BlockRegistry>, BlockId, NodeAllocator) {
         let alloc = NodeAllocator::new(1 << 24);
@@ -339,8 +294,6 @@ mod tests {
             ViolationAction::Count,
             TraceMeta {
                 hbm_capacity: 1 << 20,
-                hbm: HBM.index(),
-                ddr: DDR4.index(),
             },
             clock,
         ));
@@ -364,10 +317,14 @@ mod tests {
         reg.complete_move(post, back);
 
         let trace = checker.trace().expect("recording enabled");
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| matches!(e.event, ScheduleEvent::Register { block, .. } if block == pre)));
+        assert!(trace.events.iter().any(|e| matches!(
+            e.event,
+            ScheduleEvent::Block(BlockEvent::Register { block, .. }) if block == pre
+        )));
+        assert!(
+            trace.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
+            "events are recorded in clock order"
+        );
         let report = lint(&trace);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.tasks, 1);

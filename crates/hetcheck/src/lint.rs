@@ -2,7 +2,7 @@
 //! runtime's global invariants.
 //!
 //! The linter is independent of the live checker — it consumes a
-//! [`Trace`] (from a file or a [`crate::ScheduleLog`] snapshot) and
+//! [`Trace`] (from a file or a [`crate::Checker::trace`] snapshot) and
 //! re-derives block residency, refcounts, and HBM occupancy from the
 //! event stream alone. Invariants checked:
 //!
@@ -15,7 +15,7 @@
 //!   included), no task completes twice or without admission.
 
 use crate::schedule::{ScheduleEvent, Trace};
-use hetmem::BlockId;
+use hetmem::{BlockEvent, BlockId, NodeId, DDR4, HBM};
 use std::collections::{HashMap, HashSet};
 
 /// One invariant breach found while replaying a trace.
@@ -49,9 +49,9 @@ pub enum LintFinding {
         /// The block in question.
         block: BlockId,
         /// Refcount the event recorded.
-        recorded: usize,
+        recorded: u32,
         /// Refcount the replay computed.
-        replayed: usize,
+        replayed: u32,
     },
     /// An eviction (move to DDR4) started while the block was still
     /// referenced.
@@ -61,7 +61,7 @@ pub enum LintFinding {
         /// The still-pinned block.
         block: BlockId,
         /// Refcount at move begin.
-        refcount: usize,
+        refcount: u32,
     },
     /// Resident HBM bytes exceeded the recorded capacity.
     HbmOverCapacity {
@@ -191,215 +191,182 @@ impl LintReport {
 #[derive(Debug)]
 struct BlockReplay {
     bytes: usize,
-    node: usize,
-    refcount: usize,
+    node: NodeId,
+    refcount: u32,
+}
+
+/// Replay state of one run: everything a restart boundary resets.
+#[derive(Debug, Default)]
+struct Replay {
+    blocks: HashMap<BlockId, BlockReplay>,
+    hbm_bytes: usize,
+    admitted: HashSet<u64>,
+    completed: HashSet<u64>,
+}
+
+impl Replay {
+    /// `bytes` more became resident in HBM at `at_ns`.
+    fn occupy(&mut self, report: &mut LintReport, at_ns: u64, bytes: usize, capacity: usize) {
+        self.hbm_bytes += bytes;
+        if self.hbm_bytes > capacity {
+            report.findings.push(LintFinding::HbmOverCapacity {
+                at_ns,
+                occupancy: self.hbm_bytes,
+                capacity,
+            });
+        }
+        report.peak_hbm = report.peak_hbm.max(self.hbm_bytes);
+    }
+
+    /// End the run (at a restart or at the end of the trace): every
+    /// admission still open is a finding. Checkpoints are only taken
+    /// at quiescence, so an admission dangling across a restart is as
+    /// real as one dangling at the end.
+    fn finish(self, report: &mut LintReport) {
+        let mut dangling: Vec<u64> = self.admitted.difference(&self.completed).copied().collect();
+        dangling.sort_unstable();
+        report.findings.extend(
+            dangling
+                .into_iter()
+                .map(|token| LintFinding::TaskNeverCompleted { token }),
+        );
+        report.blocks = report.blocks.max(self.blocks.len());
+    }
 }
 
 /// Replay `trace` and report every invariant breach.
 pub fn lint(trace: &Trace) -> LintReport {
-    let meta = &trace.meta;
+    let capacity = trace.meta.hbm_capacity;
     let mut report = LintReport {
         events: trace.events.len(),
         ..LintReport::default()
     };
-    let mut blocks: HashMap<BlockId, BlockReplay> = HashMap::new();
-    let mut hbm_bytes: usize = 0;
-    let mut admitted: HashSet<u64> = HashSet::new();
-    let mut completed: HashSet<u64> = HashSet::new();
+    let mut replay = Replay::default();
 
     for ev in &trace.events {
         let at_ns = ev.at_ns;
         match &ev.event {
-            ScheduleEvent::Register { block, bytes, node } => {
-                if *node == meta.hbm {
-                    hbm_bytes += bytes;
-                    if hbm_bytes > meta.hbm_capacity {
-                        report.findings.push(LintFinding::HbmOverCapacity {
-                            at_ns,
-                            occupancy: hbm_bytes,
-                            capacity: meta.hbm_capacity,
-                        });
-                    }
-                    report.peak_hbm = report.peak_hbm.max(hbm_bytes);
+            &ScheduleEvent::Block(BlockEvent::Register { block, bytes, node }) => {
+                if node == HBM {
+                    replay.occupy(&mut report, at_ns, bytes, capacity);
                 }
-                blocks.insert(
-                    *block,
+                replay.blocks.insert(
+                    block,
                     BlockReplay {
-                        bytes: *bytes,
-                        node: *node,
+                        bytes,
+                        node,
                         refcount: 0,
                     },
                 );
             }
-            ScheduleEvent::AddRef { block, refcount } => {
-                let Some(b) = blocks.get_mut(block) else {
-                    report.findings.push(LintFinding::UnknownBlock {
-                        at_ns,
-                        block: *block,
-                    });
+            ScheduleEvent::Block(event) => {
+                let block = event.block();
+                let Some(b) = replay.blocks.get_mut(&block) else {
+                    report
+                        .findings
+                        .push(LintFinding::UnknownBlock { at_ns, block });
                     continue;
                 };
-                b.refcount += 1;
-                if b.refcount != *refcount {
-                    report.findings.push(LintFinding::RefcountMismatch {
-                        at_ns,
-                        block: *block,
-                        recorded: *refcount,
-                        replayed: b.refcount,
-                    });
-                }
-            }
-            ScheduleEvent::ReleaseRef { block, refcount } => {
-                let Some(b) = blocks.get_mut(block) else {
-                    report.findings.push(LintFinding::UnknownBlock {
-                        at_ns,
-                        block: *block,
-                    });
-                    continue;
-                };
-                if b.refcount == 0 {
-                    report.findings.push(LintFinding::NegativeRefcount {
-                        at_ns,
-                        block: *block,
-                    });
-                } else {
-                    b.refcount -= 1;
-                    if b.refcount != *refcount {
-                        report.findings.push(LintFinding::RefcountMismatch {
-                            at_ns,
-                            block: *block,
-                            recorded: *refcount,
-                            replayed: b.refcount,
-                        });
+                match *event {
+                    BlockEvent::AddRef { refcount, .. } => {
+                        b.refcount += 1;
+                        if b.refcount != refcount {
+                            report.findings.push(LintFinding::RefcountMismatch {
+                                at_ns,
+                                block,
+                                recorded: refcount,
+                                replayed: b.refcount,
+                            });
+                        }
                     }
-                }
-            }
-            ScheduleEvent::MoveBegin {
-                block,
-                to,
-                refcount,
-            } => {
-                let Some(b) = blocks.get(block) else {
-                    report.findings.push(LintFinding::UnknownBlock {
-                        at_ns,
-                        block: *block,
-                    });
-                    continue;
-                };
-                if *to == meta.hbm && b.node == meta.hbm {
-                    report.findings.push(LintFinding::FetchOfResident {
-                        at_ns,
-                        block: *block,
-                    });
-                }
-                if *to == meta.ddr && *refcount != 0 {
-                    report.findings.push(LintFinding::EvictReferenced {
-                        at_ns,
-                        block: *block,
-                        refcount: *refcount,
-                    });
-                }
-            }
-            ScheduleEvent::MoveComplete { block, node } => {
-                let Some(b) = blocks.get_mut(block) else {
-                    report.findings.push(LintFinding::UnknownBlock {
-                        at_ns,
-                        block: *block,
-                    });
-                    continue;
-                };
-                let was = b.node;
-                b.node = *node;
-                // Occupancy follows residency: HBM bytes appear when a
-                // block lands in HBM and disappear when it lands back in
-                // DDR4. The registry frees the HBM-side buffer of an
-                // eviction only after its completion callback, so this
-                // accounting never under-reports a capacity breach.
-                let bytes = b.bytes;
-                if was != meta.hbm && *node == meta.hbm {
-                    hbm_bytes += bytes;
-                    if hbm_bytes > meta.hbm_capacity {
-                        report.findings.push(LintFinding::HbmOverCapacity {
-                            at_ns,
-                            occupancy: hbm_bytes,
-                            capacity: meta.hbm_capacity,
-                        });
+                    BlockEvent::ReleaseRef { refcount, .. } => {
+                        if b.refcount == 0 {
+                            report
+                                .findings
+                                .push(LintFinding::NegativeRefcount { at_ns, block });
+                        } else {
+                            b.refcount -= 1;
+                            if b.refcount != refcount {
+                                report.findings.push(LintFinding::RefcountMismatch {
+                                    at_ns,
+                                    block,
+                                    recorded: refcount,
+                                    replayed: b.refcount,
+                                });
+                            }
+                        }
                     }
-                    report.peak_hbm = report.peak_hbm.max(hbm_bytes);
-                } else if was == meta.hbm && *node != meta.hbm {
-                    hbm_bytes = hbm_bytes.saturating_sub(bytes);
+                    BlockEvent::MoveBegin { to, refcount, .. } => {
+                        if to == HBM && b.node == HBM {
+                            report
+                                .findings
+                                .push(LintFinding::FetchOfResident { at_ns, block });
+                        }
+                        if to == DDR4 && refcount != 0 {
+                            report.findings.push(LintFinding::EvictReferenced {
+                                at_ns,
+                                block,
+                                refcount,
+                            });
+                        }
+                    }
+                    BlockEvent::MoveComplete { node, .. } => {
+                        let (was, bytes) = (b.node, b.bytes);
+                        b.node = node;
+                        // Occupancy follows residency: HBM bytes appear
+                        // when a block lands in HBM and disappear when it
+                        // lands back in DDR4. The registry frees the
+                        // HBM-side buffer of an eviction only after its
+                        // completion event, so this accounting never
+                        // under-reports a capacity breach.
+                        if was != HBM && node == HBM {
+                            replay.occupy(&mut report, at_ns, bytes, capacity);
+                        } else if was == HBM && node != HBM {
+                            replay.hbm_bytes = replay.hbm_bytes.saturating_sub(bytes);
+                        }
+                    }
+                    BlockEvent::MoveAbort { node, .. } => b.node = node,
+                    // Register is handled above; the checker never
+                    // records Access.
+                    BlockEvent::Register { .. } | BlockEvent::Access { .. } => {}
                 }
-            }
-            ScheduleEvent::MoveAbort { block, node } => {
-                let Some(b) = blocks.get_mut(block) else {
-                    report.findings.push(LintFinding::UnknownBlock {
-                        at_ns,
-                        block: *block,
-                    });
-                    continue;
-                };
-                b.node = *node;
             }
             ScheduleEvent::Admit {
                 token,
                 blocks: deps,
                 degraded: _,
             } => {
-                if !admitted.insert(*token) {
+                if !replay.admitted.insert(*token) {
                     report.findings.push(LintFinding::DuplicateAdmit {
                         at_ns,
                         token: *token,
                     });
                 }
-                for dep in deps {
-                    if !blocks.contains_key(dep) {
+                for &block in deps {
+                    if !replay.blocks.contains_key(&block) {
                         report
                             .findings
-                            .push(LintFinding::UnknownBlock { at_ns, block: *dep });
+                            .push(LintFinding::UnknownBlock { at_ns, block });
                     }
                 }
                 report.tasks += 1;
             }
             ScheduleEvent::Complete { token } => {
-                if !admitted.contains(token) || !completed.insert(*token) {
+                if !replay.admitted.contains(token) || !replay.completed.insert(*token) {
                     report.findings.push(LintFinding::CompleteWithoutAdmit {
                         at_ns,
                         token: *token,
                     });
                 }
             }
-            ScheduleEvent::Restart => {
-                // Restart boundary: a fresh runtime restored a
-                // checkpoint image. Block ids restart from 0 with the
-                // re-registrations that follow, and admission tokens
-                // restart from 1 — replay state resets wholesale.
-                // Checkpoints are only taken at quiescence, so an
-                // admission dangling across the boundary is a real
-                // finding, flushed here just like at end-of-trace.
-                let mut dangling: Vec<u64> = admitted.difference(&completed).copied().collect();
-                dangling.sort_unstable();
-                for token in dangling {
-                    report
-                        .findings
-                        .push(LintFinding::TaskNeverCompleted { token });
-                }
-                report.blocks = report.blocks.max(blocks.len());
-                blocks.clear();
-                hbm_bytes = 0;
-                admitted.clear();
-                completed.clear();
-            }
+            // A fresh runtime restored a checkpoint image: block ids
+            // restart from 0 with the re-registrations that follow and
+            // admission tokens restart from 1, so replay state resets
+            // wholesale.
+            ScheduleEvent::Restart => std::mem::take(&mut replay).finish(&mut report),
         }
     }
-
-    let mut dangling: Vec<u64> = admitted.difference(&completed).copied().collect();
-    dangling.sort_unstable();
-    for token in dangling {
-        report
-            .findings
-            .push(LintFinding::TaskNeverCompleted { token });
-    }
-    report.blocks = report.blocks.max(blocks.len());
+    replay.finish(&mut report);
     report
 }
 
@@ -412,11 +379,45 @@ mod tests {
         TimedEvent { at_ns, event }
     }
 
-    fn meta(cap: usize) -> TraceMeta {
-        TraceMeta {
-            hbm_capacity: cap,
-            hbm: 1,
-            ddr: 0,
+    fn blk(at_ns: u64, event: BlockEvent) -> TimedEvent {
+        ev(at_ns, ScheduleEvent::Block(event))
+    }
+
+    fn meta(hbm_capacity: usize) -> TraceMeta {
+        TraceMeta { hbm_capacity }
+    }
+
+    fn register(block: BlockId, bytes: usize, node: NodeId) -> BlockEvent {
+        BlockEvent::Register { block, bytes, node }
+    }
+
+    fn add_ref(block: BlockId, refcount: u32) -> BlockEvent {
+        BlockEvent::AddRef { block, refcount }
+    }
+
+    fn release_ref(block: BlockId, refcount: u32) -> BlockEvent {
+        BlockEvent::ReleaseRef { block, refcount }
+    }
+
+    fn move_begin(block: BlockId, to: NodeId, refcount: u32) -> BlockEvent {
+        let from = if to == HBM { DDR4 } else { HBM };
+        BlockEvent::MoveBegin {
+            block,
+            from,
+            to,
+            refcount,
+        }
+    }
+
+    fn move_complete(block: BlockId, node: NodeId) -> BlockEvent {
+        BlockEvent::MoveComplete { block, node }
+    }
+
+    fn admit(token: u64, blocks: Vec<BlockId>, degraded: bool) -> ScheduleEvent {
+        ScheduleEvent::Admit {
+            token,
+            blocks,
+            degraded,
         }
     }
 
@@ -426,55 +427,15 @@ mod tests {
         Trace {
             meta: meta(4096),
             events: vec![
-                ev(
-                    0,
-                    ScheduleEvent::Register {
-                        block: b,
-                        bytes: 1024,
-                        node: 0,
-                    },
-                ),
-                ev(
-                    1,
-                    ScheduleEvent::AddRef {
-                        block: b,
-                        refcount: 1,
-                    },
-                ),
-                ev(
-                    2,
-                    ScheduleEvent::MoveBegin {
-                        block: b,
-                        to: 1,
-                        refcount: 1,
-                    },
-                ),
-                ev(3, ScheduleEvent::MoveComplete { block: b, node: 1 }),
-                ev(
-                    4,
-                    ScheduleEvent::Admit {
-                        token: 1,
-                        blocks: vec![b],
-                        degraded: false,
-                    },
-                ),
+                blk(0, register(b, 1024, DDR4)),
+                blk(1, add_ref(b, 1)),
+                blk(2, move_begin(b, HBM, 1)),
+                blk(3, move_complete(b, HBM)),
+                ev(4, admit(1, vec![b], false)),
                 ev(5, ScheduleEvent::Complete { token: 1 }),
-                ev(
-                    6,
-                    ScheduleEvent::ReleaseRef {
-                        block: b,
-                        refcount: 0,
-                    },
-                ),
-                ev(
-                    7,
-                    ScheduleEvent::MoveBegin {
-                        block: b,
-                        to: 0,
-                        refcount: 0,
-                    },
-                ),
-                ev(8, ScheduleEvent::MoveComplete { block: b, node: 0 }),
+                blk(6, release_ref(b, 0)),
+                blk(7, move_begin(b, DDR4, 0)),
+                blk(8, move_complete(b, DDR4)),
             ],
         }
     }
@@ -513,14 +474,7 @@ mod tests {
     fn admission_dangling_across_a_restart_is_flagged() {
         let mut trace = clean_trace();
         // An extra admission with no completion before the restart.
-        trace.events.push(ev(
-            50,
-            ScheduleEvent::Admit {
-                token: 9,
-                blocks: vec![BlockId(0)],
-                degraded: true,
-            },
-        ));
+        trace.events.push(ev(50, admit(9, vec![BlockId(0)], true)));
         trace.events.push(ev(60, ScheduleEvent::Restart));
         let report = lint(&trace);
         assert!(report
@@ -541,13 +495,7 @@ mod tests {
     #[test]
     fn extra_release_is_negative_refcount() {
         let mut trace = clean_trace();
-        trace.events.push(ev(
-            9,
-            ScheduleEvent::ReleaseRef {
-                block: BlockId(0),
-                refcount: 0,
-            },
-        ));
+        trace.events.push(blk(9, release_ref(BlockId(0), 0)));
         let report = lint(&trace);
         assert!(report
             .findings
@@ -574,17 +522,9 @@ mod tests {
     fn refetch_of_resident_block_is_flagged() {
         let mut trace = clean_trace();
         // Insert a second fetch while the block is already in HBM.
-        trace.events.insert(
-            4,
-            ev(
-                3,
-                ScheduleEvent::MoveBegin {
-                    block: BlockId(0),
-                    to: 1,
-                    refcount: 1,
-                },
-            ),
-        );
+        trace
+            .events
+            .insert(4, blk(3, move_begin(BlockId(0), HBM, 1)));
         let report = lint(&trace);
         assert!(report
             .findings
@@ -598,29 +538,9 @@ mod tests {
         let trace = Trace {
             meta: meta(4096),
             events: vec![
-                ev(
-                    0,
-                    ScheduleEvent::Register {
-                        block: b,
-                        bytes: 64,
-                        node: 1,
-                    },
-                ),
-                ev(
-                    1,
-                    ScheduleEvent::AddRef {
-                        block: b,
-                        refcount: 1,
-                    },
-                ),
-                ev(
-                    2,
-                    ScheduleEvent::MoveBegin {
-                        block: b,
-                        to: 0,
-                        refcount: 1,
-                    },
-                ),
+                blk(0, register(b, 64, HBM)),
+                blk(1, add_ref(b, 1)),
+                blk(2, move_begin(b, DDR4, 1)),
             ],
         };
         let report = lint(&trace);
@@ -635,22 +555,8 @@ mod tests {
         let trace = Trace {
             meta: meta(4096),
             events: vec![
-                ev(
-                    0,
-                    ScheduleEvent::Admit {
-                        token: 1,
-                        blocks: vec![],
-                        degraded: true,
-                    },
-                ),
-                ev(
-                    1,
-                    ScheduleEvent::Admit {
-                        token: 1,
-                        blocks: vec![],
-                        degraded: false,
-                    },
-                ),
+                ev(0, admit(1, vec![], true)),
+                ev(1, admit(1, vec![], false)),
                 ev(2, ScheduleEvent::Complete { token: 9 }),
             ],
         };
@@ -669,26 +575,42 @@ mod tests {
             .any(|f| matches!(f, LintFinding::TaskNeverCompleted { token: 1 })));
     }
 
+    /// Every kind of event that names a block, naming one the trace
+    /// never registered, yields exactly one `UnknownBlock`.
     #[test]
     fn unknown_block_is_flagged() {
-        let trace = Trace {
-            meta: meta(4096),
-            events: vec![ev(
+        let b = BlockId(42);
+        let cases = [
+            blk(0, add_ref(b, 1)),
+            blk(0, release_ref(b, 0)),
+            blk(0, move_begin(b, HBM, 0)),
+            blk(0, move_complete(b, HBM)),
+            blk(
                 0,
-                ScheduleEvent::AddRef {
-                    block: BlockId(42),
-                    refcount: 1,
+                BlockEvent::MoveAbort {
+                    block: b,
+                    node: DDR4,
                 },
-            )],
-        };
-        let report = lint(&trace);
-        assert_eq!(
-            report.findings,
-            vec![LintFinding::UnknownBlock {
-                at_ns: 0,
-                block: BlockId(42)
-            }]
-        );
+            ),
+            ev(0, admit(1, vec![b], false)),
+        ];
+        for case in cases {
+            let mut trace = Trace {
+                meta: meta(4096),
+                events: vec![case.clone()],
+            };
+            if let ScheduleEvent::Admit { .. } = case.event {
+                trace
+                    .events
+                    .push(ev(1, ScheduleEvent::Complete { token: 1 }));
+            }
+            let report = lint(&trace);
+            assert_eq!(
+                report.findings,
+                vec![LintFinding::UnknownBlock { at_ns: 0, block: b }],
+                "{case:?}"
+            );
+        }
     }
 
     #[test]
@@ -696,23 +618,7 @@ mod tests {
         let b = BlockId(0);
         let trace = Trace {
             meta: meta(4096),
-            events: vec![
-                ev(
-                    0,
-                    ScheduleEvent::Register {
-                        block: b,
-                        bytes: 64,
-                        node: 0,
-                    },
-                ),
-                ev(
-                    1,
-                    ScheduleEvent::AddRef {
-                        block: b,
-                        refcount: 3,
-                    },
-                ),
-            ],
+            events: vec![blk(0, register(b, 64, DDR4)), blk(1, add_ref(b, 3))],
         };
         let report = lint(&trace);
         assert!(report.findings.iter().any(|f| matches!(

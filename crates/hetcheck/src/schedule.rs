@@ -1,68 +1,21 @@
 //! Recorded schedules: the event stream the offline linter replays.
 //!
 //! A trace is JSONL: one [`TraceMeta`] header line followed by one
-//! [`TimedEvent`] per line. Block events are recorded by the
-//! [`crate::Checker`] from inside the registry's per-slot lock, so the
-//! per-block event order in a trace is the true order; task events
+//! [`TimedEvent`] per line. Block events are the registry's own
+//! [`BlockEvent`]s, stored as they arrive: the [`crate::Checker`]
+//! records them from inside the registry's per-slot lock, so the
+//! per-block event order in a trace is the true order. Task events
 //! (admit/complete) come from the scheduler hook.
 
-use hetmem::BlockId;
-use parking_lot::Mutex;
+use hetmem::{BlockEvent, BlockId};
 use serde::{Deserialize, Serialize};
 
-/// One schedule event. Node ids follow the runtime convention:
-/// node 0 is DDR4 capacity tier, node 1 is HBM.
+/// One schedule event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScheduleEvent {
-    /// A block was registered with the memory manager.
-    Register {
-        /// The new block.
-        block: BlockId,
-        /// Payload size in bytes.
-        bytes: usize,
-        /// Node it was allocated on.
-        node: usize,
-    },
-    /// A task pinned the block; `refcount` is the value after the
-    /// increment.
-    AddRef {
-        /// The pinned block.
-        block: BlockId,
-        /// Refcount after the increment.
-        refcount: usize,
-    },
-    /// A task unpinned the block; `refcount` is the value after the
-    /// decrement.
-    ReleaseRef {
-        /// The unpinned block.
-        block: BlockId,
-        /// Refcount after the decrement.
-        refcount: usize,
-    },
-    /// A migration started. `to == 1` is a fetch into HBM, `to == 0` an
-    /// eviction to DDR4.
-    MoveBegin {
-        /// The migrating block.
-        block: BlockId,
-        /// Destination node.
-        to: usize,
-        /// Refcount at move begin.
-        refcount: usize,
-    },
-    /// A migration landed on `node`.
-    MoveComplete {
-        /// The migrated block.
-        block: BlockId,
-        /// Node it now resides on.
-        node: usize,
-    },
-    /// A migration failed; the block stayed on `node`.
-    MoveAbort {
-        /// The block that did not move.
-        block: BlockId,
-        /// Node it remains on.
-        node: usize,
-    },
+    /// A block event from the registry. `Access` events feed the live
+    /// sanitizer and are never recorded.
+    Block(BlockEvent),
     /// A task was admitted for execution with its declared blocks
     /// resident (or, in degraded mode, served from DDR4).
     Admit {
@@ -85,79 +38,23 @@ pub enum ScheduleEvent {
     Restart,
 }
 
-/// A [`ScheduleEvent`] stamped with the runtime clock.
+/// A [`ScheduleEvent`] stamped with the recording clock.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimedEvent {
-    /// Nanoseconds on the runtime clock (virtual time under vtsim).
+    /// Nanoseconds on the clock passed to
+    /// [`crate::Checker::with_schedule_log`].
     pub at_ns: u64,
     /// The event.
     pub event: ScheduleEvent,
 }
 
 /// Trace header: the memory configuration the schedule ran under.
+/// Node ids in block events are the runtime's: [`hetmem::HBM`] and
+/// [`hetmem::DDR4`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceMeta {
     /// HBM capacity in bytes (the linter's occupancy ceiling).
     pub hbm_capacity: usize,
-    /// Node id of the HBM tier.
-    pub hbm: usize,
-    /// Node id of the DDR4 tier.
-    pub ddr: usize,
-}
-
-impl Default for TraceMeta {
-    fn default() -> Self {
-        TraceMeta {
-            hbm_capacity: usize::MAX,
-            hbm: 1,
-            ddr: 0,
-        }
-    }
-}
-
-/// An in-memory schedule recording: meta plus an append-only event log.
-#[derive(Debug)]
-pub struct ScheduleLog {
-    meta: TraceMeta,
-    events: Mutex<Vec<TimedEvent>>,
-}
-
-impl ScheduleLog {
-    /// New empty log for a run under `meta`'s memory configuration.
-    pub fn new(meta: TraceMeta) -> Self {
-        ScheduleLog {
-            meta,
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The recorded memory configuration.
-    pub fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    /// Append one event at clock time `at_ns`.
-    pub fn record(&self, at_ns: u64, event: ScheduleEvent) {
-        self.events.lock().push(TimedEvent { at_ns, event });
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the recording as an owned trace.
-    pub fn snapshot(&self) -> Trace {
-        Trace {
-            meta: self.meta.clone(),
-            events: self.events.lock().clone(),
-        }
-    }
 }
 
 /// An owned, completed trace: what the linter consumes.
@@ -201,60 +98,49 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetmem::{DDR4, HBM};
 
     fn sample() -> Trace {
-        let log = ScheduleLog::new(TraceMeta {
-            hbm_capacity: 4096,
-            hbm: 1,
-            ddr: 0,
-        });
-        log.record(
-            0,
-            ScheduleEvent::Register {
-                block: BlockId(0),
+        let b = BlockId(0);
+        let events = [
+            ScheduleEvent::Block(BlockEvent::Register {
+                block: b,
                 bytes: 1024,
-                node: 0,
-            },
-        );
-        log.record(
-            5,
-            ScheduleEvent::AddRef {
-                block: BlockId(0),
+                node: DDR4,
+            }),
+            ScheduleEvent::Block(BlockEvent::AddRef {
+                block: b,
                 refcount: 1,
-            },
-        );
-        log.record(
-            6,
-            ScheduleEvent::MoveBegin {
-                block: BlockId(0),
-                to: 1,
+            }),
+            ScheduleEvent::Block(BlockEvent::MoveBegin {
+                block: b,
+                from: DDR4,
+                to: HBM,
                 refcount: 1,
-            },
-        );
-        log.record(
-            9,
-            ScheduleEvent::MoveComplete {
-                block: BlockId(0),
-                node: 1,
-            },
-        );
-        log.record(
-            10,
+            }),
+            ScheduleEvent::Block(BlockEvent::MoveComplete {
+                block: b,
+                node: HBM,
+            }),
             ScheduleEvent::Admit {
                 token: 1,
-                blocks: vec![BlockId(0)],
+                blocks: vec![b],
                 degraded: false,
             },
-        );
-        log.record(20, ScheduleEvent::Complete { token: 1 });
-        log.record(
-            21,
-            ScheduleEvent::ReleaseRef {
-                block: BlockId(0),
+            ScheduleEvent::Complete { token: 1 },
+            ScheduleEvent::Block(BlockEvent::ReleaseRef {
+                block: b,
                 refcount: 0,
-            },
-        );
-        log.snapshot()
+            }),
+        ];
+        Trace {
+            meta: TraceMeta { hbm_capacity: 4096 },
+            events: [0, 5, 6, 9, 10, 20, 21]
+                .into_iter()
+                .zip(events)
+                .map(|(at_ns, event)| TimedEvent { at_ns, event })
+                .collect(),
+        }
     }
 
     #[test]
@@ -262,6 +148,10 @@ mod tests {
         let trace = sample();
         let text = trace.to_jsonl();
         assert_eq!(text.lines().count(), 1 + trace.events.len());
+        assert!(
+            text.contains(r#"{"Block":{"AddRef":{"block":0,"refcount":1}}}"#),
+            "{text}"
+        );
         let back = Trace::from_jsonl(&text).unwrap();
         assert_eq!(back, trace);
     }
@@ -275,15 +165,5 @@ mod tests {
         text.push_str("{\"bogus\":1}\n");
         let err = Trace::from_jsonl(&text).unwrap_err();
         assert!(err.contains("bad trace event"), "{err}");
-    }
-
-    #[test]
-    fn log_records_in_order() {
-        let trace = sample();
-        let times: Vec<u64> = trace.events.iter().map(|e| e.at_ns).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
-        assert_eq!(trace.events.len(), 7);
     }
 }

@@ -158,42 +158,106 @@ impl BlockSlot {
     }
 }
 
+/// One block lifecycle event, as the registry reports it to its
+/// [`BlockObserver`]: the paper's per-block record (§IV-B/C) of
+/// residency, reference count and moves, one variant per change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum BlockEvent {
+    /// A new block entered the registry on `node`.
+    Register {
+        /// The new block.
+        block: BlockId,
+        /// Payload size in bytes.
+        bytes: usize,
+        /// Node it was allocated on.
+        node: NodeId,
+    },
+    /// An [`AccessGuard`] was acquired.
+    Access {
+        /// The accessed block.
+        block: BlockId,
+        /// The guard's mode.
+        mode: AccessMode,
+    },
+    /// The scheduled-task reference count was incremented.
+    AddRef {
+        /// The pinned block.
+        block: BlockId,
+        /// Refcount after the increment.
+        refcount: u32,
+    },
+    /// The scheduled-task reference count was decremented.
+    ReleaseRef {
+        /// The unpinned block.
+        block: BlockId,
+        /// Refcount after the decrement.
+        refcount: u32,
+    },
+    /// A migration began (accessors already drained).
+    MoveBegin {
+        /// The migrating block.
+        block: BlockId,
+        /// Source node.
+        from: NodeId,
+        /// Destination node.
+        to: NodeId,
+        /// Refcount observed under the slot lock at the moment of the
+        /// decision.
+        refcount: u32,
+    },
+    /// A migration completed; the block is resident on `node`.
+    MoveComplete {
+        /// The migrated block.
+        block: BlockId,
+        /// Node it now resides on.
+        node: NodeId,
+    },
+    /// A migration aborted; the block is back on `node`.
+    MoveAbort {
+        /// The block that did not move.
+        block: BlockId,
+        /// Node it remains on.
+        node: NodeId,
+    },
+}
+
+impl BlockEvent {
+    /// The block the event is about.
+    pub fn block(&self) -> BlockId {
+        match *self {
+            BlockEvent::Register { block, .. }
+            | BlockEvent::Access { block, .. }
+            | BlockEvent::AddRef { block, .. }
+            | BlockEvent::ReleaseRef { block, .. }
+            | BlockEvent::MoveBegin { block, .. }
+            | BlockEvent::MoveComplete { block, .. }
+            | BlockEvent::MoveAbort { block, .. } => block,
+        }
+    }
+}
+
 /// Passive observer of block lifecycle events, installed once on a
 /// [`BlockRegistry`] via [`BlockRegistry::set_observer`].
 ///
 /// This is the attachment point for the `hetcheck` passes
-/// (dependence-conformance sanitizer, schedule recorder). Every
-/// callback has an empty default body so observers implement only
-/// what they need.
+/// (dependence-conformance sanitizer, schedule recorder). The registry
+/// reports every change as one [`BlockEvent`] through the single
+/// callback [`BlockObserver::on_event`].
 ///
-/// Ordering guarantee: refcount and move callbacks are invoked while
+/// Ordering guarantee: refcount and move events are reported while
 /// the block's slot lock is held, so for any single block the observer
-/// sees `add_ref` / `release_ref` / `move_begin` / `move_complete` /
-/// `move_abort` in their true order. `on_access` fires after the access
-/// is registered, outside the slot lock. Guard release has no callback:
+/// sees `AddRef` / `ReleaseRef` / `MoveBegin` / `MoveComplete` /
+/// `MoveAbort` in their true order. `Access` fires after the access
+/// is registered, outside the slot lock. Guard release has no event:
 /// the registry itself rules out the races a release would bracket
 /// (conflicting guards panic, and a move waits until every guard has
 /// dropped), so no observer needs to see it.
 ///
 /// Observers must not call back into the registry (the slot lock is
 /// held) and should be cheap: they run on worker and IO threads.
-#[allow(unused_variables)]
 pub trait BlockObserver: Send + Sync {
-    /// A new block entered the registry.
-    fn on_register(&self, block: BlockId, bytes: usize, node: NodeId) {}
-    /// An [`AccessGuard`] was acquired.
-    fn on_access(&self, block: BlockId, mode: AccessMode) {}
-    /// The scheduled-task reference count was incremented.
-    fn on_add_ref(&self, block: BlockId, refcount: u32) {}
-    /// The scheduled-task reference count was decremented.
-    fn on_release_ref(&self, block: BlockId, refcount: u32) {}
-    /// A migration began (accessors already drained). `refcount` is the
-    /// value observed under the slot lock at the moment of the decision.
-    fn on_move_begin(&self, block: BlockId, from: NodeId, to: NodeId, refcount: u32) {}
-    /// A migration completed; the block is resident on `node`.
-    fn on_move_complete(&self, block: BlockId, node: NodeId) {}
-    /// A migration aborted; the block is back on `node`.
-    fn on_move_abort(&self, block: BlockId, node: NodeId) {}
+    /// One block event, in the order described above.
+    fn on_event(&self, event: BlockEvent);
 }
 
 /// The shared block metadata store. Slots live in an append-only
@@ -233,8 +297,11 @@ impl BlockRegistry {
         );
     }
 
-    fn observer(&self) -> Option<&dyn BlockObserver> {
-        self.observer.get().map(|o| &**o)
+    /// Report `event` to the observer, if one is installed.
+    fn notify(&self, event: BlockEvent) {
+        if let Some(obs) = self.observer.get() {
+            obs.on_event(event);
+        }
     }
 
     /// Register a freshly allocated buffer as a tracked block.
@@ -258,9 +325,11 @@ impl BlockRegistry {
             size: bytes,
             node: AtomicU8::new(node.raw()),
         }) as u32);
-        if let Some(obs) = self.observer() {
-            obs.on_register(id, bytes, node);
-        }
+        self.notify(BlockEvent::Register {
+            block: id,
+            bytes,
+            node,
+        });
         id
     }
 
@@ -319,9 +388,10 @@ impl BlockRegistry {
         let mut m = slot.meta.lock();
         m.refcount += 1;
         let rc = m.refcount;
-        if let Some(obs) = self.observer() {
-            obs.on_add_ref(id, rc);
-        }
+        self.notify(BlockEvent::AddRef {
+            block: id,
+            refcount: rc,
+        });
         drop(m);
         rc
     }
@@ -333,9 +403,10 @@ impl BlockRegistry {
         assert!(m.refcount > 0, "refcount underflow on {id}");
         m.refcount -= 1;
         let rc = m.refcount;
-        if let Some(obs) = self.observer() {
-            obs.on_release_ref(id, rc);
-        }
+        self.notify(BlockEvent::ReleaseRef {
+            block: id,
+            refcount: rc,
+        });
         slot.unlock_and_notify(m);
         rc
     }
@@ -392,9 +463,12 @@ impl BlockRegistry {
         }
         let buf = m.buf.take().expect("resident block must have a buffer");
         slot.set_residency(&mut m, Residency::Moving { from, to });
-        if let Some(obs) = self.observer() {
-            obs.on_move_begin(id, from, to, m.refcount);
-        }
+        self.notify(BlockEvent::MoveBegin {
+            block: id,
+            from,
+            to,
+            refcount: m.refcount,
+        });
         Ok((buf, from))
     }
 
@@ -407,9 +481,7 @@ impl BlockRegistry {
         let node = new_buf.node();
         slot.set_residency(&mut m, Residency::Resident(node));
         m.buf = Some(new_buf);
-        if let Some(obs) = self.observer() {
-            obs.on_move_complete(id, node);
-        }
+        self.notify(BlockEvent::MoveComplete { block: id, node });
         slot.unlock_and_notify(m);
     }
 
@@ -422,9 +494,7 @@ impl BlockRegistry {
         let node = src_buf.node();
         slot.set_residency(&mut m, Residency::Resident(node));
         m.buf = Some(src_buf);
-        if let Some(obs) = self.observer() {
-            obs.on_move_abort(id, node);
-        }
+        self.notify(BlockEvent::MoveAbort { block: id, node });
         slot.unlock_and_notify(m);
     }
 
@@ -488,9 +558,7 @@ impl BlockRegistry {
             len,
             node,
         };
-        if let Some(obs) = self.observer() {
-            obs.on_access(id, mode);
-        }
+        self.notify(BlockEvent::Access { block: id, mode });
         guard
     }
 
@@ -996,35 +1064,11 @@ mod tests {
 
     #[derive(Default)]
     struct Recorder {
-        events: Mutex<Vec<String>>,
+        events: Mutex<Vec<BlockEvent>>,
     }
     impl BlockObserver for Recorder {
-        fn on_register(&self, block: BlockId, bytes: usize, node: NodeId) {
-            self.events
-                .lock()
-                .push(format!("reg {block} {bytes} {node:?}"));
-        }
-        fn on_access(&self, block: BlockId, mode: AccessMode) {
-            self.events.lock().push(format!("acq {block} {mode:?}"));
-        }
-        fn on_add_ref(&self, block: BlockId, rc: u32) {
-            self.events.lock().push(format!("ref+ {block} {rc}"));
-        }
-        fn on_release_ref(&self, block: BlockId, rc: u32) {
-            self.events.lock().push(format!("ref- {block} {rc}"));
-        }
-        fn on_move_begin(&self, block: BlockId, from: NodeId, to: NodeId, rc: u32) {
-            self.events
-                .lock()
-                .push(format!("mv {block} {from:?}->{to:?} rc={rc}"));
-        }
-        fn on_move_complete(&self, block: BlockId, node: NodeId) {
-            self.events.lock().push(format!("mv-done {block} {node:?}"));
-        }
-        fn on_move_abort(&self, block: BlockId, node: NodeId) {
-            self.events
-                .lock()
-                .push(format!("mv-abort {block} {node:?}"));
+        fn on_event(&self, event: BlockEvent) {
+            self.events.lock().push(event);
         }
     }
 
@@ -1044,14 +1088,36 @@ mod tests {
         assert_eq!(
             events,
             vec![
-                format!("reg {id} 64 {DDR4:?}"),
-                format!("ref+ {id} 1"),
-                format!("acq {id} ReadWrite"),
-                format!("ref- {id} 0"),
-                format!("mv {id} {DDR4:?}->{HBM:?} rc=0"),
-                format!("mv-abort {id} {DDR4:?}"),
+                BlockEvent::Register {
+                    block: id,
+                    bytes: 64,
+                    node: DDR4
+                },
+                BlockEvent::AddRef {
+                    block: id,
+                    refcount: 1
+                },
+                BlockEvent::Access {
+                    block: id,
+                    mode: AccessMode::ReadWrite
+                },
+                BlockEvent::ReleaseRef {
+                    block: id,
+                    refcount: 0
+                },
+                BlockEvent::MoveBegin {
+                    block: id,
+                    from: DDR4,
+                    to: HBM,
+                    refcount: 0
+                },
+                BlockEvent::MoveAbort {
+                    block: id,
+                    node: DDR4
+                },
             ]
         );
+        assert!(events.iter().all(|e| e.block() == id));
     }
 
     #[test]

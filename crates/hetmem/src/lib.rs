@@ -48,7 +48,8 @@ pub mod topology;
 pub use alloc::{AlignedBuf, NodeAllocator};
 pub use bandwidth::{BandwidthRegulator, ChargeOutcome};
 pub use block::{
-    AccessGuard, AccessMode, BlockId, BlockInfo, BlockObserver, BlockRegistry, Pod, Residency,
+    AccessGuard, AccessMode, BlockEvent, BlockId, BlockInfo, BlockObserver, BlockRegistry, Pod,
+    Residency,
 };
 pub use checkpoint::{
     read_checkpoint, restore_into, write_checkpoint, BlockRecord, CheckpointImage,

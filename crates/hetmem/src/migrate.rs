@@ -142,7 +142,7 @@ mod tests {
     use crate::node::NodeId;
     use crate::node::{DDR4, HBM};
     use crate::topology::{NodeSpec, Topology};
-    use crate::{AccessMode, VirtualClock};
+    use crate::{AccessMode, BlockEvent, VirtualClock};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn small_mem() -> Arc<Memory> {
@@ -312,14 +312,15 @@ mod tests {
     }
 
     impl crate::block::BlockObserver for MirrorCheck {
-        fn on_move_begin(&self, block: BlockId, _from: NodeId, _to: NodeId, _rc: u32) {
-            self.expect(block, None);
-        }
-        fn on_move_complete(&self, block: BlockId, node: NodeId) {
-            self.expect(block, Some(node));
-        }
-        fn on_move_abort(&self, block: BlockId, node: NodeId) {
-            self.expect(block, Some(node));
+        fn on_event(&self, event: BlockEvent) {
+            match event {
+                BlockEvent::MoveBegin { block, .. } => self.expect(block, None),
+                BlockEvent::MoveComplete { block, node }
+                | BlockEvent::MoveAbort { block, node } => {
+                    self.expect(block, Some(node));
+                }
+                _ => {}
+            }
         }
     }
 

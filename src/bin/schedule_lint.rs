@@ -15,7 +15,7 @@
 
 use hetrt::core::{OocConfig, Placement, StrategyKind};
 use hetrt::hetcheck::{self, lint, Checker, ScheduleEvent, Trace, TraceMeta, ViolationAction};
-use hetrt::hetmem::{Clock, MonotonicClock, Topology, DDR4, HBM};
+use hetrt::hetmem::{BlockEvent, Clock, MonotonicClock, Topology, HBM};
 use hetrt::kernels::matmul::{run_matmul, MatmulConfig};
 use hetrt::kernels::stencil::{run_stencil, StencilConfig};
 use std::sync::Arc;
@@ -81,8 +81,6 @@ fn record(name: &str, meta: TraceMeta, run: impl FnOnce()) -> Result<Trace, Stri
 fn meta_for(topology: &Topology) -> TraceMeta {
     TraceMeta {
         hbm_capacity: topology.node(HBM).capacity_bytes as usize,
-        hbm: HBM.index(),
-        ddr: DDR4.index(),
     }
 }
 
@@ -183,7 +181,7 @@ fn corruption_self_test(real: &Trace) -> i32 {
     // Corruption 1: one extra ReleaseRef drives a refcount negative.
     let mut over_release = real.clone();
     let victim = real.events.iter().find_map(|e| match e.event {
-        ScheduleEvent::Register { block, .. } => Some(block),
+        ScheduleEvent::Block(BlockEvent::Register { block, .. }) => Some(block),
         _ => None,
     });
     match victim {
@@ -191,7 +189,7 @@ fn corruption_self_test(real: &Trace) -> i32 {
             let at_ns = over_release.events.last().map_or(0, |e| e.at_ns) + 1;
             over_release.events.push(hetrt::hetcheck::TimedEvent {
                 at_ns,
-                event: ScheduleEvent::ReleaseRef { block, refcount: 0 },
+                event: ScheduleEvent::Block(BlockEvent::ReleaseRef { block, refcount: 0 }),
             });
             let report = lint(&over_release);
             if report
