@@ -17,7 +17,7 @@ use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope}
 use crate::hook::{ExecutedTask, SchedulerHook};
 use crate::park::spin_then_park;
 use crate::queue::{Pop, RunQueue};
-use hetmem::{AppendTable, Clock, MonotonicClock, TimeNs};
+use hetmem::{AppendTable, Clock, MonotonicClock, PerThread, TimeNs};
 use parking_lot::Mutex;
 use projections::{LaneId, SpanKind, TraceCollector, Tracer};
 use std::any::Any;
@@ -130,7 +130,7 @@ impl RuntimeBuilder {
             arrays: AppendTable::new(),
             hook: Mutex::new(None),
             hook_epoch: AtomicU64::new(0),
-            counts: Counts::default(),
+            counts: PerThread::default(),
             threads: Mutex::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
             paused: AtomicBool::new(false),
@@ -158,11 +158,12 @@ struct ArrayEntry {
     object: Arc<dyn Any + Send + Sync>,
 }
 
-/// The message counters every worker bumps per envelope, on a cache
-/// line of their own, away from the fields workers only read (the
-/// pause flag, the hook epoch, the queue table).
+/// One thread's share of the message counters. Every worker bumps them
+/// per envelope, so each thread bumps a slot on lines of its own (see
+/// [`PerThread`]), away from the other workers' slots and from the
+/// fields workers only read (the pause flag, the hook epoch, the queue
+/// table).
 #[derive(Default)]
-#[repr(align(64))]
 struct Counts {
     sent: AtomicU64,
     processed: AtomicU64,
@@ -182,7 +183,7 @@ pub struct Runtime {
     /// shutdown); a worker that reads a new epoch (Acquire) re-reads
     /// the slot.
     hook_epoch: AtomicU64,
-    counts: Counts,
+    counts: PerThread<Counts>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     shutting_down: AtomicBool,
     /// The pause gate: workers park at their pause point while it is
@@ -308,7 +309,7 @@ impl Runtime {
     ) {
         let env = Envelope::new(array, index, entry, Box::new(msg));
         let pe = self.dispatch(array).home_pe(index);
-        self.counts.sent.fetch_add(1, Ordering::Relaxed);
+        self.counts.local().sent.fetch_add(1, Ordering::Relaxed);
         self.queues[pe].push(env);
     }
 
@@ -343,13 +344,13 @@ impl Runtime {
 
     /// Messages sent so far.
     pub fn sent_count(&self) -> u64 {
-        self.counts.sent.load(Ordering::Acquire)
+        self.counts.sum(|c| c.sent.load(Ordering::Acquire))
     }
 
     /// Messages fully processed so far: executed and, for admitted
     /// `[prefetch]` messages, post-processed by the hook.
     pub fn processed_count(&self) -> u64 {
-        self.counts.processed.load(Ordering::Acquire)
+        self.counts.sum(|c| c.processed.load(Ordering::Acquire))
     }
 
     /// Poll until the system is quiescent: no hook-pending tasks, all
@@ -357,17 +358,21 @@ impl Runtime {
     /// timeout.
     ///
     /// Each poll is one pass, with no settle sleep. It reads hook
-    /// pending, the run queues, `processed`, then `sent`; `processed`
-    /// counts a message only after its hook post-processing returned.
-    /// Both counters only grow, and a message's `sent` increment happens
-    /// before its `processed` one (the run queue's lock orders them;
-    /// `processed` is bumped with Release, read with Acquire). So
-    /// `processed` equal to the later-read `sent` means nothing was sent
-    /// or processed between the reads and every message sent by then
-    /// was fully processed. Without senders outside the runtime, only an
-    /// executing message can send another, so nothing is left to run.
-    /// Hook pending, read first, covers work a hook holds outside any
-    /// message.
+    /// pending, the run queues, every `processed` slot, then every
+    /// `sent` slot; `processed` counts a message only after its hook
+    /// post-processing returned. A message's `sent` bump happens before
+    /// its `processed` bump (the run queue's lock orders them), which
+    /// happens before the read of its `processed` slot (Release bump,
+    /// Acquire read), which comes before every `sent` read. So each
+    /// message counted in the processed sum is counted in the later
+    /// sent sum, whichever slots the two bumps landed in: the sent sum
+    /// counts a superset of the messages, and the two sums are equal
+    /// only if every message whose send the reads saw was fully
+    /// processed. A send that completed before the poll began is seen.
+    /// Without senders outside the runtime, only an executing message
+    /// can send another, so nothing is left to run; with them, a send
+    /// the reads did not see came after the poll's start. Hook pending,
+    /// read first, covers work a hook holds outside any message.
     ///
     /// Polling backs off exponentially — 20 µs doubling to a 2 ms cap —
     /// so a quiescence reached quickly is detected quickly, while a
@@ -543,7 +548,7 @@ fn process(
             .unwrap_or_else(|| rt.clock.now());
     }
     // Counted only after post-processing: quiescence relies on it.
-    rt.counts.processed.fetch_add(1, Ordering::Release);
+    rt.counts.local().processed.fetch_add(1, Ordering::Release);
     end
 }
 
@@ -969,6 +974,77 @@ mod tests {
         rt.shutdown();
         drop(hook);
         admitter.join().unwrap();
+    }
+
+    #[test]
+    fn quiescence_holds_with_more_outside_senders_than_slots() {
+        const SENDERS: usize = hetmem::per_thread::SLOTS + 8;
+        const BURSTS: u64 = 60;
+        const CHARES: usize = 16;
+
+        /// Counts its executions, after a random delay.
+        struct Sink {
+            executed: Arc<AtomicU64>,
+        }
+        impl Chare for Sink {
+            type Msg = u64;
+            fn execute(&mut self, _entry: EntryId, mut rng: u64, _ctx: &mut ExecCtx<'_>) {
+                jitter(&mut rng);
+                self.executed.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let rt = runtime(2);
+        let executed = Arc::new(AtomicU64::new(0));
+        let ex = Arc::clone(&executed);
+        let array = rt
+            .array_builder::<Sink>()
+            .entry(EP_PING, EntryOptions::default())
+            .build(CHARES, move |_| Sink {
+                executed: Arc::clone(&ex),
+            });
+        // Sends that have returned, and senders that have finished.
+        let (sends_done, senders_done) = (AtomicU64::new(0), AtomicU64::new(0));
+        let mut quiet_polls = 0u64;
+        std::thread::scope(|s| {
+            for t in 0..SENDERS as u64 {
+                let (rt, sends_done, senders_done) = (&rt, &sends_done, &senders_done);
+                s.spawn(move || {
+                    let mut rng = 0x2545_F491_4F6C_DD1D ^ (t + 1);
+                    for _ in 0..BURSTS {
+                        for _ in 0..1 + next_rand(&mut rng) % 4 {
+                            let r = next_rand(&mut rng);
+                            rt.send(array, r as usize % CHARES, EP_PING, r);
+                            sends_done.fetch_add(1, Ordering::SeqCst);
+                        }
+                        let pause = 200 + next_rand(&mut rng) % 1000;
+                        std::thread::sleep(std::time::Duration::from_micros(pause));
+                    }
+                    senders_done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            // Poll while the senders run, more of them than there are
+            // counter slots, so slots are shared and bumped mid-read.
+            while senders_done.load(Ordering::SeqCst) < SENDERS as u64 {
+                let sent_before = sends_done.load(Ordering::SeqCst);
+                if rt.wait_quiescence_ms(1) {
+                    quiet_polls += 1;
+                    // Every send that returned before the poll began
+                    // was fully processed by the time it reported quiet.
+                    let (done, processed) = (executed.load(Ordering::SeqCst), rt.processed_count());
+                    assert!(done >= sent_before, "quiet with {done}/{sent_before} run");
+                    assert!(processed >= sent_before, "quiet with {processed} processed");
+                }
+            }
+        });
+        assert!(quiet_polls > 0, "no poll found the runtime quiet");
+        assert!(rt.wait_quiescence_ms(10_000));
+        let total = sends_done.load(Ordering::SeqCst);
+        assert_eq!(rt.sent_count(), total);
+        assert_eq!(rt.processed_count(), total);
+        assert_eq!(executed.load(Ordering::SeqCst), total);
+        assert!(rt.queues.iter().all(|q| q.is_empty()));
+        rt.shutdown();
     }
 
     #[test]

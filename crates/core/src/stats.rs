@@ -1,26 +1,42 @@
 //! Runtime statistics for the memory-aware layer.
 
+use hetmem::PerThread;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Declares [`StatCells`] with one atomic per listed [`OocStats`]
-/// field, plus the `adopt`/`snapshot` conversions between the two. A
-/// new counter is one field on `OocStats` and one name in the list.
+/// Declares [`StatCells`] with one atomic per listed [`OocStats`] field
+/// in each thread's slot, plus the `adopt`/`snapshot` conversions
+/// between the two. A new counter is one field on `OocStats` and one
+/// name in the list.
 macro_rules! stat_cells {
     ($($field:ident),* $(,)?) => {
-        /// Internal atomic counters shared between strategies and the engine.
+        /// One thread's share of the counters.
+        #[derive(Debug, Default)]
+        struct StatSlot {
+            $($field: AtomicU64,)*
+        }
+
+        /// Internal counters shared between strategies and the engine.
+        /// Each thread bumps its own slot (see [`PerThread`]); a read
+        /// sums the slots.
         #[derive(Debug, Default)]
         pub struct StatCells {
-            $($field: AtomicU64,)*
+            slots: PerThread<StatSlot>,
         }
 
         impl StatCells {
             /// Overwrite every counter with the values in `s` — used once,
             /// right after a restore, so cumulative statistics survive a
             /// kill-and-restore instead of restarting from zero. The restore
-            /// itself is *not* included in `s`; bump it afterwards.
+            /// itself is *not* included in `s`; bump it afterwards. The
+            /// totals go into the first slot and every other slot is
+            /// zeroed; a restore runs paused and at quiescence, so no
+            /// thread bumps a slot meanwhile.
             pub(crate) fn adopt(&self, s: &OocStats) {
-                $(self.$field.store(s.$field, Ordering::Relaxed);)*
+                for (i, slot) in self.slots.iter().enumerate() {
+                    let keep = u64::from(i == 0);
+                    $(slot.$field.store(keep * s.$field, Ordering::Relaxed);)*
+                }
             }
 
             /// Snapshot the counters. `violations` is not a cell: the
@@ -28,7 +44,7 @@ macro_rules! stat_cells {
             /// `rejected_tasks`, which is always 0.
             pub fn snapshot(&self) -> OocStats {
                 OocStats {
-                    $($field: self.$field.load(Ordering::Relaxed),)*
+                    $($field: self.slots.sum(|c| c.$field.load(Ordering::Relaxed)),)*
                     rejected_tasks: 0,
                     violations: 0,
                 }
@@ -57,67 +73,76 @@ stat_cells!(
 );
 
 impl StatCells {
+    /// The calling thread's slot.
+    fn local(&self) -> &StatSlot {
+        self.slots.local()
+    }
+
     pub(crate) fn bump_fetches(&self, bytes: u64) {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        self.fetch_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let c = self.local();
+        c.fetches.fetch_add(1, Ordering::Relaxed);
+        c.fetch_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_evictions(&self, bytes: u64) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        self.evict_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let c = self.local();
+        c.evictions.fetch_add(1, Ordering::Relaxed);
+        c.evict_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_no_space(&self) {
-        self.no_space_events.fetch_add(1, Ordering::Relaxed);
+        self.local().no_space_events.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_intercepted(&self) {
-        self.intercepted.fetch_add(1, Ordering::Relaxed);
+        self.local().intercepted.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.local().admitted.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.local().completed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_queue_wait(&self, ns: u64) {
-        self.queue_wait_ns.fetch_add(ns, Ordering::Relaxed);
+        self.local().queue_wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_transient_retry(&self) {
-        self.transient_retries.fetch_add(1, Ordering::Relaxed);
+        self.local()
+            .transient_retries
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_degraded(&self) {
-        self.degraded_tasks.fetch_add(1, Ordering::Relaxed);
+        self.local().degraded_tasks.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_io_restart(&self) {
-        self.io_restarts.fetch_add(1, Ordering::Relaxed);
+        self.local().io_restarts.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_io_panic(&self) {
-        self.io_panics.fetch_add(1, Ordering::Relaxed);
+        self.local().io_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_checkpoint(&self, bytes: u64) {
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let c = self.local();
+        c.checkpoints.fetch_add(1, Ordering::Relaxed);
+        c.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_restore(&self) {
-        self.restores.fetch_add(1, Ordering::Relaxed);
+        self.local().restores.fetch_add(1, Ordering::Relaxed);
     }
 
     /// [`OocStats::in_flight`] from the two counters it needs, without
     /// a full snapshot (quiescence polls this).
     pub(crate) fn in_flight(&self) -> u64 {
-        self.intercepted
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.completed.load(Ordering::Relaxed))
+        let intercepted = self.slots.sum(|c| c.intercepted.load(Ordering::Relaxed));
+        intercepted.saturating_sub(self.slots.sum(|c| c.completed.load(Ordering::Relaxed)))
     }
 }
 
@@ -292,6 +317,48 @@ mod tests {
         assert_eq!(s.checkpoint_bytes, 4096);
         assert_eq!(s.restores, 1);
         assert!(s.render().contains("ckpt 1x 4096 B  restores 1"));
+    }
+
+    #[test]
+    fn adopted_totals_add_to_bumps_from_many_threads() {
+        const THREADS: u64 = 24;
+        const TASKS: u64 = 500;
+        /// Every thread runs `TASKS` tasks' worth of bumps.
+        fn storm(c: &StatCells) {
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        for _ in 0..TASKS {
+                            c.bump_intercepted();
+                            c.bump_fetches(4096);
+                            c.bump_completed();
+                        }
+                    });
+                }
+            });
+        }
+        let saved = OocStats {
+            fetches: 7,
+            fetch_bytes: 7 << 12,
+            intercepted: 9,
+            completed: 9,
+            checkpoints: 1,
+            ..OocStats::default()
+        };
+        let c = StatCells::default();
+        // Counts from before the restore, in many slots: adopt drops them.
+        storm(&c);
+        c.adopt(&saved);
+        assert_eq!(c.snapshot(), saved);
+        storm(&c);
+        let s = c.snapshot();
+        let n = THREADS * TASKS;
+        assert_eq!(s.intercepted, saved.intercepted + n);
+        assert_eq!(s.completed, saved.completed + n);
+        assert_eq!(s.fetches, saved.fetches + n);
+        assert_eq!(s.fetch_bytes, saved.fetch_bytes + (n << 12));
+        assert_eq!(s.checkpoints, 1);
+        assert_eq!(c.in_flight(), 0);
     }
 
     #[test]

@@ -69,10 +69,6 @@ pub(crate) struct Shared {
     /// scope. Block-level events reach it separately, as the block
     /// registry's observer.
     pub checker: Option<Arc<Checker>>,
-    /// Orders SyncFetch's "failed admit → park in wait queue" decision
-    /// against a completion's wait-queue scan (see `sync_fetch`). Held
-    /// only around the park and as a barrier; never across a fetch.
-    pub admission: parking_lot::Mutex<()>,
     /// Counts events that can make a refused task fit: completions
     /// (after their eviction) and refused admissions whose rollback
     /// unpinned HBM space. SyncFetch and the IO threads rescan when it
@@ -301,7 +297,6 @@ impl OocHook {
             collector,
             worker_tracers,
             node_level_run_queue: config.node_level_run_queue,
-            admission: parking_lot::Mutex::new(()),
             released: AtomicU64::new(0),
             checker,
             rt,

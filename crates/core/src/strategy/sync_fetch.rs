@@ -25,17 +25,19 @@
 //! * `Shared::released` counts the events that can make a refused task
 //!   fit: every completion (bumped after its eviction) and every
 //!   refused admission whose rollback unpinned HBM space.
-//! * `Shared::admission` is a mutex held only around the decision to
-//!   park a freshly refused task, and taken (then dropped at once) by a
-//!   completion as a barrier before it scans. No fetch runs under it.
+//! * The wait queue's own lock. A freshly refused task re-reads
+//!   `released` and parks under its queue's lock, in one critical
+//!   section (`WaitQueues::push_unless`); a completion's scan pops that
+//!   queue under the same lock, after its bump. No fetch runs under it,
+//!   and no lock is shared by all PEs.
 //!
 //! An attempt "misses" a release if the release happens after the
 //! attempt read `released` but the attempt fails anyway. Both parking
 //! paths re-read `released` after failing and retry on any release
 //! other than their own rollback, so a refused task is parked only if
-//! nothing was released during its attempt, or if a scan that starts
-//! after the park will see it. See [`intercept`] and [`after_complete`]
-//! for the two halves of the argument.
+//! nothing was released during its attempt, or if a scan that pops its
+//! queue after the park will see it. See [`intercept`] and
+//! [`after_complete`] for the two halves of the argument.
 //!
 //! `Shared::try_admit` may refuse a task before its attempt takes any
 //! reference, when the deps it would have to fetch already exceed the
@@ -45,7 +47,7 @@
 //! `released` value the attempt read freed its space before its bump,
 //! so the check's later read of the free bytes already includes it.
 
-use super::Shared;
+use super::{Refused, Shared};
 use crate::task::OocTask;
 use hetmem::TimeNs;
 use std::sync::atomic::Ordering;
@@ -53,13 +55,14 @@ use std::sync::atomic::Ordering;
 /// Pre-processing on the worker thread: fetch the task's data right
 /// here and admit it, or park it in its PE's wait queue.
 ///
-/// A refused task is parked under the `admission` lock, and only if
-/// `released` has not moved (beyond this attempt's own rollback) since
-/// the attempt began; otherwise the attempt is retried with the freed
-/// space. A completion bumps `released` *before* its barrier on the
-/// same lock, so for every completion `C` racing this park, either the
-/// park's check sees `C`'s bump (and retries), or the park's critical
-/// section precedes `C`'s barrier and `C`'s scan finds the task.
+/// A refused task is parked only if `released` has not moved (beyond
+/// this attempt's own rollback) since the attempt began; otherwise the
+/// attempt is retried with the freed space. The check and the park are
+/// one critical section on the task's wait queue. A completion `C`
+/// bumps `released` before its scan pops that queue, so for every `C`
+/// racing this park, either `C`'s pop takes the lock after the park
+/// and finds the task, or it took the lock before, and the park's
+/// check, which takes the lock after it, sees `C`'s bump and retries.
 ///
 /// `now` is the worker's latest clock reading, advanced past every move.
 pub(super) fn intercept(shared: &Shared, mut task: OocTask, now: &mut TimeNs) {
@@ -67,22 +70,24 @@ pub(super) fn intercept(shared: &Shared, mut task: OocTask, now: &mut TimeNs) {
     loop {
         let seen = shared.released.load(Ordering::Acquire);
         // Synchronous fetch: runs right here, on the PE's thread.
-        match shared.try_admit(task, tracer, now) {
-            Ok(()) => return,
-            Err(refused) => {
-                task = refused.task;
-                let _gate = shared.admission.lock();
-                if shared.released.load(Ordering::Acquire) != seen + u64::from(refused.unpinned) {
-                    // Space was released since the attempt began; the
-                    // scan that goes with it may already have missed
-                    // us. Retry with the freed space.
-                    continue;
-                }
-                shared.waitq.push(task);
-                return;
-            }
+        let Err(refused) = shared.try_admit(task, tracer, now) else {
+            return;
+        };
+        match park(shared, refused, seen) {
+            Some(back) => task = back,
+            None => return,
         }
     }
+}
+
+/// Park a task refused by an attempt that began when `released` read
+/// `seen`, or hand it back for a retry if space was released since
+/// (other than by the attempt's own rollback): the scan that goes with
+/// that release may already have missed it.
+fn park(shared: &Shared, refused: Refused, seen: u64) -> Option<OocTask> {
+    let own = u64::from(refused.unpinned);
+    let moved = || shared.released.load(Ordering::Acquire) != seen + own;
+    shared.waitq.push_unless(refused.task, moved)
 }
 
 /// Post-processing on the worker thread: after this task's eviction
@@ -97,10 +102,10 @@ pub(super) fn intercept(shared: &Shared, mut task: OocTask, now: &mut TimeNs) {
 /// that does not fit — preserving the paper's behaviour in the common
 /// case while guaranteeing liveness.
 ///
-/// The scan first takes `admission` as a barrier: a concurrent
-/// [`intercept`] that decided to park has parked by then, and one that
-/// decides later sees this completion's bump and retries instead.
-/// Scans then run concurrently with each other and with intercepts,
+/// The caller bumped `released` before this scan, so a concurrent
+/// [`intercept`] whose park takes a queue's lock after this scan popped
+/// it sees the bump and retries, and one that parked before is popped.
+/// Scans run concurrently with each other and with intercepts,
 /// fetching outside any lock, so a scan can find a queue empty or
 /// showing a later head while another scan holds its head out for an
 /// attempt. Such a holder re-parks a head that did not fit at the front
@@ -115,7 +120,6 @@ pub(super) fn intercept(shared: &Shared, mut task: OocTask, now: &mut TimeNs) {
 ///
 /// `now` is the worker's latest clock reading, advanced past every move.
 pub(super) fn after_complete(shared: &Shared, pe: usize, now: &mut TimeNs) {
-    drop(shared.admission.lock());
     let nqueues = shared.waitq.queue_count();
     let first = shared.waitq.queue_for_pe(pe);
     let tracer = shared.worker_tracer(pe);
@@ -141,6 +145,7 @@ pub(super) fn after_complete(shared: &Shared, pe: usize, now: &mut TimeNs) {
 
 #[cfg(test)]
 mod tests {
+    use super::{after_complete, park};
     use crate::config::{OocConfig, StrategyKind};
     use crate::handle::IoHandle;
     use crate::placement::Placement;
@@ -148,9 +153,10 @@ mod tests {
     use crate::task::OocTask;
     use converse::{
         ArrayId, Chare, CompletionLatch, Dep, EntryId, EntryOptions, Envelope, ExecCtx,
-        RuntimeBuilder,
+        ExecutedTask, Mapping, RuntimeBuilder,
     };
-    use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
+    use hetmem::{AccessMode, Memory, TimeNs, Topology, DDR4, HBM};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     const EP_COMPUTE: EntryId = EntryId(0);
@@ -489,5 +495,104 @@ mod tests {
             hook.shutdown();
             rt.shutdown();
         }
+    }
+
+    #[test]
+    fn a_park_racing_the_last_scan_is_never_stranded() {
+        // HBM holds one block. A task holding b0 is "running" while b1's
+        // task is refused, and the runner's completion is the last scan.
+        // Both orders of that scan and the refused task's park are
+        // forced here, by running the two halves by hand.
+        let block_elems = 512usize;
+        let block_bytes = (block_elems * 8) as u64;
+        let mem = Memory::new(Topology::knl_flat_scaled_with(block_bytes, 1 << 24));
+        let rt = RuntimeBuilder::new(2)
+            .clock(Arc::clone(mem.clock()))
+            .build();
+        let blocks: Vec<IoHandle<f64>> = (0..2)
+            .map(|i| {
+                let placement = Placement::DdrOnly;
+                IoHandle::new(&mem, block_elems, placement, HBM, DDR4, format!("b{i}")).unwrap()
+            })
+            .collect();
+        let latch = Arc::new(CompletionLatch::new(1));
+        let (l2, hs) = (Arc::clone(&latch), blocks.clone());
+        let array = rt
+            .array_builder::<Summer>()
+            .entry(EP_COMPUTE, EntryOptions::prefetch())
+            .mapping(Mapping::RoundRobin)
+            .build(2, move |i| Summer {
+                data: hs[i].clone(),
+                latch: Arc::clone(&l2),
+                sum: 0.0,
+            });
+        let hook = OocHook::new(
+            Arc::clone(&rt),
+            Arc::clone(&mem),
+            StrategyKind::SyncFetch,
+            OocConfig::default(),
+        )
+        .unwrap();
+        rt.set_hook(hook.clone());
+        let shared = &hook.shared;
+        let running = [blocks[0].dep(AccessMode::ReadWrite)];
+        // Admit the b0 task, then refuse the b1 task beside it.
+        let refused_beside_runner = |now: &mut TimeNs| {
+            shared.engine.add_refs(&running);
+            let tracer = shared.worker_tracer(0);
+            shared
+                .engine
+                .fetch_all(&running, block_bytes, tracer, 0, now)
+                .unwrap();
+            let seen = shared.released.load(Ordering::Acquire);
+            let mut env = Envelope::new(array, 1, EP_COMPUTE, Box::new(()));
+            env.deps = vec![blocks[1].dep(AccessMode::ReadWrite)];
+            let task = OocTask {
+                env,
+                pe: 1,
+                enqueued_at: 0,
+                bytes: block_bytes,
+            };
+            match shared.try_admit(task, shared.worker_tracer(1), now) {
+                Ok(()) => panic!("b1 cannot fit beside the running b0"),
+                Err(refused) => (refused, seen),
+            }
+        };
+        // The b0 task's post-processing: evict, count the release, scan.
+        let complete_runner = |now: &mut TimeNs| {
+            let done = ExecutedTask {
+                index: 0,
+                token: 0,
+                pe: 0,
+                deps: running.to_vec(),
+            };
+            shared.finish_task(&done, true, now);
+            after_complete(shared, 0, now);
+        };
+        let mut now = 0;
+
+        // The scan pops b1's empty queue before the park: the park's
+        // check must see the scan's release and hand the task back.
+        let (refused, seen) = refused_beside_runner(&mut now);
+        complete_runner(&mut now);
+        let retry = park(shared, refused, seen);
+        assert!(retry.is_some(), "parked after the last scan: stranded");
+        drop(retry);
+
+        // The park comes first: nothing was released, so it parks, and
+        // the scan pops and admits it, and it runs.
+        let (refused, seen) = refused_beside_runner(&mut now);
+        assert!(
+            park(shared, refused, seen).is_none(),
+            "retried with no release"
+        );
+        assert_eq!(hook.wait_queue_lengths(), vec![0, 1]);
+        complete_runner(&mut now);
+        assert!(latch.wait_timeout_ms(30_000), "the parked task never ran");
+        rt.shutdown();
+        let stats = hook.stats();
+        assert_eq!((stats.admitted, stats.completed), (1, 3));
+        assert!(hook.wait_queue_lengths().iter().all(|&n| n == 0));
+        hook.shutdown();
     }
 }

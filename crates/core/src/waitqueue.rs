@@ -55,6 +55,20 @@ impl WaitQueues {
         self.queues[q].lock().push_back(task);
     }
 
+    /// Enqueue a task at the back of its PE's wait queue unless
+    /// `refuse`, called under that queue's lock, returns true; a refused
+    /// task is handed back. Whoever pops the queue next takes the lock
+    /// after this check, so what the check read happens before that pop.
+    pub fn push_unless(&self, task: OocTask, refuse: impl FnOnce() -> bool) -> Option<OocTask> {
+        let q = self.queue_for_pe(task.pe);
+        let mut queue = self.queues[q].lock();
+        if refuse() {
+            return Some(task);
+        }
+        queue.push_back(task);
+        None
+    }
+
     /// Put a task back at the front (its fetch found no space; it keeps
     /// its FIFO position).
     pub fn push_front(&self, task: OocTask) {
@@ -122,6 +136,16 @@ mod tests {
         // FIFO across all PEs.
         let order: Vec<usize> = (0..4).map(|_| wq.pop(0).unwrap().pe).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn push_unless_hands_a_refused_task_back() {
+        let wq = WaitQueues::new(WaitQueueTopology::PerPe, 2);
+        let back = wq.push_unless(task(1, 7), || true).expect("refused");
+        assert_eq!(back.env.index, 7);
+        assert_eq!(wq.lengths(), vec![0, 0]);
+        assert!(wq.push_unless(back, || false).is_none());
+        assert_eq!(wq.lengths(), vec![0, 1]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::error::MemError;
 use crate::node::NodeId;
+use crate::per_thread::PerThread;
 use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
 use std::cell::Cell;
 use std::ptr::NonNull;
@@ -94,7 +95,14 @@ unsafe fn park_or_free(raw: NonNull<u8>, layout: Layout) {
 struct Budget {
     capacity: u64,
     used: AtomicU64,
+    /// Written only on a new high, so most allocations only read it.
     peak: AtomicU64,
+    tally: PerThread<AllocTally>,
+}
+
+/// One thread's share of a budget's allocation counts.
+#[derive(Debug, Default)]
+struct AllocTally {
     allocs: AtomicU64,
     failed: AtomicU64,
 }
@@ -116,7 +124,11 @@ impl Budget {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.peak.fetch_max(cur + bytes, Ordering::Relaxed);
+                    // Peak only grows, so a peak already at or above
+                    // this value stays there: skip the write.
+                    if self.peak.load(Ordering::Relaxed) < cur + bytes {
+                        self.peak.fetch_max(cur + bytes, Ordering::Relaxed);
+                    }
                     return Ok(());
                 }
                 Err(actual) => cur = actual,
@@ -144,8 +156,7 @@ impl NodeAllocator {
                 capacity,
                 used: AtomicU64::new(0),
                 peak: AtomicU64::new(0),
-                allocs: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
+                tally: PerThread::default(),
             }),
         }
     }
@@ -163,15 +174,16 @@ impl NodeAllocator {
         src: Option<&[u8]>,
         node: NodeId,
     ) -> Result<AlignedBuf, MemError> {
+        let tally = self.budget.tally.local();
         if let Err(available) = self.budget.try_reserve(size as u64) {
-            self.budget.failed.fetch_add(1, Ordering::Relaxed);
+            tally.failed.fetch_add(1, Ordering::Relaxed);
             return Err(MemError::CapacityExceeded {
                 node,
                 requested: size as u64,
                 available,
             });
         }
-        self.budget.allocs.fetch_add(1, Ordering::Relaxed);
+        tally.allocs.fetch_add(1, Ordering::Relaxed);
         Ok(AlignedBuf::new(size, src, node, Arc::clone(&self.budget)))
     }
 
@@ -197,12 +209,12 @@ impl NodeAllocator {
 
     /// Number of successful allocations.
     pub fn alloc_count(&self) -> u64 {
-        self.budget.allocs.load(Ordering::Relaxed)
+        self.budget.tally.sum(|t| t.allocs.load(Ordering::Relaxed))
     }
 
     /// Number of allocations rejected for capacity.
     pub fn failed_alloc_count(&self) -> u64 {
-        self.budget.failed.load(Ordering::Relaxed)
+        self.budget.tally.sum(|t| t.failed.load(Ordering::Relaxed))
     }
 }
 
@@ -526,5 +538,58 @@ mod tests {
         assert!(total >= 100, "at least the budget's worth must succeed");
         assert_eq!(a.used(), 0); // all dropped at thread end
         assert!(a.peak_used() <= 1000);
+    }
+
+    #[test]
+    fn peak_covers_every_level_seen_and_reaches_a_full_node() {
+        use std::sync::Barrier;
+        const THREADS: usize = 6;
+        const CHUNK: usize = 64;
+        const SHARE: usize = 40;
+        let capacity = (THREADS * SHARE * CHUNK) as u64;
+        let a = NodeAllocator::new(capacity);
+        let barriers: [Barrier; 3] = std::array::from_fn(|_| Barrier::new(THREADS));
+        let highest_seen = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..THREADS as u64)
+                .map(|t| {
+                    let (a, [start, churned, filled]) = (&a, &barriers);
+                    s.spawn(move || {
+                        let mut rng = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
+                        let mut next = move || {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            rng as usize
+                        };
+                        let mut highest = 0;
+                        start.wait();
+                        // Churn: every thread allocates and frees sizes of
+                        // its own, so the level rises and falls under races.
+                        let mut kept = Vec::new();
+                        for _ in 0..2000 {
+                            kept.push(a.alloc(1 + next() % (2 * CHUNK), HBM).unwrap());
+                            highest = highest.max(a.used());
+                            if kept.len() > 8 {
+                                kept.swap_remove(next() % kept.len());
+                            }
+                        }
+                        drop(kept);
+                        churned.wait();
+                        // Fill: the shares add up to the capacity.
+                        let share: Vec<_> =
+                            (0..SHARE).map(|_| a.alloc(CHUNK, HBM).unwrap()).collect();
+                        highest = highest.max(a.used());
+                        filled.wait();
+                        drop(share);
+                        highest
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|h| h.join().unwrap()).max()
+        });
+        assert!(a.peak_used() >= highest_seen.unwrap());
+        assert_eq!(a.peak_used(), capacity, "the full node's level was missed");
+        assert_eq!(a.alloc_count(), (THREADS * (2000 + SHARE)) as u64);
+        assert_eq!(a.used(), 0);
     }
 }

@@ -31,6 +31,7 @@
 //! [`Topology::knl_flat_scaled`]: crate::Topology::knl_flat_scaled
 
 use crate::clock::{Clock, TimeNs};
+use crate::per_thread::PerThread;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -92,8 +93,14 @@ pub struct BandwidthRegulator {
     /// data, so `Relaxed` suffices: the CAS alone keeps reservations
     /// disjoint.
     cursor: AtomicU64,
-    bytes_charged: AtomicU64,
-    total_wait_ns: AtomicU64,
+    tally: PerThread<ChargeTally>,
+}
+
+/// One thread's share of a regulator's charge totals.
+#[derive(Debug, Default)]
+struct ChargeTally {
+    bytes: AtomicU64,
+    wait_ns: AtomicU64,
 }
 
 impl BandwidthRegulator {
@@ -111,8 +118,7 @@ impl BandwidthRegulator {
             write_penalty: 1.0,
             clock,
             cursor: AtomicU64::new(0),
-            bytes_charged: AtomicU64::new(0),
-            total_wait_ns: AtomicU64::new(0),
+            tally: PerThread::default(),
         }
     }
 
@@ -173,8 +179,10 @@ impl BandwidthRegulator {
             }
             model.overhead_ns = 0;
         }
-        self.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        self.total_wait_ns
+        let tally = self.tally.local();
+        tally.bytes.fetch_add(bytes, Ordering::Relaxed);
+        tally
+            .wait_ns
             .fetch_add(now.saturating_sub(issued_at), Ordering::Relaxed);
         ChargeOutcome {
             bytes,
@@ -204,12 +212,12 @@ impl BandwidthRegulator {
 
     /// Total bytes charged so far.
     pub fn bytes_charged(&self) -> u64 {
-        self.bytes_charged.load(Ordering::Relaxed)
+        self.tally.sum(|t| t.bytes.load(Ordering::Relaxed))
     }
 
     /// Total time callers spent blocked in charges (ns).
     pub fn total_wait_ns(&self) -> u64 {
-        self.total_wait_ns.load(Ordering::Relaxed)
+        self.tally.sum(|t| t.wait_ns.load(Ordering::Relaxed))
     }
 }
 

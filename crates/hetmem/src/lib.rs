@@ -41,6 +41,7 @@ pub mod error;
 pub mod faults;
 pub mod migrate;
 pub mod node;
+pub mod per_thread;
 pub mod stats;
 pub mod table;
 pub mod topology;
@@ -60,6 +61,7 @@ pub use error::MemError;
 pub use faults::{FaultAction, FaultInjector, FaultStats, NoFaults, SeededFaults};
 pub use migrate::MigrationEngine;
 pub use node::{MemKind, NodeId, DDR4, HBM};
+pub use per_thread::PerThread;
 pub use stats::{MemStats, NodeStats};
 pub use table::AppendTable;
 pub use topology::{NodeSpec, Topology};
