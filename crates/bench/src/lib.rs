@@ -146,11 +146,6 @@ pub fn ms(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e6)
 }
 
-/// Format a speedup ratio.
-pub fn speedup(base_ns: u64, this_ns: u64) -> String {
-    format!("{:.2}x", base_ns as f64 / this_ns as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +173,6 @@ mod tests {
     fn formatters() {
         assert_eq!(mib(1 << 20), "1.0");
         assert_eq!(ms(1_500_000), "1.5");
-        assert_eq!(speedup(2_000, 1_000), "2.00x");
         assert_eq!(mibps(2.0 * 1024.0 * 1024.0), "2.0");
     }
 

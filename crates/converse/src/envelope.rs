@@ -55,14 +55,6 @@ impl Dep {
         }
     }
 
-    /// A `readwrite` dependence.
-    pub fn read_write(block: BlockId) -> Self {
-        Self {
-            block,
-            mode: AccessMode::ReadWrite,
-        }
-    }
-
     /// A `writeonly` dependence.
     pub fn write(block: BlockId) -> Self {
         Self {
@@ -134,7 +126,6 @@ mod tests {
     fn dep_constructors_set_modes() {
         let b = BlockId(3);
         assert_eq!(Dep::read(b).mode, AccessMode::ReadOnly);
-        assert_eq!(Dep::read_write(b).mode, AccessMode::ReadWrite);
         assert_eq!(Dep::write(b).mode, AccessMode::WriteOnly);
     }
 

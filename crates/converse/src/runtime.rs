@@ -384,10 +384,7 @@ impl Runtime {
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
         let mut backoff = BACKOFF_START;
         loop {
-            if self.installed_hook().map_or(0, |h| h.pending()) == 0
-                && self.queues.iter().all(|q| q.is_empty())
-                && self.processed_count() == self.sent_count()
-            {
+            if self.quiet(|| {}) {
                 return true;
             }
             let now = std::time::Instant::now();
@@ -398,6 +395,21 @@ impl Runtime {
             std::thread::sleep(backoff.min(deadline - now));
             backoff = (backoff * 2).min(BACKOFF_CAP);
         }
+    }
+
+    /// One poll of [`Runtime::wait_quiescence_ms`]: hook pending, the run
+    /// queues and the `processed` sum, then `between`, then the `sent`
+    /// sum. `between` stands for whatever the other threads do between
+    /// the two sums; only a test passes anything but a no-op.
+    fn quiet(&self, between: impl FnOnce()) -> bool {
+        if self.installed_hook().map_or(0, |h| h.pending()) != 0
+            || !self.queues.iter().all(|q| q.is_empty())
+        {
+            return false;
+        }
+        let processed = self.processed_count();
+        between();
+        processed == self.sent_count()
     }
 
     /// Gate worker processing: after this returns, PE workers finish
@@ -642,6 +654,25 @@ mod tests {
         assert!(rt.wait_quiescence_ms(2000));
         assert_eq!(rt.sent_count(), hops + 1);
         assert_eq!(rt.processed_count(), hops + 1);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_send_and_process_between_the_sums_is_not_quiet() {
+        let rt = runtime(1);
+        // An older message is sent and still running: not processed.
+        let counts = rt.counts.local();
+        counts.sent.fetch_add(1, Ordering::Release);
+        // A newer one is sent and processed between the two sums. Read
+        // in the other order, the sums would both be 1 and the poll
+        // would report a quiet system while the older message runs.
+        let quiet = rt.quiet(|| {
+            counts.sent.fetch_add(1, Ordering::Release);
+            counts.processed.fetch_add(1, Ordering::Release);
+        });
+        assert!(!quiet);
+        counts.processed.fetch_add(1, Ordering::Release);
+        assert!(rt.wait_quiescence_ms(500));
         rt.shutdown();
     }
 

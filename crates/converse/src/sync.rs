@@ -29,11 +29,6 @@ impl CompletionLatch {
         }
     }
 
-    /// Remaining count.
-    pub fn remaining(&self) -> usize {
-        *self.remaining.lock()
-    }
-
     /// Block until the count reaches zero.
     pub fn wait(&self) {
         let mut r = self.remaining.lock();
@@ -63,11 +58,11 @@ mod tests {
     #[test]
     fn latch_counts_to_zero() {
         let l = CompletionLatch::new(2);
-        assert_eq!(l.remaining(), 2);
         l.count_down();
+        assert!(!l.wait_timeout_ms(0));
         l.count_down();
+        assert!(l.wait_timeout_ms(0));
         l.wait(); // returns immediately
-        assert_eq!(l.remaining(), 0);
     }
 
     #[test]

@@ -36,14 +36,6 @@ pub enum FetchError {
     /// HBM has no room even after permitted evictions; retry after a
     /// task completes and frees space.
     NoSpace,
-    /// A task's dependences can never fit in HBM simultaneously —
-    /// a configuration error (the paper's reduced working set must fit).
-    TaskTooLarge {
-        /// Bytes the task needs resident at once.
-        needed: u64,
-        /// The HBM capacity budget.
-        capacity: u64,
-    },
     /// Transient migration faults persisted past `MAX_FETCH_RETRIES`
     /// retries; the caller should run the task degraded from DDR4
     /// rather than wedge the wait queue.
@@ -59,10 +51,6 @@ impl std::fmt::Display for FetchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FetchError::NoSpace => write!(f, "no space in HBM (retry after eviction)"),
-            FetchError::TaskTooLarge { needed, capacity } => write!(
-                f,
-                "task needs {needed} B resident but HBM capacity is {capacity} B"
-            ),
             FetchError::Exhausted { block, attempts } => write!(
                 f,
                 "fetch of block {block} still faulting after {attempts} retries"
@@ -130,15 +118,13 @@ impl FetchEngine {
     /// It never refuses a task a full attempt would admit: a block in
     /// HBM or mid-move counts 0 bytes and a repeated block counts once.
     /// It answers `false` under on-demand LRU eviction, where a fetch
-    /// can find space that `hbm_available` does not show, and for a
-    /// task larger than HBM, which [`FetchEngine::fetch_all`] reports
-    /// as `TaskTooLarge`.
+    /// can find space that `hbm_available` does not show.
     pub(crate) fn cannot_fit(&self, deps: &[Dep], needed: u64) -> bool {
         if self.config.eviction == EvictionPolicy::LruOnDemand {
             return false;
         }
         let available = self.hbm_available();
-        if needed <= available || needed > self.hbm_task_capacity() {
+        if needed <= available {
             return false;
         }
         let registry = self.mem.registry();
@@ -192,26 +178,20 @@ impl FetchEngine {
     /// Bring every dependence of a task into HBM. Returns `Ok(())` when
     /// all blocks are resident in HBM; `Err(NoSpace)` if capacity ran
     /// out part-way (already-fetched blocks stay resident — the paper's
-    /// IO thread likewise "brings in remaining data" on a later pass);
-    /// `Err(TaskTooLarge)` if the task can never fit.
+    /// IO thread likewise "brings in remaining data" on a later pass).
+    /// A task larger than HBM never gets here: the admission guard runs
+    /// it degraded (see [`FetchEngine::hbm_task_capacity`]).
     ///
-    /// `needed` is the deps' total payload bytes (the task sums them
-    /// once, at interception). Call with the task's refs held so fetched
-    /// blocks cannot be evicted underneath us. Records one `Fetch` span
-    /// per actual move on `tracer`, and advances `now` as the module doc
-    /// describes.
+    /// Call with the task's refs held so fetched blocks cannot be
+    /// evicted underneath us. Records one `Fetch` span per actual move
+    /// on `tracer`, and advances `now` as the module doc describes.
     pub fn fetch_all(
         &self,
         deps: &[Dep],
-        needed: u64,
         tracer: &Tracer,
         tag: u32,
         now: &mut TimeNs,
     ) -> Result<(), FetchError> {
-        let capacity = self.hbm_task_capacity();
-        if needed > capacity {
-            return Err(FetchError::TaskTooLarge { needed, capacity });
-        }
         for d in deps {
             self.ensure_in_hbm(d, tracer, tag, now)?;
         }
@@ -219,8 +199,8 @@ impl FetchEngine {
     }
 
     /// The most a single task may declare: HBM capacity. Anything
-    /// larger can never be fully prefetched
-    /// ([`FetchError::TaskTooLarge`] / the admission guard).
+    /// larger can never be fully prefetched, so the admission guard
+    /// runs it degraded from DDR4.
     pub fn hbm_task_capacity(&self) -> u64 {
         self.mem.allocator(HBM).capacity()
     }
@@ -427,9 +407,7 @@ mod tests {
     }
 
     fn fetch(engine: &FetchEngine, deps: &[Dep], tracer: &Tracer) -> Result<(), FetchError> {
-        let registry = engine.memory().registry();
-        let needed = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
-        engine.fetch_all(deps, needed, tracer, 0, &mut 0)
+        engine.fetch_all(deps, tracer, 0, &mut 0)
     }
 
     #[test]
@@ -512,18 +490,6 @@ mod tests {
         assert!(!engine.cannot_fit(&d_b, 1000));
         engine.add_refs(&d_b);
         fetch(&engine, &d_b, &tracer).unwrap();
-        // A task larger than HBM is left to fetch_all's TaskTooLarge.
-        let (mem, engine, _) = setup(1500);
-        let big = block(&mem, 2000, "big");
-        assert!(!engine.cannot_fit(&[dep(big, ReadWrite)], 2000));
-    }
-
-    #[test]
-    fn oversized_task_is_rejected_loudly() {
-        let (mem, engine, tracer) = setup(100);
-        let a = block(&mem, 500, "a");
-        let err = fetch(&engine, &[dep(a, AccessMode::ReadWrite)], &tracer).unwrap_err();
-        assert!(matches!(err, FetchError::TaskTooLarge { .. }));
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl<T: Pod> IoHandle<T> {
         self.len == 0
     }
 
-    /// Payload size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.len * std::mem::size_of::<T>()
-    }
-
     /// The node the block currently lives on (`None` mid-migration).
     pub fn node(&self) -> Option<NodeId> {
         self.mem.registry().node_of(self.block)
@@ -167,7 +162,7 @@ mod tests {
         let m = mem();
         let h: IoHandle<f64> = IoHandle::new(&m, 256, Placement::DdrOnly, HBM, DDR4, "A").unwrap();
         assert_eq!(h.len(), 256);
-        assert_eq!(h.size_bytes(), 2048);
+        assert_eq!(m.registry().size_of(h.block()), 2048);
         assert_eq!(h.node(), Some(DDR4));
         h.write(|xs| {
             xs[0] = 1.5;

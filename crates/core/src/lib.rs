@@ -53,6 +53,6 @@ pub use handle::IoHandle;
 pub use ooc::OocRuntime;
 pub use placement::Placement;
 pub use stats::OocStats;
-pub use strategy::{CacheStats, OocHook};
+pub use strategy::OocHook;
 pub use task::OocTask;
 pub use waitqueue::WaitQueues;

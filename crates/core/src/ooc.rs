@@ -35,7 +35,6 @@ pub struct OocRuntime {
     mem: Arc<Memory>,
     hook: Option<Arc<OocHook>>,
     checker: Option<Arc<Checker>>,
-    strategy: StrategyKind,
     config: OocConfig,
     /// Driver-maintained iteration counter, persisted in checkpoints so
     /// a restored run knows where to resume.
@@ -123,7 +122,6 @@ impl OocRuntime {
             mem,
             hook,
             checker,
-            strategy,
             config,
             iteration: AtomicU64::new(0),
         })
@@ -137,11 +135,6 @@ impl OocRuntime {
     /// The memory subsystem.
     pub fn memory(&self) -> &Arc<Memory> {
         &self.mem
-    }
-
-    /// The active strategy.
-    pub fn strategy(&self) -> StrategyKind {
-        self.strategy
     }
 
     /// The active configuration.
@@ -165,11 +158,6 @@ impl OocRuntime {
             .as_ref()
             .map(|h| h.wait_queue_lengths())
             .unwrap_or_default()
-    }
-
-    /// Cache hit/miss statistics (cache-mode strategy only).
-    pub fn cache_stats(&self) -> Option<crate::CacheStats> {
-        self.hook.as_ref().and_then(|h| h.cache_stats())
     }
 
     /// Wait for quiescence (all messages executed, nothing pending).

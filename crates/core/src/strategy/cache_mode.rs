@@ -32,25 +32,12 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Direct-mapped set table plus hit/miss counters.
-pub struct CacheState {
+pub(super) struct CacheState {
     sets: Mutex<Vec<Option<BlockId>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
     conflict_evictions: AtomicU64,
-}
-
-/// Cache statistics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Dependences found resident in their set.
-    pub hits: u64,
-    /// Dependences demand-filled into their set.
-    pub misses: u64,
-    /// Dependences served from DDR4 (set in use or no capacity).
-    pub bypasses: u64,
-    /// Resident blocks displaced by a conflicting fill.
-    pub conflict_evictions: u64,
 }
 
 impl CacheState {
@@ -62,16 +49,6 @@ impl CacheState {
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             conflict_evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            conflict_evictions: self.conflict_evictions.load(Ordering::Relaxed),
         }
     }
 
@@ -129,9 +106,8 @@ pub(super) fn intercept(shared: &Shared, cache: &CacheState, task: OocTask, now:
             cache.conflict_evictions.fetch_add(1, Ordering::Relaxed);
         }
         // Fill on the critical path (cache mode has no prefetch).
-        let size = registry.size_of(dep.block) as u64;
         let one = std::slice::from_ref(dep);
-        match shared.engine.fetch_all(one, size, tracer, tag, now) {
+        match shared.engine.fetch_all(one, tracer, tag, now) {
             Ok(()) => {
                 cache.misses.fetch_add(1, Ordering::Relaxed);
             }
@@ -151,12 +127,39 @@ mod tests {
     use crate::config::{EvictionPolicy, OocConfig, StrategyKind};
     use crate::handle::IoHandle;
     use crate::placement::Placement;
-    use crate::strategy::OocHook;
+    use crate::strategy::{Flavour, OocHook};
     use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx, RuntimeBuilder};
     use hetmem::{AccessMode, Memory, NodeId, Topology, DDR4, HBM};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     const EP: EntryId = EntryId(0);
+
+    /// Cache statistics snapshot.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct CacheStats {
+        /// Dependences found resident in their set.
+        hits: u64,
+        /// Dependences demand-filled into their set.
+        misses: u64,
+        /// Dependences served from DDR4 (set in use or no capacity).
+        bypasses: u64,
+        /// Resident blocks displaced by a conflicting fill.
+        conflict_evictions: u64,
+    }
+
+    /// A cache-mode hook's counters.
+    fn cache_stats(hook: &OocHook) -> CacheStats {
+        let Flavour::Cache(state) = &hook.flavour else {
+            panic!("not a cache-mode hook");
+        };
+        CacheStats {
+            hits: state.hits.load(Ordering::Relaxed),
+            misses: state.misses.load(Ordering::Relaxed),
+            bypasses: state.bypasses.load(Ordering::Relaxed),
+            conflict_evictions: state.conflict_evictions.load(Ordering::Relaxed),
+        }
+    }
 
     struct Toucher {
         data: IoHandle<f64>,
@@ -180,7 +183,7 @@ mod tests {
 
     struct CacheRun {
         stats: crate::OocStats,
-        cache: super::CacheStats,
+        cache: CacheStats,
         /// Per block: its node at each execution.
         seen: Vec<Vec<Option<NodeId>>>,
         /// Per block: its node after the run.
@@ -260,7 +263,7 @@ mod tests {
         }
         let run = CacheRun {
             stats: hook.stats(),
-            cache: hook.cache_stats().expect("cache-mode stats"),
+            cache: cache_stats(&hook),
             seen: (0..n)
                 .map(|i| arr.with_chare(i, |c| c.seen.clone()))
                 .collect(),

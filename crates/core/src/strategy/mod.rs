@@ -28,7 +28,7 @@ mod cache_mode;
 mod io_threads;
 mod sync_fetch;
 
-pub use cache_mode::{CacheState, CacheStats};
+use cache_mode::CacheState;
 
 use crate::config::{OocConfig, StrategyKind};
 use crate::engine::{FetchEngine, FetchError};
@@ -129,10 +129,7 @@ impl Shared {
         let tag = task.env.index as u32;
         let t0 = *now;
         self.engine.add_refs(&task.env.deps);
-        match self
-            .engine
-            .fetch_all(&task.env.deps, task.bytes, tracer, tag, now)
-        {
+        match self.engine.fetch_all(&task.env.deps, tracer, tag, now) {
             Ok(()) => {
                 self.admit(task, false, *now);
                 Ok(())
@@ -147,15 +144,6 @@ impl Shared {
             Err(FetchError::Exhausted { .. }) => {
                 // Refs stay held; any deps that did land in HBM are
                 // used from there, the rest are read at DDR4 speed.
-                self.degrade(task, tracer, t0, now);
-                Ok(())
-            }
-            Err(FetchError::TaskTooLarge { .. }) => {
-                // Normally unreachable: the admission guard in
-                // `on_intercept` catches oversize tasks before they
-                // enter a queue. Kept as defence in depth — a task
-                // that slips through runs degraded from DDR4 instead
-                // of panicking or waiting forever.
                 self.degrade(task, tracer, t0, now);
                 Ok(())
             }
@@ -324,14 +312,6 @@ impl OocHook {
     /// Current wait-queue lengths (load-imbalance diagnostics).
     pub fn wait_queue_lengths(&self) -> Vec<usize> {
         self.shared.waitq.lengths()
-    }
-
-    /// Cache hit/miss statistics (cache-mode strategy only).
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        match &self.flavour {
-            Flavour::Cache(state) => Some(state.stats()),
-            _ => None,
-        }
     }
 
     /// Overwrite the hook's counters with a checkpointed snapshot

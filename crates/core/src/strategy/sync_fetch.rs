@@ -358,10 +358,7 @@ mod tests {
         let tracer = shared.worker_tracer(0);
         let held = [blocks[0].dep(AccessMode::ReadWrite)];
         shared.engine.add_refs(&held);
-        shared
-            .engine
-            .fetch_all(&held, block_bytes, tracer, 0, &mut 0)
-            .unwrap();
+        shared.engine.fetch_all(&held, tracer, 0, &mut 0).unwrap();
 
         let mut env = Envelope::new(ArrayId(0), 1, EP_COMPUTE, Box::new(()));
         env.deps = vec![blocks[1].dep(AccessMode::ReadWrite)];
@@ -540,10 +537,7 @@ mod tests {
         let refused_beside_runner = |now: &mut TimeNs| {
             shared.engine.add_refs(&running);
             let tracer = shared.worker_tracer(0);
-            shared
-                .engine
-                .fetch_all(&running, block_bytes, tracer, 0, now)
-                .unwrap();
+            shared.engine.fetch_all(&running, tracer, 0, now).unwrap();
             let seen = shared.released.load(Ordering::Acquire);
             let mut env = Envelope::new(array, 1, EP_COMPUTE, Box::new(()));
             env.deps = vec![blocks[1].dep(AccessMode::ReadWrite)];

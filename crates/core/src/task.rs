@@ -20,8 +20,7 @@ pub struct OocTask {
     /// Clock time at interception (measures wait-queue delay).
     pub enqueued_at: u64,
     /// Total payload bytes of the dependences, summed once at
-    /// interception for the admission guard and the fetch's
-    /// `TaskTooLarge` check.
+    /// interception for the admission guard and the refusal check.
     pub bytes: u64,
 }
 

@@ -31,18 +31,6 @@ fn task_strategy(nblocks: usize) -> impl Strategy<Value = Vec<(usize, u8)>> {
     prop::collection::vec((0..nblocks, 0u8..3), 1..4)
 }
 
-/// `FetchEngine::fetch_all` with the deps' bytes summed here, as the
-/// runtime sums them at interception.
-fn fetch(
-    engine: &FetchEngine,
-    deps: &[Dep],
-    tracer: &projections::Tracer,
-) -> Result<(), FetchError> {
-    let registry = engine.memory().registry();
-    let needed = deps.iter().map(|d| registry.size_of(d.block) as u64).sum();
-    engine.fetch_all(deps, needed, tracer, 0, &mut 0)
-}
-
 fn mode(m: u8) -> AccessMode {
     match m {
         0 => AccessMode::ReadOnly,
@@ -86,7 +74,7 @@ proptest! {
                 }
             }
             engine.add_refs(&deps);
-            match fetch(&engine, &deps, &tracer) {
+            match engine.fetch_all(&deps, &tracer, 0, &mut 0) {
                 Ok(()) => {
                     // All deps resident in HBM while referenced.
                     for d in &deps {
@@ -116,7 +104,7 @@ proptest! {
         );
         if eviction == EvictionPolicy::OnComplete {
             // Paper policy: nothing referenced ⇒ nothing left in HBM.
-            prop_assert_eq!(mem.registry().resident_bytes_on(HBM), 0);
+            prop_assert!(mem.registry().resident_on(HBM).is_empty());
         }
         prop_assert!(stats.nodes[HBM.index()].peak_used_bytes <= cap);
     }
@@ -168,7 +156,7 @@ proptest! {
                     }
                 }
                 engine.add_refs(&deps);
-                outcomes.push(match fetch(&engine, &deps, &tracer) {
+                outcomes.push(match engine.fetch_all(&deps, &tracer, 0, &mut 0) {
                     Ok(()) => 0,
                     Err(FetchError::Exhausted { .. }) => 1,
                     Err(e) => panic!("unexpected error {e}"),
@@ -211,7 +199,7 @@ proptest! {
                 }
             }
             engine.add_refs(&deps);
-            fetch(&engine, &deps, &tracer).unwrap();
+            engine.fetch_all(&deps, &tracer, 0, &mut 0).unwrap();
             engine.release_refs(&deps);
             engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
         }

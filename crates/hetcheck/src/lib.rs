@@ -92,11 +92,6 @@ impl Checker {
         }
     }
 
-    /// The configured action on violation.
-    pub fn action(&self) -> ViolationAction {
-        self.action
-    }
-
     /// Attach this checker to `registry` as its block observer. Blocks
     /// registered *before* attachment are snapshotted into the schedule
     /// log so the offline linter sees them.

@@ -135,11 +135,6 @@ impl BandwidthRegulator {
         self
     }
 
-    /// The configured node rate, bytes/sec.
-    pub fn rate_bytes_per_sec(&self) -> u64 {
-        self.model.rate_bytes_per_sec
-    }
-
     /// Charge `bytes` of *read* traffic; blocks until drained.
     pub fn charge(&self, bytes: u64) -> ChargeOutcome {
         self.charge_at(self.clock.now(), bytes)

@@ -575,20 +575,6 @@ impl BlockRegistry {
         out.sort_unstable();
         out.into_iter().map(|(_, id)| id).collect()
     }
-
-    /// Total payload bytes resident on `node`.
-    pub fn resident_bytes_on(&self, node: NodeId) -> u64 {
-        self.slots
-            .iter()
-            .map(|(_, slot)| {
-                if slot.meta.lock().residency == Residency::Resident(node) {
-                    slot.size as u64
-                } else {
-                    0
-                }
-            })
-            .sum()
-    }
 }
 
 /// Checked access to one block's bytes, borrowed from its registry.
@@ -1177,6 +1163,5 @@ mod tests {
         let on_hbm = reg.resident_on(HBM);
         assert_eq!(on_hbm, vec![b, a]); // b touched before a
         assert_eq!(reg.resident_on(DDR4), vec![c]);
-        assert_eq!(reg.resident_bytes_on(HBM), 32);
     }
 }

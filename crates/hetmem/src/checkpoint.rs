@@ -96,14 +96,6 @@ pub struct CheckpointImage {
     pub app: String,
 }
 
-impl CheckpointImage {
-    /// Total payload bytes across all blocks.
-    #[must_use]
-    pub fn payload_bytes(&self) -> u64 {
-        self.blocks.iter().map(|(r, _)| r.size as u64).sum()
-    }
-}
-
 /// What a successful [`write_checkpoint`] captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointSummary {
@@ -288,6 +280,9 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointImage, MemError> {
 /// it was checkpointed on; when that tier's budget is exhausted
 /// (HBM shrank) the block spills to `spill`
 /// instead — the same degraded-placement rule the admission path uses.
+///
+/// The metadata carries no checksum, so a record naming a node the
+/// topology lacks is rejected as corrupt before anything is registered.
 pub fn restore_into(
     mem: &Memory,
     image: &CheckpointImage,
@@ -301,6 +296,17 @@ pub fn restore_into(
                 registry.len()
             ),
         });
+    }
+    let nodes = mem.topology().nodes().len();
+    if let Some((record, _)) = image
+        .blocks
+        .iter()
+        .find(|(record, _)| usize::from(record.node) >= nodes)
+    {
+        return Err(corrupt(format!(
+            "blk{} was resident on node {}, but the topology has {nodes} nodes",
+            record.id, record.node
+        )));
     }
     let mut spilled = 0usize;
     let mut payload_bytes = 0u64;
@@ -455,6 +461,30 @@ mod tests {
         let err = restore_into(&mem, &image, DDR4).unwrap_err();
         assert!(matches!(err, MemError::CheckpointFailed { .. }), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn restore_rejects_a_record_on_an_unknown_node() {
+        let record = |id: u32, node: u8| BlockRecord {
+            id,
+            size: 64,
+            node,
+            refcount: 0,
+            label: format!("b{id}"),
+            checksum: fnv1a64(&[0; 64]),
+        };
+        // The bad record comes second: nothing may be registered first.
+        let image = CheckpointImage {
+            blocks: vec![(record(0, 1), vec![0; 64]), (record(1, 3), vec![0; 64])],
+            app: String::new(),
+        };
+        let mem = mem_with(1 << 20, 1 << 22);
+        let err = restore_into(&mem, &image, DDR4).unwrap_err();
+        assert!(
+            matches!(err, MemError::CheckpointCorrupted { ref detail } if detail.contains("node 3")),
+            "{err}"
+        );
+        assert!(mem.registry().is_empty());
     }
 
     #[test]

@@ -73,15 +73,12 @@ impl Clock for MonotonicClock {
 ///
 /// `sleep_until` *advances the clock itself* when the sleeper holds the
 /// earliest deadline, which lets single-threaded tests run "timed" code
-/// instantly while preserving ordering; multi-threaded tests can also
-/// drive it manually with [`VirtualClock::advance_to`].
+/// instantly while preserving ordering. Other threads still computing
+/// do not hold time back, so it orders only the sleepers.
 pub struct VirtualClock {
     now: AtomicU64,
     sleepers: Mutex<Vec<TimeNs>>,
     cv: Condvar,
-    /// When true (the default), a sleeping thread may advance time to its
-    /// own deadline once it holds the minimum pending deadline.
-    auto_advance: bool,
 }
 
 impl VirtualClock {
@@ -91,24 +88,7 @@ impl VirtualClock {
             now: AtomicU64::new(0),
             sleepers: Mutex::new(Vec::new()),
             cv: Condvar::new(),
-            auto_advance: true,
         }
-    }
-
-    /// A virtual clock that only moves via [`VirtualClock::advance_to`].
-    pub fn manual() -> Self {
-        Self {
-            auto_advance: false,
-            ..Self::new()
-        }
-    }
-
-    /// Move time forward to `t` (monotonic: earlier values are ignored)
-    /// and wake any sleeper whose deadline has passed.
-    pub fn advance_to(&self, t: TimeNs) {
-        self.now.fetch_max(t, Ordering::SeqCst);
-        let _guard = self.sleepers.lock();
-        self.cv.notify_all();
     }
 }
 
@@ -134,14 +114,12 @@ impl Clock for VirtualClock {
                 self.cv.notify_all();
                 return now;
             }
-            if self.auto_advance {
-                // Only the thread holding the earliest pending deadline
-                // may pull time forward; everyone else waits to be woken.
-                let min = sleepers.iter().copied().min().unwrap();
-                if min == deadline {
-                    self.now.fetch_max(deadline, Ordering::SeqCst);
-                    continue;
-                }
+            // Only the thread holding the earliest pending deadline may
+            // pull time forward; everyone else waits to be woken.
+            let min = sleepers.iter().copied().min().unwrap();
+            if min == deadline {
+                self.now.fetch_max(deadline, Ordering::SeqCst);
+                continue;
             }
             self.cv.wait(&mut sleepers);
         }
@@ -194,48 +172,30 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_manual_advance_wakes_sleepers() {
-        let c = Arc::new(VirtualClock::manual());
-        let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || {
-            c2.sleep_until(500);
-            c2.now()
-        });
-        // Give the sleeper a moment to register, then advance.
-        while c.sleepers.lock().is_empty() {
-            std::thread::yield_now();
-        }
-        c.advance_to(600);
-        assert_eq!(h.join().unwrap(), 600);
-    }
-
-    #[test]
     fn virtual_clock_orders_two_sleepers() {
-        let c = Arc::new(VirtualClock::manual());
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for (tag, deadline) in [(1u8, 300u64), (2, 100)] {
-            let c = Arc::clone(&c);
-            let order = Arc::clone(&order);
-            handles.push(std::thread::spawn(move || {
-                c.sleep_until(deadline);
-                order.lock().push(tag);
-            }));
-        }
-        // Wait until both sleepers have registered, then step time.
-        while c.sleepers.lock().len() < 2 {
+        let c = Arc::new(VirtualClock::new());
+        // A pending deadline of 50 that no thread owns holds time back
+        // until both sleepers have registered.
+        c.sleepers.lock().push(50);
+        let handles: Vec<_> = [300u64, 100]
+            .into_iter()
+            .map(|deadline| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || c.sleep_until(deadline))
+            })
+            .collect();
+        while c.sleepers.lock().len() < 3 {
             std::thread::yield_now();
         }
-        c.advance_to(100);
-        while order.lock().is_empty() {
-            std::thread::yield_now();
+        {
+            let mut sleepers = c.sleepers.lock();
+            sleepers.retain(|&d| d != 50);
+            c.cv.notify_all();
         }
-        c.advance_to(300);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let order = order.lock();
-        // The 100ns sleeper must finish before the 300ns sleeper.
-        assert_eq!(*order, vec![2, 1]);
+        let woke: Vec<TimeNs> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // The 100 ns sleeper moved time first and woke at its own
+        // deadline, before the 300 ns sleeper pulled time on to 300.
+        assert_eq!(woke, vec![300, 100]);
+        assert_eq!(c.now(), 300);
     }
 }

@@ -24,17 +24,6 @@ pub struct NodeStats {
     pub charge_wait_ns: u64,
 }
 
-impl NodeStats {
-    /// Fraction of the capacity budget in use, 0..=1.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            0.0
-        } else {
-            self.used_bytes as f64 / self.capacity_bytes as f64
-        }
-    }
-}
-
 /// Statistics for every node in the subsystem.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemStats {
@@ -78,16 +67,6 @@ mod tests {
             bytes_charged: 1000,
             charge_wait_ns: 5_000_000,
         }
-    }
-
-    #[test]
-    fn occupancy_fraction() {
-        assert_eq!(sample().occupancy(), 0.25);
-        let zero = NodeStats {
-            capacity_bytes: 0,
-            ..sample()
-        };
-        assert_eq!(zero.occupancy(), 0.0);
     }
 
     #[test]

@@ -1,17 +1,13 @@
 //! Topology descriptions: how many memory nodes, with what capacity and
 //! bandwidth.
 //!
-//! Two presets matter for the reproduction:
-//!
-//! * [`Topology::knl_flat_paper`] — the paper's literal testbed numbers
-//!   (Stampede 2.0 KNL, Flat / All-to-All): 16 GB MCDRAM at ~420 GB/s
-//!   aggregate STREAM-triad bandwidth vs 96 GB DDR4 at ~90 GB/s (the
-//!   "over 4X" of §III-B / Figure 1). This is what `vtsim` uses for the
-//!   full-scale virtual-time runs.
-//! * [`Topology::knl_flat_scaled`] — the same *ratios* scaled down by
-//!   `1 paper-GB : 1 sim-MB` in capacity and about a hundredfold in
-//!   bandwidth so that the threaded runtime regenerates every figure in
-//!   wall-clock seconds on a laptop.
+//! [`Topology::knl_flat_scaled`] is the paper's KNL testbed (Stampede
+//! 2.0, Flat / All-to-All: 16 GB MCDRAM at ~420 GB/s aggregate
+//! STREAM-triad bandwidth vs 96 GB DDR4 at ~90 GB/s, the "over 4X" of
+//! §III-B / Figure 1) with its *ratios* kept and its sizes scaled down by
+//! `1 paper-GB : 1 sim-MB` in capacity and about a hundredfold in
+//! bandwidth, so that the threaded runtime regenerates every figure in
+//! wall-clock seconds on a laptop.
 
 use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
@@ -73,7 +69,6 @@ pub struct Topology {
 }
 
 pub const MIB: u64 = 1024 * 1024;
-pub const GIB: u64 = 1024 * MIB;
 
 impl Topology {
     /// Build a topology from explicit node specs.
@@ -87,24 +82,10 @@ impl Topology {
         }
     }
 
-    /// The paper's KNL testbed, literal sizes (used by `vtsim`).
-    ///
-    /// Bandwidths follow the paper's Figure 1 STREAM measurements:
-    /// MCDRAM ≈ 420 GB/s, DDR4 ≈ 90 GB/s ("over 4X"); capacities are
-    /// 96 GB DDR4 and 16 GB MCDRAM (§III-B). The 6% write penalty on
-    /// DDR4 reproduces Figure 7's slightly-higher HBM→DDR4 memcpy cost.
-    pub fn knl_flat_paper() -> Self {
-        let mut t = Self::new(vec![
-            NodeSpec::new("DDR4", 96 * GIB, 90 * GIB).with_write_penalty(1.06),
-            NodeSpec::new("MCDRAM", 16 * GIB, 420 * GIB),
-        ]);
-        // Single KNL core memcpy rate, per Perarnau et al. [11].
-        t.migrate_thread_bytes_per_sec = Some(12 * GIB);
-        t
-    }
-
-    /// The scaled-down twin of [`Topology::knl_flat_paper`] used by the
-    /// threaded runtime: `1 paper-GB = 1 sim-MB` of capacity and
+    /// The paper's KNL testbed scaled down for the threaded runtime
+    /// (16 GB MCDRAM at 420 GB/s, 96 GB DDR4 at 90 GB/s with Figure 7's
+    /// 6% write penalty, and Perarnau et al.'s 12 GB/s single-core
+    /// memcpy rate): `1 paper-GB = 1 sim-MB` of capacity and
     /// `1 paper-GB/s = 1 sim-MB/s` of bandwidth, so a Figure-8 style
     /// run (32-unit working set) completes in wall-clock seconds while
     /// keeping every paper ratio: 4.67:1 node bandwidth, 6:1 capacity,
@@ -155,11 +136,6 @@ impl Topology {
     pub fn migrate_thread_bytes_per_sec(&self) -> Option<u64> {
         self.migrate_thread_bytes_per_sec
     }
-
-    /// Bandwidth ratio between two nodes (a:b).
-    pub fn bandwidth_ratio(&self, a: NodeId, b: NodeId) -> f64 {
-        self.node(a).bandwidth_bytes_per_sec as f64 / self.node(b).bandwidth_bytes_per_sec as f64
-    }
 }
 
 #[cfg(test)]
@@ -168,27 +144,18 @@ mod tests {
     use crate::node::{DDR4, HBM};
 
     #[test]
-    fn paper_topology_matches_section_iii() {
-        let t = Topology::knl_flat_paper();
-        assert_eq!(t.node(HBM).capacity_bytes, 16 * GIB);
-        assert_eq!(t.node(DDR4).capacity_bytes, 96 * GIB);
-        // "MCDRAM has over 4X higher bandwidth than DRAM."
-        assert!(t.bandwidth_ratio(HBM, DDR4) > 4.0);
-        // "the capacity of DDR4 is 96 GB, 6 times that of HBM."
-        assert_eq!(t.node(DDR4).capacity_bytes / t.node(HBM).capacity_bytes, 6);
-    }
-
-    #[test]
-    fn scaled_topology_preserves_ratios() {
-        let paper = Topology::knl_flat_paper();
-        let scaled = Topology::knl_flat_scaled();
-        let paper_ratio = paper.bandwidth_ratio(HBM, DDR4);
-        let scaled_ratio = scaled.bandwidth_ratio(HBM, DDR4);
-        assert!((paper_ratio - scaled_ratio).abs() < 0.01);
+    fn scaled_topology_keeps_the_papers_ratios() {
+        let t = Topology::knl_flat_scaled();
+        let (hbm, ddr) = (t.node(HBM), t.node(DDR4));
+        // "MCDRAM has over 4X higher bandwidth than DRAM": Figure 1's
+        // 420 GB/s against 90 GB/s.
         assert_eq!(
-            scaled.node(DDR4).capacity_bytes / scaled.node(HBM).capacity_bytes,
-            6
+            hbm.bandwidth_bytes_per_sec * 90,
+            ddr.bandwidth_bytes_per_sec * 420
         );
+        // "the capacity of DDR4 is 96 GB, 6 times that of HBM" (16 GB).
+        assert_eq!(hbm.capacity_bytes * 96, ddr.capacity_bytes * 16);
+        assert_eq!(ddr.capacity_bytes / hbm.capacity_bytes, 6);
     }
 
     #[test]

@@ -277,11 +277,6 @@ impl MatmulDriver {
         })
     }
 
-    /// Full C contents, block row-major (bitwise comparison).
-    pub fn c_contents(&self) -> Vec<Vec<f64>> {
-        self.c.iter().map(|h| h.read(<[f64]>::to_vec)).collect()
-    }
-
     /// Sum over all C entries.
     pub fn checksum(&self) -> f64 {
         self.c
@@ -383,6 +378,11 @@ mod tests {
     use super::*;
     use crate::dgemm::dgemm_naive;
 
+    /// Full C contents, block row-major (bitwise comparison).
+    fn c_contents(driver: &MatmulDriver) -> Vec<Vec<f64>> {
+        driver.c.iter().map(|h| h.read(<[f64]>::to_vec)).collect()
+    }
+
     fn chunked_cfg(checkpoint_every: u64) -> MatmulConfig {
         MatmulConfig {
             grid: 3,
@@ -400,7 +400,7 @@ mod tests {
     fn one_chunk_contents(cfg: MatmulConfig) -> Vec<Vec<f64>> {
         let driver = MatmulDriver::new(cfg);
         driver.run(None).unwrap();
-        let contents = driver.c_contents();
+        let contents = c_contents(&driver);
         driver.shutdown();
         contents
     }
@@ -417,7 +417,7 @@ mod tests {
                 steps += 1;
             }
             assert_eq!(steps, chunks, "every {every}");
-            assert_eq!(driver.c_contents(), want, "every {every}");
+            assert_eq!(c_contents(&driver), want, "every {every}");
             assert_eq!(driver.checksum(), run_matmul(&cfg).checksum);
             driver.shutdown();
         }
@@ -441,7 +441,7 @@ mod tests {
         let resumed = MatmulDriver::resume(cfg, &path).unwrap();
         assert_eq!(resumed.completed_iterations(), 1);
         resumed.run(None).unwrap();
-        assert_eq!(resumed.c_contents(), want, "restart must be bitwise exact");
+        assert_eq!(c_contents(&resumed), want, "restart must be bitwise exact");
         resumed.shutdown();
         let _ = std::fs::remove_file(&path);
     }

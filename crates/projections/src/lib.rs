@@ -13,13 +13,12 @@
 //!   lock waits, and idle gaps;
 //! * a finished run yields a [`Trace`], which can be summarised
 //!   ([`TraceSummary`]) into per-kind time breakdowns and an overhead
-//!   fraction, rendered as an ASCII timeline ([`render::render_ascii`]),
-//!   or exported to JSON/CSV for external plotting.
+//!   fraction, or rendered as an ASCII timeline
+//!   ([`render::render_ascii`]).
 //!
 //! Figures 5 and 6 of the paper are regenerated from these summaries by
 //! `bench/src/bin/fig5_projections.rs` and `fig6_sync_async.rs`.
 
-pub mod export;
 pub mod render;
 pub mod span;
 pub mod timeline;

@@ -1,14 +1,12 @@
 //! Span and lane vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// What a span of time was spent on.
 ///
 /// The palette follows the paper's Projections discussion: compute is the
 /// useful work; everything in [`SpanKind::is_overhead`] is the "red
 /// portion ... wait time caused due to delays from scheduling tasks, data
 /// prefetch, eviction and locking of queues and data blocks" (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpanKind {
     /// Bandwidth-sensitive kernel execution (the paper's "compute
     /// kernel time").
@@ -99,7 +97,7 @@ impl std::fmt::Display for SpanKind {
 }
 
 /// What kind of execution lane produced a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LaneKind {
     /// A worker PE running the Converse scheduler loop.
     Worker,
@@ -108,7 +106,7 @@ pub enum LaneKind {
 }
 
 /// Identity of an execution lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LaneId {
     /// Worker or IO.
     pub kind: LaneKind,
@@ -144,7 +142,7 @@ impl std::fmt::Display for LaneId {
 }
 
 /// One recorded interval on a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Category.
     pub kind: SpanKind,

@@ -1,11 +1,10 @@
 //! Trace analysis: per-lane and per-kind time breakdowns.
 
 use crate::span::{LaneId, Span, SpanKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// All spans recorded by one lane, time-sorted.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneTrace {
     /// The lane.
     pub lane: LaneId,
@@ -14,7 +13,7 @@ pub struct LaneTrace {
 }
 
 /// A complete run's trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// One entry per lane (workers first, then IO threads).
     pub lanes: Vec<LaneTrace>,
@@ -71,7 +70,7 @@ impl Trace {
 }
 
 /// Time per span kind, in nanoseconds.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KindBreakdown {
     map: BTreeMap<SpanKind, u64>,
 }
@@ -128,7 +127,7 @@ impl KindBreakdown {
 }
 
 /// Summary for one lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneSummary {
     /// The lane.
     pub lane: LaneId,
@@ -139,7 +138,7 @@ pub struct LaneSummary {
 }
 
 /// Whole-run summary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Per-lane summaries.
     pub lanes: Vec<LaneSummary>,

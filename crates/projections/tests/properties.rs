@@ -1,7 +1,7 @@
 //! Property-based tests of the tracing layer: summaries conserve
-//! recorded time, exports round-trip, and rendering never panics.
+//! recorded time, and rendering never panics.
 
-use projections::{export, render, LaneId, Span, SpanKind, Trace, TraceCollector};
+use projections::{render, LaneId, Span, SpanKind, Trace, TraceCollector};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = SpanKind> {
@@ -63,10 +63,9 @@ proptest! {
         }
     }
 
-    /// JSON round-trips losslessly; CSV has one row per span; ASCII
-    /// rendering succeeds at any width.
+    /// ASCII rendering succeeds at any width.
     #[test]
-    fn exports_round_trip(
+    fn rendering_succeeds_at_any_width(
         spans in prop::collection::vec(arb_span(), 0..40),
         width in 1usize..200,
     ) {
@@ -76,10 +75,6 @@ proptest! {
             t.record(*kind, *start, *end, *tag);
         }
         let trace = collector.finish();
-        let back = export::trace_from_json(&export::trace_to_json(&trace)).unwrap();
-        prop_assert_eq!(&back, &trace);
-        let csv = export::trace_to_csv(&trace);
-        prop_assert_eq!(csv.lines().count(), spans.len() + 1);
         let art = render::render_ascii(&trace, width);
         prop_assert!(!art.is_empty());
     }

@@ -11,7 +11,6 @@ pub struct ReservationPipe {
     write_penalty: f64,
     cursor: VTime,
     bytes: u64,
-    busy_ns: u64,
 }
 
 impl ReservationPipe {
@@ -23,7 +22,6 @@ impl ReservationPipe {
             write_penalty: 1.0,
             cursor: 0,
             bytes: 0,
-            busy_ns: 0,
         }
     }
 
@@ -56,23 +54,12 @@ impl ReservationPipe {
         let dur = self.service_ns(bytes, scale);
         self.cursor = start + dur;
         self.bytes += bytes;
-        self.busy_ns += dur;
         self.cursor
     }
 
     /// Total bytes reserved.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Total busy time of the pipe.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// The pipe's next free time.
-    pub fn cursor(&self) -> VTime {
-        self.cursor
     }
 }
 
@@ -87,7 +74,6 @@ mod tests {
         assert_eq!(p.reserve_read(0, 500), 1500); // queued behind
         assert_eq!(p.reserve_read(2000, 100), 2100); // idle gap
         assert_eq!(p.bytes(), 1600);
-        assert_eq!(p.busy_ns(), 1600);
     }
 
     #[test]
@@ -101,7 +87,9 @@ mod tests {
     fn zero_bytes_is_free() {
         let mut p = ReservationPipe::new(1_000_000_000);
         assert_eq!(p.reserve_read(42, 0), 42);
-        assert_eq!(p.cursor(), 0);
+        // Nothing was queued: the next read starts at once.
+        assert_eq!(p.reserve_read(0, 10), 10);
+        assert_eq!(p.bytes(), 10);
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl SimReport {
         self.makespan_ns as f64 / 1e9
     }
 
-    /// Mean PE utilisation over the makespan, 0..=1.
-    pub fn pe_utilization(&self) -> f64 {
-        if self.makespan_ns == 0 || self.pe_busy_ns.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.pe_busy_ns.iter().sum();
-        total as f64 / (self.makespan_ns as f64 * self.pe_busy_ns.len() as f64)
-    }
-
     /// Mean queue wait per task, ms.
     pub fn mean_queue_wait_ms(&self) -> f64 {
         if self.tasks == 0 {
@@ -90,7 +81,6 @@ mod tests {
     fn derived_metrics() {
         let r = report(2_000_000_000);
         assert_eq!(r.makespan_sec(), 2.0);
-        assert!((r.pe_utilization() - 0.5).abs() < 1e-12);
         assert_eq!(r.mean_queue_wait_ms(), 2.0);
         let faster = report(1_000_000_000);
         assert_eq!(faster.speedup_over(&r), 2.0);
@@ -100,8 +90,6 @@ mod tests {
     fn degenerate_cases() {
         let mut r = report(0);
         r.tasks = 0;
-        r.pe_busy_ns.clear();
-        assert_eq!(r.pe_utilization(), 0.0);
         assert_eq!(r.mean_queue_wait_ms(), 0.0);
     }
 }

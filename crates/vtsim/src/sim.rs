@@ -661,8 +661,6 @@ mod tests {
                 flops_ns: 0,
             });
             let r = Simulator::new(SimConfig::knl_paper(strategy), wl).run();
-            let util = r.pe_utilization();
-            assert!(util <= 1.0, "{strategy:?}: utilisation {util}");
             for (pe, &busy) in r.pe_busy_ns.iter().enumerate() {
                 assert!(busy <= r.makespan_ns, "{strategy:?}: PE {pe} double-booked");
             }

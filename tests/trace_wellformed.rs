@@ -1,11 +1,11 @@
 //! Traces produced by real runs must be structurally sound: sorted
-//! spans, sane fractions, lanes for every worker and IO thread, and
-//! exportable round-trip.
+//! spans, sane fractions, lanes for every worker and IO thread, and a
+//! timeline and summary that render.
 
 use hetrt::core::{OocConfig, Placement, StrategyKind};
 use hetrt::hetmem::Topology;
 use hetrt::kernels::stencil::{run_stencil, StencilConfig};
-use hetrt::projections::{export, LaneKind, SpanKind};
+use hetrt::projections::{LaneKind, SpanKind};
 
 fn cfg(strategy: StrategyKind) -> StencilConfig {
     StencilConfig {
@@ -86,6 +86,6 @@ fn timeline_renders_and_exports() {
     let r = run_stencil(&cfg(StrategyKind::multi_io(2)));
     assert!(r.timeline.contains("PE0"));
     assert!(r.timeline.contains("legend:"));
-    let json = export::summary_to_json(&r.summary);
-    assert!(json.contains("makespan_ns"));
+    assert!(r.summary.makespan_ns > 0);
+    assert!(r.summary.render().contains("makespan:"));
 }
