@@ -46,24 +46,6 @@ pub struct Dep {
     pub mode: AccessMode,
 }
 
-impl Dep {
-    /// A `readonly` dependence.
-    pub fn read(block: BlockId) -> Self {
-        Self {
-            block,
-            mode: AccessMode::ReadOnly,
-        }
-    }
-
-    /// A `writeonly` dependence.
-    pub fn write(block: BlockId) -> Self {
-        Self {
-            block,
-            mode: AccessMode::WriteOnly,
-        }
-    }
-}
-
 /// A queued message: the unit the Converse scheduler delivers.
 pub struct Envelope {
     /// Target array.
@@ -121,13 +103,6 @@ impl std::fmt::Debug for Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dep_constructors_set_modes() {
-        let b = BlockId(3);
-        assert_eq!(Dep::read(b).mode, AccessMode::ReadOnly);
-        assert_eq!(Dep::write(b).mode, AccessMode::WriteOnly);
-    }
 
     #[test]
     fn envelope_defaults() {

@@ -61,10 +61,6 @@ pub trait SchedulerHook: Send + Sync {
     /// it as `now`. Returns the hook's last reading, or `None` if it
     /// read none (see the module doc).
     fn on_complete(&self, done: ExecutedTask, now: TimeNs) -> Option<TimeNs>;
-
-    /// Number of intercepted-but-not-yet-completed tasks; the runtime's
-    /// quiescence detection treats these as outstanding work.
-    fn pending(&self) -> usize;
 }
 
 #[cfg(test)]
@@ -89,9 +85,6 @@ mod tests {
             self.completed.lock().push(done.token);
             None
         }
-        fn pending(&self) -> usize {
-            0
-        }
     }
 
     #[test]
@@ -109,6 +102,5 @@ mod tests {
             deps: Vec::new(),
         };
         assert_eq!(hook.on_complete(done, 6), None);
-        assert_eq!(hook.pending(), 0);
     }
 }

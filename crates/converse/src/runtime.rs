@@ -353,17 +353,16 @@ impl Runtime {
         self.counts.sum(|c| c.processed.load(Ordering::Acquire))
     }
 
-    /// Poll until the system is quiescent: no hook-pending tasks, all
-    /// run queues empty, every sent message processed. Returns false on
-    /// timeout.
+    /// Poll until the system is quiescent: all run queues empty, every
+    /// sent message processed. Returns false on timeout.
     ///
-    /// Each poll is one pass, with no settle sleep. It reads hook
-    /// pending, the run queues, every `processed` slot, then every
-    /// `sent` slot; `processed` counts a message only after its hook
-    /// post-processing returned. A message's `sent` bump happens before
-    /// its `processed` bump (the run queue's lock orders them), which
-    /// happens before the read of its `processed` slot (Release bump,
-    /// Acquire read), which comes before every `sent` read. So each
+    /// Each poll is one pass, with no settle sleep. It reads the run
+    /// queues, every `processed` slot, then every `sent` slot;
+    /// `processed` counts a message only after its hook post-processing
+    /// returned. A message's `sent` bump happens before its `processed`
+    /// bump (the run queue's lock orders them), which happens before
+    /// the read of its `processed` slot (Release bump, Acquire read),
+    /// which comes before every `sent` read. So each
     /// message counted in the processed sum is counted in the later
     /// sent sum, whichever slots the two bumps landed in: the sent sum
     /// counts a superset of the messages, and the two sums are equal
@@ -371,8 +370,10 @@ impl Runtime {
     /// processed. A send that completed before the poll began is seen.
     /// Without senders outside the runtime, only an executing message
     /// can send another, so nothing is left to run; with them, a send
-    /// the reads did not see came after the poll's start. Hook pending,
-    /// read first, covers work a hook holds outside any message.
+    /// the reads did not see came after the poll's start. A task a hook
+    /// holds is a message too: it was counted when sent, and neither
+    /// interception nor re-injection counts it processed, so the sums
+    /// differ until its post-processing returns.
     ///
     /// Polling backs off exponentially — 20 µs doubling to a 2 ms cap —
     /// so a quiescence reached quickly is detected quickly, while a
@@ -397,14 +398,12 @@ impl Runtime {
         }
     }
 
-    /// One poll of [`Runtime::wait_quiescence_ms`]: hook pending, the run
-    /// queues and the `processed` sum, then `between`, then the `sent`
-    /// sum. `between` stands for whatever the other threads do between
-    /// the two sums; only a test passes anything but a no-op.
+    /// One poll of [`Runtime::wait_quiescence_ms`]: the run queues and
+    /// the `processed` sum, then `between`, then the `sent` sum.
+    /// `between` stands for whatever the other threads do between the
+    /// two sums; only a test passes anything but a no-op.
     fn quiet(&self, between: impl FnOnce()) -> bool {
-        if self.installed_hook().map_or(0, |h| h.pending()) != 0
-            || !self.queues.iter().all(|q| q.is_empty())
-        {
+        if !self.queues.iter().all(|q| q.is_empty()) {
             return false;
         }
         let processed = self.processed_count();
@@ -738,12 +737,10 @@ mod tests {
             rt: Arc<Runtime>,
             intercepted: PMutex<Vec<ChareIndex>>,
             completed: PMutex<Vec<u64>>,
-            outstanding: AtomicU64,
         }
         impl SchedulerHook for AdmitHook {
             fn on_intercept(&self, pe: usize, mut env: Envelope, _now: TimeNs) -> Option<TimeNs> {
                 self.intercepted.lock().push(env.index);
-                self.outstanding.fetch_add(1, Ordering::SeqCst);
                 env.admitted = true;
                 env.token = 77;
                 self.rt.inject(pe, env);
@@ -751,11 +748,7 @@ mod tests {
             }
             fn on_complete(&self, done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
                 self.completed.lock().push(done.token);
-                self.outstanding.fetch_sub(1, Ordering::SeqCst);
                 None
-            }
-            fn pending(&self) -> usize {
-                self.outstanding.load(Ordering::SeqCst) as usize
             }
         }
 
@@ -768,7 +761,6 @@ mod tests {
             rt: Arc::clone(&rt),
             intercepted: PMutex::new(vec![]),
             completed: PMutex::new(vec![]),
-            outstanding: AtomicU64::new(0),
         });
         rt.set_hook(hook.clone());
         rt.send(array, 0, EP_PING, ());
@@ -779,8 +771,8 @@ mod tests {
         rt.shutdown();
     }
 
-    /// A hook that never admits: `pending()` is pinned at 1, so the
-    /// runtime can never look quiescent.
+    /// A hook that never admits: it drops every message it intercepts,
+    /// so a message it swallowed is sent and never processed.
     struct WedgedHook;
     impl SchedulerHook for WedgedHook {
         fn on_intercept(&self, _pe: usize, _env: Envelope, _now: TimeNs) -> Option<TimeNs> {
@@ -789,15 +781,17 @@ mod tests {
         fn on_complete(&self, _done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
             None
         }
-        fn pending(&self) -> usize {
-            1
-        }
     }
 
     #[test]
-    fn quiescence_times_out_without_hanging_on_pending_hook() {
+    fn quiescence_times_out_on_a_message_the_hook_swallowed() {
         let rt = runtime(1);
         rt.set_hook(Arc::new(WedgedHook));
+        let array = rt
+            .array_builder::<NeedsHook>()
+            .entry(EP_PING, EntryOptions::prefetch())
+            .build(1, |_| NeedsHook);
+        rt.send(array, 0, EP_PING, ());
         let t0 = std::time::Instant::now();
         assert!(!rt.wait_quiescence_ms(150));
         let elapsed = t0.elapsed();
@@ -909,31 +903,23 @@ mod tests {
         }
 
         /// Admits from a helper thread after a random delay (an IO
-        /// thread's role) and delays around its own counters.
+        /// thread's role) and delays in both callbacks.
         struct DelayedAdmit {
             to_admit: parking_lot::Mutex<Sender<(usize, Envelope)>>,
-            intercepted: AtomicU64,
-            completed: AtomicU64,
             outstanding: Arc<AtomicU64>,
         }
         impl SchedulerHook for DelayedAdmit {
             fn on_intercept(&self, pe: usize, env: Envelope, _now: TimeNs) -> Option<TimeNs> {
-                // The message has left its run queue but is not yet
-                // pending: the window a single-pass check must cover.
+                // The message has left its run queue and is in no other
+                // queue yet: the window a single-pass check must cover.
                 jitter(&mut (env.index as u64 * 0x9E37_79B9 + 1));
-                self.intercepted.fetch_add(1, Ordering::SeqCst);
                 self.to_admit.lock().send((pe, env)).unwrap();
                 None
             }
             fn on_complete(&self, done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
                 jitter(&mut (done.index as u64 * 0x85EB_CA6B + 1));
                 self.outstanding.fetch_sub(1, Ordering::SeqCst);
-                self.completed.fetch_add(1, Ordering::SeqCst);
                 None
-            }
-            fn pending(&self) -> usize {
-                let completed = self.completed.load(Ordering::SeqCst);
-                (self.intercepted.load(Ordering::SeqCst) - completed) as usize
             }
         }
 
@@ -942,8 +928,6 @@ mod tests {
         let (tx, rx) = channel::<(usize, Envelope)>();
         let hook = Arc::new(DelayedAdmit {
             to_admit: parking_lot::Mutex::new(tx),
-            intercepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             outstanding: Arc::clone(&outstanding),
         });
         rt.set_hook(hook.clone());

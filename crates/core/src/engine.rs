@@ -271,16 +271,6 @@ impl FetchEngine {
                             }
                             continue;
                         }
-                        Err(MemError::UnknownBlock(id)) => {
-                            // A dependence on an unregistered block is a
-                            // caller bug; fail the fetch rather than
-                            // poison the IO thread with a panic.
-                            debug_assert!(false, "fetch of unknown block {id}");
-                            return Err(FetchError::Exhausted {
-                                block: id,
-                                attempts: transient_attempts,
-                            });
-                        }
                         Err(
                             e @ (MemError::CheckpointIo { .. }
                             | MemError::CheckpointCorrupted { .. }

@@ -152,15 +152,7 @@ impl OocRuntime {
         stats
     }
 
-    /// Current wait-queue lengths (empty for baseline).
-    pub fn wait_queue_lengths(&self) -> Vec<usize> {
-        self.hook
-            .as_ref()
-            .map(|h| h.wait_queue_lengths())
-            .unwrap_or_default()
-    }
-
-    /// Wait for quiescence (all messages executed, nothing pending).
+    /// Wait for quiescence (every sent message executed and post-processed).
     pub fn wait_quiescence_ms(&self, timeout_ms: u64) -> bool {
         self.rt.wait_quiescence_ms(timeout_ms)
     }
@@ -258,7 +250,7 @@ impl OocRuntime {
         if let Some(checker) = &self.checker {
             checker.record_restart();
         }
-        hetmem::restore_into(&self.mem, &image, hetmem::DDR4)?;
+        hetmem::restore_into(&self.mem, &image)?;
         if let Some(hook) = &self.hook {
             hook.adopt_stats(&app.stats);
             hook.note_restore();
@@ -302,7 +294,7 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let ooc = OocRuntime::new(mem, 1, StrategyKind::Baseline, OocConfig::default());
         assert_eq!(ooc.stats(), OocStats::default());
-        assert!(ooc.wait_queue_lengths().is_empty());
+        assert!(ooc.hook.is_none());
         assert!(ooc.wait_quiescence_ms(200));
         ooc.shutdown();
     }
@@ -312,7 +304,7 @@ mod tests {
         let mem = Memory::new(Topology::knl_flat_scaled());
         let ooc = OocRuntime::new(mem, 2, StrategyKind::multi_io(2), OocConfig::default());
         assert_eq!(ooc.stats().intercepted, 0);
-        assert_eq!(ooc.wait_queue_lengths(), vec![0, 0]);
+        assert!(ooc.hook.is_some());
         ooc.shutdown();
     }
 

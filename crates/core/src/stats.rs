@@ -137,13 +137,6 @@ impl StatCells {
     pub(crate) fn bump_restore(&self) {
         self.local().restores.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// [`OocStats::in_flight`] from the two counters it needs, without
-    /// a full snapshot (quiescence polls this).
-    pub(crate) fn in_flight(&self) -> u64 {
-        let intercepted = self.slots.sum(|c| c.intercepted.load(Ordering::Relaxed));
-        intercepted.saturating_sub(self.slots.sum(|c| c.completed.load(Ordering::Relaxed)))
-    }
 }
 
 /// Point-in-time statistics of the memory-aware runtime.
@@ -198,11 +191,6 @@ pub struct OocStats {
 }
 
 impl OocStats {
-    /// Tasks intercepted but not yet completed.
-    pub fn in_flight(&self) -> u64 {
-        self.intercepted.saturating_sub(self.completed)
-    }
-
     /// Mean wait-queue delay per admitted task, in milliseconds.
     pub fn mean_queue_wait_ms(&self) -> f64 {
         if self.admitted == 0 {
@@ -265,18 +253,8 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert_eq!(s.evict_bytes, 30);
         assert_eq!(s.no_space_events, 1);
-        assert_eq!(s.in_flight(), 0);
+        assert_eq!(s.intercepted, s.completed);
         assert!(s.render().contains("fetch 2x 150 B"));
-    }
-
-    #[test]
-    fn in_flight_counts_outstanding() {
-        let c = StatCells::default();
-        c.bump_intercepted();
-        c.bump_intercepted();
-        c.bump_completed();
-        assert_eq!(c.snapshot().in_flight(), 1);
-        assert_eq!(c.in_flight(), 1);
     }
 
     #[test]
@@ -358,7 +336,6 @@ mod tests {
         assert_eq!(s.fetches, saved.fetches + n);
         assert_eq!(s.fetch_bytes, saved.fetch_bytes + (n << 12));
         assert_eq!(s.checkpoints, 1);
-        assert_eq!(c.in_flight(), 0);
     }
 
     #[test]

@@ -309,11 +309,6 @@ impl OocHook {
         self.shared.stats.snapshot()
     }
 
-    /// Current wait-queue lengths (load-imbalance diagnostics).
-    pub fn wait_queue_lengths(&self) -> Vec<usize> {
-        self.shared.waitq.lengths()
-    }
-
     /// Overwrite the hook's counters with a checkpointed snapshot
     /// (restore path — see `StatCells::adopt`).
     pub(crate) fn adopt_stats(&self, s: &crate::OocStats) {
@@ -390,10 +385,6 @@ impl SchedulerHook for OocHook {
             Flavour::Cache(_) => {}
         }
         own_reading(start, now)
-    }
-
-    fn pending(&self) -> usize {
-        self.shared.stats.in_flight() as usize
     }
 }
 

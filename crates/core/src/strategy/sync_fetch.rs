@@ -486,8 +486,8 @@ mod tests {
             assert!(rt.wait_quiescence_ms(10_000), "run {run}: not quiescent");
             let stats = hook.stats();
             assert_eq!(stats.completed, (CHARES * SENDS) as u64, "run {run}");
-            assert_eq!(stats.in_flight(), 0, "run {run}");
-            assert!(hook.wait_queue_lengths().iter().all(|&n| n == 0));
+            assert_eq!(stats.intercepted, stats.completed, "run {run}");
+            assert!(hook.shared.waitq.lengths().iter().all(|&n| n == 0));
             assert!(mem.stats().nodes[HBM.index()].peak_used_bytes <= block_bytes);
             hook.shutdown();
             rt.shutdown();
@@ -580,13 +580,13 @@ mod tests {
             park(shared, refused, seen).is_none(),
             "retried with no release"
         );
-        assert_eq!(hook.wait_queue_lengths(), vec![0, 1]);
+        assert_eq!(hook.shared.waitq.lengths(), vec![0, 1]);
         complete_runner(&mut now);
         assert!(latch.wait_timeout_ms(30_000), "the parked task never ran");
         rt.shutdown();
         let stats = hook.stats();
         assert_eq!((stats.admitted, stats.completed), (1, 3));
-        assert!(hook.wait_queue_lengths().iter().all(|&n| n == 0));
+        assert!(hook.shared.waitq.lengths().iter().all(|&n| n == 0));
         hook.shutdown();
     }
 }

@@ -209,7 +209,7 @@ fn oversize_degrades_under(kind: StrategyKind) {
     let stats = ooc.stats();
     assert!(stats.degraded_tasks >= 1, "{stats:?}");
     assert_eq!(stats.rejected_tasks, 0);
-    assert_eq!(stats.in_flight(), 0, "{stats:?}");
+    assert_eq!(stats.intercepted, stats.completed, "{stats:?}");
     let rt = ooc.runtime();
     assert_eq!(rt.processed_count(), rt.sent_count());
     ooc.shutdown();

@@ -9,7 +9,7 @@
 //! is unit-tested in the hetcheck crate with `catch_unwind`.
 
 use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx};
-use hetcheck::{Checker, ViolationAction, ViolationKind};
+use hetcheck::{Checker, Violation, ViolationAction};
 use hetmem::{AccessMode, Memory, Topology, DDR4, HBM};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use std::sync::Arc;
@@ -74,7 +74,7 @@ fn write_through_readonly_dep_is_caught() {
 
     let violations = checker.violations();
     assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].kind(), ViolationKind::ModeEscalation);
+    assert!(matches!(violations[0], Violation::ModeEscalation { .. }));
     assert!(
         violations[0].to_string().contains("ReadOnly"),
         "{}",
@@ -170,7 +170,7 @@ fn read_of_writeonly_dep_is_caught() {
 
     let violations = checker.violations();
     assert_eq!(violations.len(), 1, "{violations:?}");
-    assert_eq!(violations[0].kind(), ViolationKind::UninitializedRead);
+    assert!(matches!(violations[0], Violation::UninitializedRead { .. }));
     ooc.shutdown();
 }
 

@@ -39,12 +39,11 @@ mod violation;
 
 pub use lint::{lint, LintFinding, LintReport};
 pub use schedule::{ScheduleEvent, TimedEvent, Trace, TraceMeta};
-pub use violation::{Violation, ViolationAction, ViolationKind};
+pub use violation::{Violation, ViolationAction};
 
 use converse::Dep;
 use hetmem::{BlockEvent, BlockId, BlockObserver, BlockRegistry, Clock};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An in-memory schedule recording: the trace header, the clock that
@@ -60,7 +59,6 @@ struct Recording {
 pub struct Checker {
     action: ViolationAction,
     violations: Mutex<Vec<Violation>>,
-    count: AtomicU64,
     recording: Option<Recording>,
 }
 
@@ -70,7 +68,6 @@ impl Checker {
         Checker {
             action,
             violations: Mutex::new(Vec::new()),
-            count: AtomicU64::new(0),
             recording: None,
         }
     }
@@ -159,7 +156,7 @@ impl Checker {
 
     /// Number of violations recorded so far.
     pub fn violation_count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.violations.lock().len() as u64
     }
 
     /// Snapshot the recorded schedule, if recording was enabled.
@@ -179,7 +176,6 @@ impl Checker {
     }
 
     fn report(&self, violation: Violation) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.violations.lock().push(violation.clone());
         if self.action == ViolationAction::Panic {
             panic!("hetcheck violation: {violation}");

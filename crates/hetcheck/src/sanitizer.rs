@@ -93,7 +93,6 @@ pub(crate) fn conformance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::violation::ViolationKind;
 
     fn dep(b: u32, mode: AccessMode) -> Dep {
         Dep {
@@ -119,7 +118,7 @@ mod tests {
     fn undeclared_access_is_flagged() {
         let deps = [dep(1, AccessMode::ReadOnly)];
         let v = conformance(9, &deps, BlockId(5), AccessMode::ReadOnly).unwrap();
-        assert_eq!(v.kind(), ViolationKind::UndeclaredAccess);
+        assert!(matches!(v, Violation::UndeclaredAccess { .. }), "{v}");
         assert!(v.to_string().contains("task 9"));
     }
 
@@ -128,7 +127,7 @@ mod tests {
         let deps = [dep(1, AccessMode::ReadOnly)];
         for mode in [AccessMode::ReadWrite, AccessMode::WriteOnly] {
             let v = conformance(2, &deps, BlockId(1), mode).unwrap();
-            assert_eq!(v.kind(), ViolationKind::ModeEscalation);
+            assert!(matches!(v, Violation::ModeEscalation { .. }), "{v}");
         }
     }
 
@@ -137,7 +136,7 @@ mod tests {
         let deps = [dep(4, AccessMode::WriteOnly)];
         for mode in [AccessMode::ReadOnly, AccessMode::ReadWrite] {
             let v = conformance(3, &deps, BlockId(4), mode).unwrap();
-            assert_eq!(v.kind(), ViolationKind::UninitializedRead);
+            assert!(matches!(v, Violation::UninitializedRead { .. }), "{v}");
         }
     }
 

@@ -55,28 +55,6 @@ pub enum Violation {
     },
 }
 
-/// Discriminant of a [`Violation`], for compact assertions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ViolationKind {
-    /// See [`Violation::UndeclaredAccess`].
-    UndeclaredAccess,
-    /// See [`Violation::ModeEscalation`].
-    ModeEscalation,
-    /// See [`Violation::UninitializedRead`].
-    UninitializedRead,
-}
-
-impl Violation {
-    /// The violation's kind discriminant.
-    pub fn kind(&self) -> ViolationKind {
-        match self {
-            Violation::UndeclaredAccess { .. } => ViolationKind::UndeclaredAccess,
-            Violation::ModeEscalation { .. } => ViolationKind::ModeEscalation,
-            Violation::UninitializedRead { .. } => ViolationKind::UninitializedRead,
-        }
-    }
-}
-
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

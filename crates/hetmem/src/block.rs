@@ -67,7 +67,7 @@ impl AccessMode {
 }
 
 /// Where a block currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Residency {
     /// Fully resident on one node (`INHBM` / `INDDR`).
     Resident(NodeId),
@@ -91,7 +91,7 @@ impl Residency {
 }
 
 /// Snapshot of one block's metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockInfo {
     /// Block id.
     pub id: BlockId,
@@ -103,8 +103,6 @@ pub struct BlockInfo {
     pub refcount: u32,
     /// Label supplied at registration (debugging / traces).
     pub label: String,
-    /// Monotonic use counter value at last access (LRU ablation).
-    pub last_touch: u64,
 }
 
 struct BlockMeta {
@@ -366,7 +364,6 @@ impl BlockRegistry {
             residency: m.residency,
             refcount: m.refcount,
             label: m.label.clone(),
-            last_touch: m.last_touch,
         }
     }
 

@@ -32,7 +32,7 @@
 
 use crate::block::AccessMode;
 use crate::error::MemError;
-use crate::node::NodeId;
+use crate::node::{NodeId, DDR4};
 use crate::Memory;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -103,18 +103,6 @@ pub struct CheckpointSummary {
     pub blocks: usize,
     /// Total payload bytes written.
     pub payload_bytes: u64,
-}
-
-/// What a successful [`restore_into`] rebuilt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoreSummary {
-    /// Number of blocks re-registered.
-    pub blocks: usize,
-    /// Total payload bytes restored.
-    pub payload_bytes: u64,
-    /// Blocks that could not be re-admitted to their checkpointed tier
-    /// (HBM full) and were spilled to the fallback node instead.
-    pub spilled: usize,
 }
 
 fn io_err(what: &str, e: &std::io::Error) -> MemError {
@@ -278,16 +266,12 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointImage, MemError> {
 /// and re-registering in ascending saved-id order is what reproduces
 /// the checkpointed ids exactly. Each block is re-admitted to the tier
 /// it was checkpointed on; when that tier's budget is exhausted
-/// (HBM shrank) the block spills to `spill`
-/// instead — the same degraded-placement rule the admission path uses.
+/// (HBM shrank) the block spills to DDR4 instead — the same
+/// degraded-placement rule the admission path uses.
 ///
 /// The metadata carries no checksum, so a record naming a node the
 /// topology lacks is rejected as corrupt before anything is registered.
-pub fn restore_into(
-    mem: &Memory,
-    image: &CheckpointImage,
-    spill: NodeId,
-) -> Result<RestoreSummary, MemError> {
+pub fn restore_into(mem: &Memory, image: &CheckpointImage) -> Result<(), MemError> {
     let registry = mem.registry();
     if !registry.is_empty() {
         return Err(MemError::CheckpointFailed {
@@ -308,14 +292,8 @@ pub fn restore_into(
             record.id, record.node
         )));
     }
-    let mut spilled = 0usize;
-    let mut payload_bytes = 0u64;
     for (record, payload) in &image.blocks {
-        let preferred = NodeId::new(record.node);
-        let (mut buf, node) = alloc_with_spill(mem, payload.len(), preferred, spill)?;
-        if node != preferred {
-            spilled += 1;
-        }
+        let mut buf = alloc_with_spill(mem, payload.len(), NodeId::new(record.node))?;
         buf.as_mut_slice()[..payload.len()].copy_from_slice(payload);
         let id = registry.register(buf, record.label.clone());
         if id.0 != record.id {
@@ -329,30 +307,24 @@ pub fn restore_into(
         for _ in 0..record.refcount {
             registry.add_ref(id);
         }
-        payload_bytes += payload.len() as u64;
     }
-    Ok(RestoreSummary {
-        blocks: image.blocks.len(),
-        payload_bytes,
-        spilled,
-    })
+    Ok(())
 }
 
-/// Allocate `size` bytes on `preferred`, spilling to `spill` when the
+/// Allocate `size` bytes on `preferred`, spilling to DDR4 when the
 /// preferred tier's budget is exhausted. Transient (fault-injected)
 /// allocation failures are retried a bounded number of times.
 fn alloc_with_spill(
     mem: &Memory,
     size: usize,
     preferred: NodeId,
-    spill: NodeId,
-) -> Result<(crate::AlignedBuf, NodeId), MemError> {
+) -> Result<crate::AlignedBuf, MemError> {
     let mut node = preferred;
     let mut transient = 0u32;
     loop {
         match mem.alloc_on_node(size, node) {
-            Ok(buf) => return Ok((buf, node)),
-            Err(MemError::CapacityExceeded { .. }) if node != spill => node = spill,
+            Ok(buf) => return Ok(buf),
+            Err(MemError::CapacityExceeded { .. }) if node != DDR4 => node = DDR4,
             Err(e) if e.is_transient() && transient < RESTORE_ALLOC_RETRIES => {
                 transient += 1;
             }
@@ -417,9 +389,8 @@ mod tests {
         assert_eq!(image.blocks.len(), 3);
 
         let fresh = mem_with(1 << 20, 1 << 22);
-        let restored = restore_into(&fresh, &image, DDR4).unwrap();
-        assert_eq!(restored.blocks, 3);
-        assert_eq!(restored.spilled, 0);
+        restore_into(&fresh, &image).unwrap();
+        assert_eq!(fresh.registry().len(), 3);
         for (i, &id) in ids.iter().enumerate() {
             let orig = mem.registry().access(id, AccessMode::ReadOnly);
             let back = fresh.registry().access(id, AccessMode::ReadOnly);
@@ -443,9 +414,7 @@ mod tests {
 
         // The new node only fits one of the two HBM blocks.
         let small = mem_with(80 * 1024, 1 << 22);
-        let restored = restore_into(&small, &image, DDR4).unwrap();
-        assert_eq!(restored.blocks, 2);
-        assert_eq!(restored.spilled, 1);
+        restore_into(&small, &image).unwrap();
         assert_eq!(small.registry().resident_on(HBM).len(), 1);
         assert_eq!(small.registry().resident_on(DDR4).len(), 1);
         std::fs::remove_file(&path).ok();
@@ -458,7 +427,7 @@ mod tests {
         let path = tmp_path("nonempty");
         write_checkpoint(&mem, &path, "").unwrap();
         let image = read_checkpoint(&path).unwrap();
-        let err = restore_into(&mem, &image, DDR4).unwrap_err();
+        let err = restore_into(&mem, &image).unwrap_err();
         assert!(matches!(err, MemError::CheckpointFailed { .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -479,7 +448,7 @@ mod tests {
             app: String::new(),
         };
         let mem = mem_with(1 << 20, 1 << 22);
-        let err = restore_into(&mem, &image, DDR4).unwrap_err();
+        let err = restore_into(&mem, &image).unwrap_err();
         assert!(
             matches!(err, MemError::CheckpointCorrupted { ref detail } if detail.contains("node 3")),
             "{err}"

@@ -16,8 +16,6 @@ pub enum MemError {
         /// Bytes currently available under the budget.
         available: u64,
     },
-    /// A block id did not resolve in the registry.
-    UnknownBlock(u64),
     /// A migration or access hit a block in an incompatible state
     /// (e.g. evicting a block that is still referenced).
     InvalidState {
@@ -85,7 +83,6 @@ impl std::fmt::Display for MemError {
                 f,
                 "capacity exceeded on {node}: requested {requested} B, {available} B available"
             ),
-            MemError::UnknownBlock(id) => write!(f, "unknown block id {id}"),
             MemError::InvalidState { block, reason } => {
                 write!(f, "block {block} in invalid state: {reason}")
             }
@@ -125,7 +122,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("node1") && s.contains("42") && s.contains("7"));
-        assert!(MemError::UnknownBlock(9).to_string().contains('9'));
         assert!(MemError::SameNode(HBM).to_string().contains("node1"));
         let t = MemError::Transient {
             op: "migrate",
@@ -141,7 +137,6 @@ mod tests {
             block: None
         }
         .is_transient());
-        assert!(!MemError::UnknownBlock(1).is_transient());
         assert!(!MemError::SameNode(HBM).is_transient());
         assert!(!MemError::CapacityExceeded {
             node: HBM,

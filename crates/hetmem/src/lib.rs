@@ -54,13 +54,13 @@ pub use block::{
 };
 pub use checkpoint::{
     read_checkpoint, restore_into, write_checkpoint, BlockRecord, CheckpointImage,
-    CheckpointSummary, RestoreSummary, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    CheckpointSummary, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use clock::{Clock, MonotonicClock, TimeNs, VirtualClock};
 pub use error::MemError;
 pub use faults::{FaultAction, FaultInjector, FaultStats, NoFaults, SeededFaults};
 pub use migrate::MigrationEngine;
-pub use node::{MemKind, NodeId, DDR4, HBM};
+pub use node::{NodeId, DDR4, HBM};
 pub use per_thread::PerThread;
 pub use stats::{MemStats, NodeStats};
 pub use table::AppendTable;

@@ -39,37 +39,6 @@ pub const DDR4: NodeId = NodeId::new(0);
 /// MCDRAM / high-bandwidth memory — NUMA node 1 on KNL.
 pub const HBM: NodeId = NodeId::new(1);
 
-/// The *kind* of a memory node, for topologies with more than two tiers
-/// (the paper's conclusion explicitly anticipates extending the mechanism
-/// to other heterogeneous hierarchies, e.g. NVM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemKind {
-    /// High-bandwidth, low-capacity stacked DRAM (MCDRAM on KNL).
-    HighBandwidth,
-    /// Commodity DRAM: high capacity, lower bandwidth.
-    Dram,
-    /// Non-volatile memory: high capacity, low bandwidth *and* high
-    /// latency (the related-work NVM setting, ref. \[9\] of the paper).
-    Nvm,
-}
-
-impl MemKind {
-    /// Short label used in reports and traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            MemKind::HighBandwidth => "HBM",
-            MemKind::Dram => "DDR4",
-            MemKind::Nvm => "NVM",
-        }
-    }
-}
-
-impl std::fmt::Display for MemKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +54,6 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(HBM.to_string(), "node1");
-        assert_eq!(MemKind::HighBandwidth.to_string(), "HBM");
-        assert_eq!(MemKind::Nvm.label(), "NVM");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Subsystem statistics snapshots.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Point-in-time statistics for one memory node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeStats {
     /// Which node.
     pub node: NodeId,
@@ -25,7 +24,7 @@ pub struct NodeStats {
 }
 
 /// Statistics for every node in the subsystem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemStats {
     /// Per-node statistics, indexed by node number.
     pub nodes: Vec<NodeStats>,

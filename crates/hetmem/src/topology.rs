@@ -10,10 +10,9 @@
 //! wall-clock seconds on a laptop.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Description of a single memory node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Human-readable name ("DDR4", "MCDRAM"...).
     pub name: String,
@@ -48,7 +47,7 @@ impl NodeSpec {
 
 /// A full memory topology: an ordered list of nodes (index = NUMA node
 /// number) plus model-wide knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<NodeSpec>,
     /// Charges are split into slices of this many bytes so that many

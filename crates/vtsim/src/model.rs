@@ -1,9 +1,7 @@
 //! Simulation model types.
 
-use serde::{Deserialize, Serialize};
-
 /// Where a simulated block lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimNode {
     /// Slow, large memory (DDR4).
     Ddr,
@@ -12,7 +10,7 @@ pub enum SimNode {
 }
 
 /// One memory node's parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeModel {
     /// Capacity budget, bytes.
     pub capacity_bytes: u64,
@@ -23,7 +21,7 @@ pub struct NodeModel {
 }
 
 /// A tracked data block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimBlock {
     /// Payload bytes.
     pub size: u64,
@@ -32,7 +30,7 @@ pub struct SimBlock {
 }
 
 /// Traffic one task generates against one dependence block.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaskCharge {
     /// Index into the workload's block table.
     pub block: usize,
@@ -46,7 +44,7 @@ pub struct TaskCharge {
 }
 
 /// One schedulable task (an intercepted `[prefetch]` entry method).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimTask {
     /// Home PE.
     pub pe: usize,
@@ -61,7 +59,7 @@ pub struct SimTask {
 }
 
 /// A complete task graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// Block table.
     pub blocks: Vec<SimBlock>,
@@ -79,7 +77,7 @@ impl Workload {
 }
 
 /// Scheduling strategy — mirrors `hetrt_core::StrategyKind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimStrategy {
     /// No movement: tasks run wherever their blocks were placed.
     Baseline,
@@ -94,7 +92,7 @@ pub enum SimStrategy {
 }
 
 /// Full simulation configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// DDR4 model.
     pub ddr: NodeModel,

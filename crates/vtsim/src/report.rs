@@ -1,10 +1,9 @@
 //! Simulation results.
 
 use crate::model::SimStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Strategy simulated.
     pub strategy: SimStrategy,

@@ -137,22 +137,16 @@ impl Chare for Noop {
 /// clock, so the reads counted are the scheduler's own.
 struct Admit {
     rt: Arc<Runtime>,
-    outstanding: AtomicU64,
 }
 
 impl SchedulerHook for Admit {
     fn on_intercept(&self, pe: usize, mut env: Envelope, _now: TimeNs) -> Option<TimeNs> {
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
         env.admitted = true;
         self.rt.inject(pe, env);
         None
     }
     fn on_complete(&self, _done: ExecutedTask, _now: TimeNs) -> Option<TimeNs> {
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
         None
-    }
-    fn pending(&self) -> usize {
-        self.outstanding.load(Ordering::SeqCst) as usize
     }
 }
 
@@ -177,7 +171,6 @@ fn every_hand_off_on_a_busy_worker_costs_one_clock_read() {
     let rt = RuntimeBuilder::new(1).clock(clock.clone()).build();
     let hook = Arc::new(Admit {
         rt: Arc::clone(&rt),
-        outstanding: AtomicU64::new(0),
     });
     rt.set_hook(hook.clone());
     let array = rt
