@@ -1,8 +1,8 @@
 //! Spin, then park: how an idle consumer waits for its producer.
 //!
 //! Every queue in the runtime has exactly one consumer: a PE's worker
-//! pops its run queue (and waits at the pause gate), and one IO thread
-//! serves each group of wait queues. So a consumer with nothing to do
+//! pops its run queue, and one IO thread serves each group of wait
+//! queues. So a consumer with nothing to do
 //! sleeps on the park token of its own [`std::thread::Thread`], and a
 //! producer that gives it work calls [`std::thread::Thread::unpark`] on
 //! it. On a consumer that is not parked, `unpark` is one atomic swap:

@@ -109,7 +109,7 @@ impl RunQueue {
     }
 
     /// Unpark the consumer, if it has popped yet (called unlocked).
-    pub(crate) fn wake(&self) {
+    fn wake(&self) {
         if let Some(consumer) = self.consumer.get() {
             consumer.unpark();
         }

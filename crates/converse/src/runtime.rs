@@ -8,14 +8,12 @@
 //! post-processing after execution.
 //!
 //! Nothing on the per-envelope path takes a shared lock: the array
-//! table is append-only with lock-free lookups, each worker caches the
-//! hook and re-reads it only when the hook epoch moves, and the pause
-//! gate is an atomic flag: a paused worker parks on its own thread.
+//! table is append-only with lock-free lookups, and each worker caches
+//! the hook and re-reads it only when the hook epoch moves.
 
 use crate::array::{ArrayBuilder, ArrayDispatch, ChareArray, Mapping};
 use crate::envelope::{ArrayId, ChareIndex, Dep, EntryId, EntryOptions, Envelope};
 use crate::hook::{ExecutedTask, SchedulerHook};
-use crate::park::spin_then_park;
 use crate::queue::{Pop, RunQueue};
 use hetmem::{AppendTable, Clock, MonotonicClock, PerThread, TimeNs};
 use parking_lot::Mutex;
@@ -133,7 +131,6 @@ impl RuntimeBuilder {
             counts: PerThread::default(),
             threads: Mutex::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
         });
         let mut threads = rt.threads.lock();
         for pe in 0..rt.pes {
@@ -161,8 +158,7 @@ struct ArrayEntry {
 /// One thread's share of the message counters. Every worker bumps them
 /// per envelope, so each thread bumps a slot on lines of its own (see
 /// [`PerThread`]), away from the other workers' slots and from the
-/// fields workers only read (the pause flag, the hook epoch, the queue
-/// table).
+/// fields workers only read (the hook epoch, the queue table).
 #[derive(Default)]
 struct Counts {
     sent: AtomicU64,
@@ -186,9 +182,6 @@ pub struct Runtime {
     counts: PerThread<Counts>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     shutting_down: AtomicBool,
-    /// The pause gate: workers park at their pause point while it is
-    /// closed.
-    paused: AtomicBool,
 }
 
 /// A worker's copy of the installed hook, refreshed when the runtime's
@@ -411,50 +404,11 @@ impl Runtime {
         processed == self.sent_count()
     }
 
-    /// Gate worker processing: after this returns, PE workers finish
-    /// their in-flight envelope and then block before taking the next
-    /// one. A hook with background machinery (IO threads, watchdogs)
-    /// idles it while [`Runtime::is_paused`]. Call at quiescence
-    /// (checkpoint protocol: quiesce, pause, snapshot, resume) — the
-    /// gate then guarantees nothing starts executing while the
-    /// snapshot reads block payloads.
-    pub fn pause(&self) {
-        self.paused.store(true, Ordering::Release);
-    }
-
-    /// Lift the [`Runtime::pause`] gate and wake the PE workers. Each
-    /// worker is its run queue's consumer, so the unpark that follows
-    /// the flag's store cannot be lost (see [`crate::park`]).
-    pub fn resume(&self) {
-        self.paused.store(false, Ordering::Release);
-        for q in &self.queues {
-            q.wake();
-        }
-    }
-
-    /// Whether the pause gate is currently closed.
-    pub fn is_paused(&self) -> bool {
-        self.paused.load(Ordering::Acquire)
-    }
-
-    /// Block while the pause gate is closed (worker threads call this
-    /// between envelopes); returns whether it waited. An open gate costs
-    /// one atomic load.
-    fn pause_point(&self) -> bool {
-        if !self.is_paused() {
-            return false;
-        }
-        spin_then_park(|| (!self.is_paused()).then_some(()));
-        true
-    }
-
     /// Stop the PE threads (drains queued work first) and join them.
     pub fn shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // A paused runtime must wake its workers or the join wedges.
-        self.resume();
         for q in &self.queues {
             q.shutdown();
         }
@@ -482,8 +436,8 @@ impl Drop for Runtime {
 /// The scheduler loop. Each clock reading serves everything up to the
 /// next one: an envelope starts at the reading that ended the one
 /// before, so a busy worker reads no clock between envelopes. Only a
-/// real wait, on an empty queue or a closed pause gate, ends with a
-/// reading, and only a real wait is recorded as `Idle`. An executed
+/// real wait on an empty queue ends with a reading, and only a real
+/// wait is recorded as `Idle`. An executed
 /// envelope reads the clock once when it returns, and once more after
 /// the hook's post-processing if the hook read none.
 fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
@@ -498,7 +452,7 @@ fn worker_loop(rt: Arc<Runtime>, pe: usize, tracer: Arc<Tracer>) {
         let Pop::Work(env) = pop else {
             return;
         };
-        if rt.pause_point() || waited {
+        if waited {
             let wake = rt.clock.now();
             if wake > now {
                 tracer.record(SpanKind::Idle, now, wake, pe as u32);
@@ -1062,38 +1016,6 @@ mod tests {
         rt.shutdown();
     }
 
-    #[test]
-    fn pause_gates_execution_until_resume() {
-        let rt = runtime(2);
-        let latch = Arc::new(CompletionLatch::new(4));
-        let l2 = Arc::clone(&latch);
-        let array = rt
-            .array_builder::<Counter>()
-            .entry(EP_PING, EntryOptions::default())
-            .build(4, move |_| Counter {
-                hits: 0,
-                latch: Arc::clone(&l2),
-                peers: 4,
-                array: None,
-            });
-        assert!(rt.wait_quiescence_ms(1000));
-        rt.pause();
-        assert!(rt.is_paused());
-        for i in 0..4 {
-            rt.send(array, i, EP_PING, 1u64);
-        }
-        // Paused: the messages sit on the run queues (at most one per
-        // PE may be held at the pause point, but none executes).
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(rt.processed_count(), 0);
-        rt.resume();
-        assert!(!rt.is_paused());
-        assert!(latch.wait_timeout_ms(5000));
-        assert!(rt.wait_quiescence_ms(2000));
-        assert_eq!(rt.processed_count(), 4);
-        rt.shutdown();
-    }
-
     const EP_HOLD: EntryId = EntryId(2);
 
     /// Holds its worker in [`EP_HOLD`] until the test has passed the
@@ -1165,22 +1087,6 @@ mod tests {
         }
     }
 
-    /// Asserts `spans` is the hold, one `Idle` span, then one envelope,
-    /// with the idle span running from the hold's end to the envelope's
-    /// start: the wake reading. Returns the idle span.
-    fn one_idle_between(spans: &[projections::Span]) -> projections::Span {
-        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            [SpanKind::Entry, SpanKind::Idle, SpanKind::Entry],
-            "{spans:?}"
-        );
-        let (hold, idle, ping) = (spans[0], spans[1], spans[2]);
-        assert_eq!(idle.start_ns, hold.end_ns);
-        assert_eq!(idle.end_ns, ping.start_ns);
-        idle
-    }
-
     #[test]
     fn a_worker_that_waited_records_one_idle_span_ending_at_its_wake() {
         let (rt, array, gate) = holding_runtime();
@@ -1192,33 +1098,18 @@ mod tests {
         assert!(rt.wait_quiescence_ms(5000));
         std::thread::sleep(std::time::Duration::from_millis(20));
         rt.send(array, 0, EP_PING, ());
-        one_idle_between(&spans_from_hold(&rt));
-    }
-
-    #[test]
-    fn a_pause_is_recorded_as_idle_not_as_the_next_envelope() {
-        let (rt, array, gate) = holding_runtime();
-        rt.send(array, 0, EP_HOLD, ());
-        gate.wait();
-        rt.pause();
-        rt.send(array, 0, EP_PING, ());
-        gate.wait();
-        // The worker takes the queued ping and stops at the closed gate.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        rt.resume();
+        // The hold, one `Idle` span, then the ping, with the idle span
+        // running from the hold's end to the ping's start: the wake
+        // reading.
         let spans = spans_from_hold(&rt);
-        let idle = one_idle_between(&spans);
-        assert!(
-            spans[2].duration_ns() < idle.duration_ns(),
-            "the pause leaked into the envelope's span: {spans:?}"
+        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            [SpanKind::Entry, SpanKind::Idle, SpanKind::Entry],
+            "{spans:?}"
         );
-    }
-
-    #[test]
-    fn shutdown_releases_a_paused_runtime() {
-        let rt = runtime(2);
-        rt.pause();
-        // Must not wedge on the paused workers.
-        rt.shutdown();
+        let (hold, idle, ping) = (spans[0], spans[1], spans[2]);
+        assert_eq!(idle.start_ns, hold.end_ns);
+        assert_eq!(idle.end_ns, ping.start_ns);
     }
 }

@@ -14,8 +14,9 @@
 //!
 //! Reference-count discipline: dependences are `add_ref`ed **before**
 //! fetching (so nothing evicts them between fetch and execution) and
-//! released at completion; blocks whose count returns to zero are
-//! evicted (paper policy) or left for LRU-on-demand eviction (ablation).
+//! released at completion or rollback by [`FetchEngine::release`];
+//! blocks whose count returns to zero are evicted (paper policy) or
+//! left for LRU-on-demand eviction (ablation).
 //!
 //! Every method that can move a block or wait takes the caller's latest
 //! clock reading as `now: &mut TimeNs` and leaves in it the last reading
@@ -145,33 +146,37 @@ impl FetchEngine {
         }
     }
 
-    /// Release references taken by [`FetchEngine::add_refs`].
-    pub fn release_refs(&self, deps: &[Dep]) {
-        for d in deps {
-            self.mem.registry().release_ref(d.block);
-        }
-    }
-
-    /// Roll back a refused admission: release the task's references
-    /// and evict its unreferenced blocks, as after a completion.
-    /// Returns whether the task held the last reference to a block that
-    /// was not in DDR4 — HBM space it pinned during the attempt, which
-    /// a concurrent admission may have been refused for.
-    pub(crate) fn roll_back(
+    /// Release references taken by [`FetchEngine::add_refs`] and evict
+    /// to DDR4 exactly the blocks whose count this returned to zero: the
+    /// paper's post-processing step, and the rollback of a refused
+    /// admission. Nothing is evicted under on-demand LRU eviction, which
+    /// reclaims space when a fetch needs it, or when `evict` is false
+    /// (cache mode: a cached block stays in its set until a conflicting
+    /// fill displaces it). Records `Evict` spans on `tracer` and
+    /// advances `now` as the module doc describes.
+    ///
+    /// Returns whether a block whose count reached zero was outside
+    /// DDR4: HBM space the task pinned, which a concurrent admission may
+    /// have been refused for.
+    pub fn release(
         &self,
         deps: &[Dep],
+        evict: bool,
         tracer: &Tracer,
         tag: u32,
         now: &mut TimeNs,
     ) -> bool {
         let registry = self.mem.registry();
+        let evict = evict && self.config.eviction != EvictionPolicy::LruOnDemand;
         let mut unpinned = false;
         for d in deps {
             if registry.release_ref(d.block) == 0 {
                 unpinned |= registry.node_of(d.block) != Some(DDR4);
+                if evict {
+                    self.try_evict(d.block, tracer, tag, now);
+                }
             }
         }
-        self.evict_unreferenced(deps, tracer, tag, now);
         unpinned
     }
 
@@ -291,33 +296,9 @@ impl FetchEngine {
         }
     }
 
-    /// Evict `deps` whose reference count is zero back to DDR4 — the
-    /// paper's post-processing step. Records `Evict` spans on `tracer`
-    /// and advances `now` as the module doc describes. Returns the
-    /// number of blocks actually evicted.
-    pub fn evict_unreferenced(
-        &self,
-        deps: &[Dep],
-        tracer: &Tracer,
-        tag: u32,
-        now: &mut TimeNs,
-    ) -> usize {
-        if self.config.eviction == EvictionPolicy::LruOnDemand {
-            // Lazy policy: leave blocks in HBM; space is reclaimed on
-            // demand by make_space_lru.
-            return 0;
-        }
-        let mut evicted = 0;
-        for d in deps {
-            if self.try_evict(d.block, tracer, tag, now) {
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
-    /// Evict a single block if it is in HBM with refcount zero (cache
-    /// mode's conflict eviction calls this directly).
+    /// Evict a single block if it is in HBM and unreferenced. Callers
+    /// have seen its count at zero; the move re-checks it under the
+    /// block's slot lock and refuses if a task took a reference since.
     pub(crate) fn try_evict(
         &self,
         block: hetmem::BlockId,
@@ -326,7 +307,7 @@ impl FetchEngine {
         now: &mut TimeNs,
     ) -> bool {
         let registry = self.mem.registry();
-        if registry.node_of(block) != Some(HBM) || registry.refcount(block) > 0 {
+        if registry.node_of(block) != Some(HBM) {
             return false;
         }
         // Evicted contents must persist: always copy.
@@ -400,6 +381,11 @@ mod tests {
         engine.fetch_all(deps, tracer, 0, &mut 0)
     }
 
+    /// Release `deps` as a completion does, evicting what it unpins.
+    fn release(engine: &FetchEngine, deps: &[Dep], tracer: &Tracer) -> bool {
+        engine.release(deps, true, tracer, 0, &mut 0)
+    }
+
     #[test]
     fn fetch_all_moves_everything_to_hbm() {
         let (mem, engine, tracer) = setup(10_000);
@@ -410,7 +396,9 @@ mod tests {
         fetch(&engine, &deps, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(a), Some(HBM));
         assert_eq!(mem.registry().node_of(b), Some(HBM));
-        engine.release_refs(&deps);
+        assert!(release(&engine, &deps, &tracer));
+        assert_eq!(mem.registry().node_of(a), Some(DDR4));
+        assert_eq!(mem.registry().node_of(b), Some(DDR4));
     }
 
     #[test]
@@ -426,10 +414,11 @@ mod tests {
         let d_c = vec![dep(c, AccessMode::ReadWrite)];
         engine.add_refs(&d_c);
         assert_eq!(fetch(&engine, &d_c, &tracer), Err(FetchError::NoSpace));
-        engine.release_refs(&d_c);
+        // Rolling c back unpins nothing: it never left DDR4.
+        assert!(!release(&engine, &d_c, &tracer));
         // After a's task completes and evicts, c fits.
-        engine.release_refs(&d_a);
-        assert_eq!(engine.evict_unreferenced(&d_a, &tracer, 0, &mut 0), 1);
+        assert!(release(&engine, &d_a, &tracer));
+        assert_eq!(mem.registry().node_of(a), Some(DDR4));
         engine.add_refs(&d_c);
         fetch(&engine, &d_c, &tracer).unwrap();
         assert_eq!(mem.registry().node_of(c), Some(HBM));
@@ -455,7 +444,7 @@ mod tests {
         assert!(!engine.cannot_fit(&[dep(b, ReadWrite)], 1000));
         mem.registry().abort_move(b, buf);
         assert!(engine.cannot_fit(&[dep(b, ReadWrite)], 1000));
-        engine.release_refs(&d_a);
+        release(&engine, &d_a, &tracer);
     }
 
     #[test]
@@ -473,8 +462,7 @@ mod tests {
         let d_a = vec![dep(a, ReadWrite)];
         engine.add_refs(&d_a);
         fetch(&engine, &d_a, &tracer).unwrap();
-        engine.release_refs(&d_a);
-        engine.evict_unreferenced(&d_a, &tracer, 0, &mut 0);
+        release(&engine, &d_a, &tracer);
         assert_eq!(engine.hbm_available(), 500);
         let d_b = vec![dep(b, ReadWrite)];
         assert!(!engine.cannot_fit(&d_b, 1000));
@@ -491,11 +479,9 @@ mod tests {
         fetch(&engine, &deps, &tracer).unwrap();
         // Another task still references a.
         engine.add_refs(&deps);
-        engine.release_refs(&deps);
-        assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0, &mut 0), 0);
+        assert!(!release(&engine, &deps, &tracer));
         assert_eq!(mem.registry().node_of(a), Some(HBM));
-        engine.release_refs(&deps);
-        assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0, &mut 0), 1);
+        assert!(release(&engine, &deps, &tracer));
         assert_eq!(mem.registry().node_of(a), Some(DDR4));
     }
 
@@ -509,8 +495,7 @@ mod tests {
         // No payload bytes charged on fetch for write-only blocks.
         assert_eq!(mem.stats().nodes[HBM.index()].bytes_charged, 0);
         // Eviction persists the written data: bytes are charged then.
-        engine.release_refs(&deps);
-        engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
+        release(&engine, &deps, &tracer);
         assert!(mem.stats().nodes[DDR4.index()].bytes_charged >= 4096);
     }
 
@@ -555,7 +540,7 @@ mod tests {
                 }
                 Err(e) => panic!("unexpected fetch error: {e}"),
             }
-            engine.release_refs(&deps);
+            engine.release(&deps, false, &tracer, 0, &mut 0);
         }
         assert!(landed > 0, "no fetch survived a 50% fault rate");
         let s = stats.snapshot();
@@ -583,7 +568,7 @@ mod tests {
             u64::from(MAX_FETCH_RETRIES)
         );
         assert_eq!(mem.registry().node_of(b), Some(DDR4));
-        engine.release_refs(&deps);
+        assert!(!release(&engine, &deps, &tracer));
     }
 
     #[test]
@@ -606,9 +591,9 @@ mod tests {
             let deps = vec![dep(blk, AccessMode::ReadOnly)];
             engine.add_refs(&deps);
             fetch(&engine, &deps, &tracer).unwrap();
-            engine.release_refs(&deps);
-            // OnComplete eviction is a no-op under LRU policy.
-            assert_eq!(engine.evict_unreferenced(&deps, &tracer, 0, &mut 0), 0);
+            // The release unpins HBM space but evicts nothing under the
+            // LRU policy.
+            assert!(release(&engine, &deps, &tracer));
         }
         assert_eq!(mem.registry().node_of(a), Some(HBM));
         assert_eq!(mem.registry().node_of(b), Some(HBM));

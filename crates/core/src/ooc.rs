@@ -178,12 +178,17 @@ impl OocRuntime {
     }
 
     /// Quiescence-coordinated checkpoint (the tentpole of the recovery
-    /// story). Drives the runtime to quiescence, pauses the scheduler
-    /// and IO threads, snapshots every registered block plus the
-    /// runtime's counters into `path` (atomically: temp file + rename),
-    /// then resumes. On success the runtime continues exactly where it
-    /// left off; on failure it also resumes, and the error says why —
-    /// this method never leaves the runtime paused or panics.
+    /// story). Waits for quiescence, then snapshots every registered
+    /// block plus the runtime's counters into `path` (atomically: temp
+    /// file + rename). Quiescence is the only guard: call this only
+    /// while no thread outside the runtime sends, as the drivers do
+    /// between chunks. Then no worker or IO thread has anything to run
+    /// until the caller sends again, and the runtime continues exactly
+    /// where it left off. A runtime that does not quiesce within
+    /// `CHECKPOINT_QUIESCE_MS` gets [`MemError::CheckpointFailed`] and
+    /// nothing is written. The snapshot reads each block under a
+    /// `ReadOnly` guard, so a writer that races it panics at the
+    /// registry's access check instead of tearing the block.
     pub fn checkpoint(&self, path: &Path) -> Result<CheckpointSummary, MemError> {
         if !self.rt.wait_quiescence_ms(CHECKPOINT_QUIESCE_MS) {
             return Err(MemError::CheckpointFailed {
@@ -194,22 +199,6 @@ impl OocRuntime {
             });
         }
         let t0 = self.rt.clock().now();
-        self.rt.pause();
-        let result = self.checkpoint_paused(path);
-        self.rt.resume();
-        let t1 = self.rt.clock().now();
-        if result.is_ok() {
-            self.rt
-                .collector()
-                .tracer(LaneId::worker(0))
-                .record(SpanKind::Checkpoint, t0, t1, 0);
-        }
-        result
-    }
-
-    /// The pause-protected body of [`OocRuntime::checkpoint`]; split
-    /// out so every early return still resumes the runtime.
-    fn checkpoint_paused(&self, path: &Path) -> Result<CheckpointSummary, MemError> {
         let app = AppState {
             iteration: self.iteration(),
             stats: self.stats(),
@@ -221,6 +210,11 @@ impl OocRuntime {
         if let Some(hook) = &self.hook {
             hook.note_checkpoint(summary.payload_bytes);
         }
+        let t1 = self.rt.clock().now();
+        self.rt
+            .collector()
+            .tracer(LaneId::worker(0))
+            .record(SpanKind::Checkpoint, t0, t1, 0);
         Ok(summary)
     }
 

@@ -30,8 +30,8 @@ macro_rules! stat_cells {
             /// kill-and-restore instead of restarting from zero. The restore
             /// itself is *not* included in `s`; bump it afterwards. The
             /// totals go into the first slot and every other slot is
-            /// zeroed; a restore runs paused and at quiescence, so no
-            /// thread bumps a slot meanwhile.
+            /// zeroed; a restore runs on a fresh runtime before anything
+            /// is sent, so no thread bumps a slot meanwhile.
             pub(crate) fn adopt(&self, s: &OocStats) {
                 for (i, slot) in self.slots.iter().enumerate() {
                     let keep = u64::from(i == 0);

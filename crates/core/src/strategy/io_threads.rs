@@ -255,12 +255,6 @@ fn supervise(shared: &Shared, groups: usize) {
         if shared.waitq.is_shutdown() {
             return;
         }
-        // A checkpoint pause intentionally halts admissions; don't read
-        // that as a stall and drain the queues in degraded mode.
-        if shared.rt.is_paused() {
-            last_progress = Instant::now();
-            continue;
-        }
         let snap = shared.stats.snapshot();
         let queued: usize = shared.waitq.lengths().iter().sum();
         let counts = (snap.admitted, snap.completed);
@@ -307,14 +301,6 @@ fn io_loop(shared: &Shared, bells: &[Doorbell], group: usize, queues: &[usize], 
     'scan: loop {
         if shared.waitq.is_shutdown() {
             return;
-        }
-        // Checkpoint pause: a paused runtime is quiescent, and the
-        // snapshot must not race with block migrations, so IO threads
-        // idle until resume. The pause is not recorded as idle.
-        if shared.rt.is_paused() {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            now = clock.now();
-            continue;
         }
         if shared.memory().faults().take_io_panic(group) {
             panic!("injected IO-thread fault (io{group})");
@@ -576,7 +562,7 @@ mod tests {
     }
 
     /// Parks on `gate` the first time any `Parker` executes, so the
-    /// test can pause the runtime while that task still holds HBM.
+    /// test can act while that task still holds HBM.
     struct Parker {
         data: IoHandle<f64>,
         gate: Arc<std::sync::Barrier>,
@@ -597,78 +583,6 @@ mod tests {
         fn deps(&self, _e: EntryId, _m: &()) -> Vec<Dep> {
             vec![self.data.dep(AccessMode::ReadWrite)]
         }
-    }
-
-    #[test]
-    fn paused_io_thread_starts_no_fetch_until_resume() {
-        const TASKS: usize = 4;
-        let block_elems = 512usize;
-        // HBM for one block: every other task waits on the running one.
-        let mem = Memory::new(Topology::knl_flat_scaled_with(
-            (block_elems * 8) as u64 + 64,
-            1 << 24,
-        ));
-        let rt = RuntimeBuilder::new(1)
-            .clock(Arc::clone(mem.clock()))
-            .build();
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let latch = Arc::new(CompletionLatch::new(TASKS));
-        let handles: Vec<IoHandle<f64>> = (0..TASKS)
-            .map(|i| {
-                IoHandle::new(
-                    &mem,
-                    block_elems,
-                    Placement::DdrOnly,
-                    HBM,
-                    DDR4,
-                    format!("p{i}"),
-                )
-                .unwrap()
-            })
-            .collect();
-        let (g2, l2, hs) = (Arc::clone(&gate), Arc::clone(&latch), handles.clone());
-        let parked = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let array = rt
-            .array_builder::<Parker>()
-            .entry(EP_COMPUTE, EntryOptions::prefetch())
-            .build(TASKS, move |i| Parker {
-                data: hs[i].clone(),
-                gate: Arc::clone(&g2),
-                parked: Arc::clone(&parked),
-                latch: Arc::clone(&l2),
-            });
-        let hook = OocHook::new(
-            Arc::clone(&rt),
-            Arc::clone(&mem),
-            StrategyKind::single_io(),
-            OocConfig::default(),
-        )
-        .unwrap();
-        rt.set_hook(hook.clone());
-        for i in 0..TASKS {
-            rt.send(array, i, EP_COMPUTE, ());
-        }
-
-        gate.wait(); // the first task runs, its block pinned in HBM
-        assert_eq!(hook.stats().fetches, 1);
-        rt.pause();
-        gate.wait();
-        // The running task completes and evicts. Its release rings the
-        // IO thread, which then sees the pause before its next scan: the
-        // freed space must not start a fetch while the runtime is paused.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let stats = hook.stats();
-        assert_eq!(stats.evictions, 1, "the running task did not finish");
-        assert_eq!(stats.fetches, 1, "a paused IO thread fetched");
-
-        rt.resume();
-        assert!(latch.wait_timeout_ms(30_000), "tasks never completed");
-        assert!(rt.wait_quiescence_ms(10_000));
-        let stats = hook.stats();
-        assert_eq!(stats.completed, TASKS as u64);
-        assert_eq!(stats.fetches, TASKS as u64);
-        hook.shutdown();
-        rt.shutdown();
     }
 
     #[test]

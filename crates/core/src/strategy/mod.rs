@@ -46,7 +46,7 @@ use std::sync::Arc;
 /// A task [`Shared::try_admit`] found no space for, handed back.
 pub(crate) struct Refused {
     pub task: OocTask,
-    /// The rollback unpinned HBM space (see [`FetchEngine::roll_back`])
+    /// The rollback unpinned HBM space (see [`FetchEngine::release`])
     /// and bumped [`Shared::released`] for it.
     pub unpinned: bool,
 }
@@ -135,7 +135,7 @@ impl Shared {
                 Ok(())
             }
             Err(FetchError::NoSpace) => {
-                let unpinned = self.engine.roll_back(&task.env.deps, tracer, tag, now);
+                let unpinned = self.engine.release(&task.env.deps, true, tracer, tag, now);
                 if unpinned {
                     self.released.fetch_add(1, Ordering::SeqCst);
                 }
@@ -207,11 +207,8 @@ impl Shared {
             checker.task_completed(done.token);
         }
         let tracer = self.worker_tracer(done.pe);
-        self.engine.release_refs(&done.deps);
-        if evict {
-            self.engine
-                .evict_unreferenced(&done.deps, tracer, done.index as u32, now);
-        }
+        self.engine
+            .release(&done.deps, evict, tracer, done.index as u32, now);
         self.released.fetch_add(1, Ordering::SeqCst);
         // Count the task completed only after its eviction finished, so
         // quiescence covers the whole post-processing step.

@@ -381,7 +381,7 @@ mod tests {
         assert_eq!(mem.stats().nodes[HBM.index()].failed_alloc_count, 0);
         let stats = hook.stats();
         assert_eq!((stats.no_space_events, stats.fetches), (1, 1));
-        shared.engine.release_refs(&held);
+        shared.engine.release(&held, false, tracer, 0, &mut 0);
         hook.shutdown();
         rt.shutdown();
     }

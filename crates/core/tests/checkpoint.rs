@@ -1,13 +1,15 @@
 //! Integration tests for quiescence-coordinated checkpoint/restart on a
-//! real `OocRuntime`, plus the oversize-task admission guard (every
-//! strategy flavour) and structured rejection of corrupted checkpoints
-//! at the runtime level.
+//! real `OocRuntime`: the two guards a checkpoint keeps (it refuses
+//! without quiescence, and at quiescence it moves nothing), the
+//! oversize-task admission guard (every strategy flavour) and
+//! structured rejection of corrupted checkpoints at the runtime level.
 
 use converse::{Chare, CompletionLatch, Dep, EntryId, EntryOptions, ExecCtx};
 use hetmem::{AccessMode, BlockId, MemError, Memory, Topology, DDR4, HBM};
 use hetrt_core::{IoHandle, OocConfig, OocRuntime, Placement, StrategyKind};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const EP: EntryId = EntryId(0);
 
@@ -122,6 +124,120 @@ fn checkpoint_restore_round_trip_preserves_everything() {
     restored[0].read(|xs| assert_eq!(xs[1], 4.0));
     ooc2.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// Holds its worker on `gate` (once to show it runs, once to let it
+/// go), then doubles its block.
+struct Holder {
+    data: IoHandle<f64>,
+    gate: Arc<Barrier>,
+    latch: Arc<CompletionLatch>,
+}
+
+impl Chare for Holder {
+    type Msg = ();
+    fn execute(&mut self, _e: EntryId, _m: (), _c: &mut ExecCtx<'_>) {
+        self.gate.wait();
+        self.gate.wait();
+        self.data.write(|xs| xs.iter_mut().for_each(|x| *x *= 2.0));
+        self.latch.count_down();
+    }
+    fn deps(&self, _e: EntryId, _m: &()) -> Vec<Dep> {
+        vec![self.data.dep(AccessMode::ReadWrite)]
+    }
+}
+
+#[test]
+fn a_runtime_that_cannot_quiesce_is_refused_and_nothing_is_written() {
+    let path = ckpt_path("no-quiescence");
+    let tmp = path.with_file_name(format!(
+        "{}.tmp",
+        path.file_name().unwrap().to_string_lossy()
+    ));
+    let (ooc, mem) = small_hbm_runtime(StrategyKind::SyncFetch, OocConfig::default());
+    let h: IoHandle<f64> = IoHandle::new(&mem, 512, Placement::DdrOnly, HBM, DDR4, "held").unwrap();
+    h.write(|xs| xs.iter_mut().for_each(|x| *x = 1.5));
+    let gate = Arc::new(Barrier::new(2));
+    let latch = Arc::new(CompletionLatch::new(1));
+    let (g2, l2, h2) = (Arc::clone(&gate), Arc::clone(&latch), h.clone());
+    let rt = ooc.runtime();
+    let array = rt
+        .array_builder::<Holder>()
+        .entry(EP, EntryOptions::prefetch())
+        .build(1, move |_| Holder {
+            data: h2.clone(),
+            gate: Arc::clone(&g2),
+            latch: Arc::clone(&l2),
+        });
+    rt.send(array, 0, EP, ());
+    gate.wait(); // the task runs, so its message is not processed
+
+    // The quiescence wait is the runtime's 10 s `CHECKPOINT_QUIESCE_MS`.
+    let t0 = Instant::now();
+    let refused = ooc.checkpoint(&path);
+    let waited = t0.elapsed();
+    // Let the task go before asserting, so a failure cannot leave the
+    // worker parked and wedge the runtime's shutdown.
+    gate.wait();
+    match refused {
+        Err(MemError::CheckpointFailed { detail }) => {
+            assert!(detail.contains("quiescence"), "{detail}");
+        }
+        other => panic!("expected CheckpointFailed, got {other:?}"),
+    }
+    assert!(waited >= Duration::from_secs(10), "{waited:?}");
+    assert!(!path.exists(), "a refused checkpoint wrote {path:?}");
+    assert!(!tmp.exists(), "a refused checkpoint wrote {tmp:?}");
+
+    assert!(
+        latch.wait_timeout_ms(30_000),
+        "the held task never finished"
+    );
+    assert!(ooc.wait_quiescence_ms(10_000));
+    assert_eq!(ooc.stats().completed, 1);
+    h.read(|xs| assert!(xs.iter().all(|&x| x == 3.0)));
+    ooc.shutdown();
+}
+
+/// A checkpoint at quiescence, with `kind`'s IO threads parked after a
+/// round, moves no block: the fetch and eviction counts and every
+/// node's used bytes are as they were.
+fn a_checkpoint_at_quiescence_moves_nothing_under(kind: StrategyKind, name: &str) {
+    let path = ckpt_path(name);
+    let (ooc, mem) = small_hbm_runtime(kind, OocConfig::default());
+    let hot: IoHandle<f64> =
+        IoHandle::new(&mem, 512, Placement::HbmOnly, HBM, DDR4, "hot").unwrap();
+    let handles: Vec<IoHandle<f64>> = (0..3)
+        .map(|i| IoHandle::new(&mem, 512, Placement::DdrOnly, HBM, DDR4, format!("b{i}")).unwrap())
+        .collect();
+    run_round(&ooc, &handles);
+    let used =
+        |mem: &Memory| -> Vec<u64> { mem.stats().nodes.iter().map(|n| n.used_bytes).collect() };
+    let (before, used_before) = (ooc.stats(), used(&mem));
+    assert!(before.fetches >= 3, "{before:?}");
+    assert!(used_before[HBM.index()] > 0, "the hot block left HBM");
+
+    ooc.checkpoint(&path).expect("checkpoint");
+
+    let after = ooc.stats();
+    assert_eq!(
+        (after.fetches, after.evictions),
+        (before.fetches, before.evictions)
+    );
+    assert_eq!(used(&mem), used_before);
+    assert_eq!(hot.node(), Some(HBM));
+    ooc.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_checkpoint_at_quiescence_moves_nothing_under_single_io() {
+    a_checkpoint_at_quiescence_moves_nothing_under(StrategyKind::single_io(), "still-single-io");
+}
+
+#[test]
+fn a_checkpoint_at_quiescence_moves_nothing_under_multi_io() {
+    a_checkpoint_at_quiescence_moves_nothing_under(StrategyKind::multi_io(2), "still-multi-io");
 }
 
 #[test]

@@ -92,8 +92,7 @@ proptest! {
             let hbm = &mem.stats().nodes[HBM.index()];
             prop_assert!(hbm.used_bytes <= hbm.capacity_bytes);
             // Complete the task.
-            engine.release_refs(&deps);
-            engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
+            engine.release(&deps, true, &tracer, 0, &mut 0);
         }
         // Every block still exists exactly once somewhere.
         let total: u64 = sizes.iter().map(|&s| s as u64).sum();
@@ -161,8 +160,7 @@ proptest! {
                     Err(FetchError::Exhausted { .. }) => 1,
                     Err(e) => panic!("unexpected error {e}"),
                 });
-                engine.release_refs(&deps);
-                engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
+                engine.release(&deps, true, &tracer, 0, &mut 0);
                 // Invariants hold under chaos too: capacity respected,
                 // no block lost.
                 let ms = mem.stats();
@@ -179,7 +177,7 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// fetch_all + evict keeps every block's refcount at zero between
+    /// fetch_all + release keeps every block's refcount at zero between
     /// tasks, whatever the interleaving of shared dependences.
     #[test]
     fn refcounts_return_to_zero(tasks in prop::collection::vec(task_strategy(4), 1..15)) {
@@ -200,8 +198,7 @@ proptest! {
             }
             engine.add_refs(&deps);
             engine.fetch_all(&deps, &tracer, 0, &mut 0).unwrap();
-            engine.release_refs(&deps);
-            engine.evict_unreferenced(&deps, &tracer, 0, &mut 0);
+            engine.release(&deps, true, &tracer, 0, &mut 0);
         }
         for &b in &blocks {
             prop_assert_eq!(mem.registry().refcount(b), 0);

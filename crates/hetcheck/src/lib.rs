@@ -101,7 +101,7 @@ impl Checker {
                 // is already running; record the destination-agnostic
                 // current node when settled, else skip (the completion
                 // event will place it).
-                if let Some(node) = info.residency.node() {
+                if let Some(node) = info.node {
                     self.record(ScheduleEvent::Block(BlockEvent::Register {
                         block: info.id,
                         bytes: info.size,

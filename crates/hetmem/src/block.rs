@@ -4,8 +4,9 @@
 //! Each block is a byte buffer that lives on exactly one memory node at a
 //! time. The registry tracks, per block:
 //!
-//! * **Residency** — `INHBM` / `INDDR` in the paper's terms, plus the
-//!   transitional `Moving` state a fetch or eviction passes through;
+//! * **Residency** — `INHBM` / `INDDR` in the paper's terms: the node
+//!   of the block's buffer, which a fetch or eviction takes out of the
+//!   registry while the block moves;
 //! * **Reference count** — "incremented every time a task depending on
 //!   the block is scheduled" (§IV-B); eviction is only legal at zero;
 //! * **Access accounting** — every kernel access goes through a checked
@@ -66,30 +67,6 @@ impl AccessMode {
     }
 }
 
-/// Where a block currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
-    /// Fully resident on one node (`INHBM` / `INDDR`).
-    Resident(NodeId),
-    /// Mid-migration between two nodes.
-    Moving {
-        /// Source node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-    },
-}
-
-impl Residency {
-    /// The node the block is on, if not mid-move.
-    pub fn node(self) -> Option<NodeId> {
-        match self {
-            Residency::Resident(n) => Some(n),
-            Residency::Moving { .. } => None,
-        }
-    }
-}
-
 /// Snapshot of one block's metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockInfo {
@@ -97,8 +74,8 @@ pub struct BlockInfo {
     pub id: BlockId,
     /// Payload size in bytes.
     pub size: usize,
-    /// Current residency.
-    pub residency: Residency,
+    /// The node the block resides on; `None` while it moves.
+    pub node: Option<NodeId>,
     /// Scheduled-task reference count.
     pub refcount: u32,
     /// Label supplied at registration (debugging / traces).
@@ -106,7 +83,8 @@ pub struct BlockInfo {
 }
 
 struct BlockMeta {
-    residency: Residency,
+    /// The payload, on the node the block resides on; `None` exactly
+    /// while a move holds it.
     buf: Option<AlignedBuf>,
     refcount: u32,
     readers: u32,
@@ -123,8 +101,9 @@ struct BlockSlot {
     cond: Condvar,
     /// Payload size; fixed at registration.
     size: usize,
-    /// Lock-free mirror of `meta.residency` (raw node, or [`MOVING`]),
-    /// stored with Release under the slot lock and loaded with Acquire.
+    /// Lock-free mirror of `meta.buf`'s node (raw node, or [`MOVING`]
+    /// while the buffer is out), stored with Release under the slot
+    /// lock and loaded with Acquire.
     node: AtomicU8,
 }
 
@@ -132,11 +111,11 @@ struct BlockSlot {
 const MOVING: u8 = u8::MAX;
 
 impl BlockSlot {
-    /// Set the residency and its lock-free mirror (slot lock held).
-    fn set_residency(&self, m: &mut BlockMeta, residency: Residency) {
-        m.residency = residency;
-        let raw = residency.node().map_or(MOVING, NodeId::raw);
-        self.node.store(raw, Ordering::Release);
+    /// Store the lock-free mirror of the buffer's node, `None` while
+    /// the block moves (slot lock held).
+    fn set_residency(&self, node: Option<NodeId>) {
+        self.node
+            .store(node.map_or(MOVING, NodeId::raw), Ordering::Release);
     }
 
     /// Park on the slot's condvar, counted in `waiters`.
@@ -308,7 +287,6 @@ impl BlockRegistry {
         let node = buf.node();
         assert_ne!(node.raw(), MOVING, "node {node} is reserved");
         let meta = BlockMeta {
-            residency: Residency::Resident(node),
             buf: Some(buf),
             refcount: 0,
             readers: 0,
@@ -361,7 +339,7 @@ impl BlockRegistry {
         BlockInfo {
             id,
             size: slot.size,
-            residency: m.residency,
+            node: m.buf.as_ref().map(AlignedBuf::node),
             refcount: m.refcount,
             label: m.label.clone(),
         }
@@ -417,7 +395,8 @@ impl BlockRegistry {
 
     /// Begin a migration: atomically verify the block is resident (and,
     /// if `require_unreferenced`, that its refcount is zero), has no
-    /// active accessors, and mark it `Moving`, taking the source buffer.
+    /// active accessors, and take its buffer out, which marks it
+    /// moving.
     ///
     /// Returns the source buffer and node. Callers must finish with
     /// [`BlockRegistry::complete_move`] or [`BlockRegistry::abort_move`].
@@ -429,37 +408,33 @@ impl BlockRegistry {
     ) -> Result<(AlignedBuf, NodeId), crate::MemError> {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
-        let from = match m.residency {
-            Residency::Resident(n) => n,
-            Residency::Moving { .. } => {
+        // Every check is repeated after each wait for accessors to
+        // drain: meanwhile a task may reference the block, or another
+        // move may take its buffer.
+        let from = loop {
+            let Some(buf) = &m.buf else {
                 return Err(crate::MemError::InvalidState {
                     block: id.0 as u64,
                     reason: "already moving",
-                })
+                });
+            };
+            let from = buf.node();
+            if from == to {
+                return Err(crate::MemError::SameNode(to));
             }
-        };
-        if from == to {
-            return Err(crate::MemError::SameNode(to));
-        }
-        if require_unreferenced && m.refcount > 0 {
-            return Err(crate::MemError::InvalidState {
-                block: id.0 as u64,
-                reason: "refcount nonzero",
-            });
-        }
-        // Wait out transient accessors; bail if the block becomes
-        // referenced while we wait (a task got scheduled on it).
-        while m.readers > 0 || m.writer {
-            slot.wait(&mut m);
             if require_unreferenced && m.refcount > 0 {
                 return Err(crate::MemError::InvalidState {
                     block: id.0 as u64,
-                    reason: "refcount became nonzero during move admission",
+                    reason: "refcount nonzero",
                 });
             }
-        }
-        let buf = m.buf.take().expect("resident block must have a buffer");
-        slot.set_residency(&mut m, Residency::Moving { from, to });
+            if m.readers == 0 && !m.writer {
+                break from;
+            }
+            slot.wait(&mut m);
+        };
+        let buf = m.buf.take().expect("the loop found it under this lock");
+        slot.set_residency(None);
         self.notify(BlockEvent::MoveBegin {
             block: id,
             from,
@@ -473,10 +448,10 @@ impl BlockRegistry {
     pub fn complete_move(&self, id: BlockId, new_buf: AlignedBuf) {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
-        debug_assert!(matches!(m.residency, Residency::Moving { .. }));
+        debug_assert!(m.buf.is_none(), "{id} is not moving");
         debug_assert_eq!(new_buf.len(), slot.size);
         let node = new_buf.node();
-        slot.set_residency(&mut m, Residency::Resident(node));
+        slot.set_residency(Some(node));
         m.buf = Some(new_buf);
         self.notify(BlockEvent::MoveComplete { block: id, node });
         slot.unlock_and_notify(m);
@@ -487,9 +462,9 @@ impl BlockRegistry {
     pub fn abort_move(&self, id: BlockId, src_buf: AlignedBuf) {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
-        debug_assert!(matches!(m.residency, Residency::Moving { .. }));
+        debug_assert!(m.buf.is_none(), "{id} is not moving");
         let node = src_buf.node();
-        slot.set_residency(&mut m, Residency::Resident(node));
+        slot.set_residency(Some(node));
         m.buf = Some(src_buf);
         self.notify(BlockEvent::MoveAbort { block: id, node });
         slot.unlock_and_notify(m);
@@ -501,8 +476,8 @@ impl BlockRegistry {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
         loop {
-            if let Residency::Resident(n) = m.residency {
-                return n;
+            if let Some(buf) = &m.buf {
+                return buf.node();
             }
             slot.wait(&mut m);
         }
@@ -518,7 +493,7 @@ impl BlockRegistry {
     pub fn access(&self, id: BlockId, mode: AccessMode) -> AccessGuard<'_> {
         let slot = self.slot(id);
         let mut m = slot.meta.lock();
-        while matches!(m.residency, Residency::Moving { .. }) {
+        while m.buf.is_none() {
             slot.wait(&mut m);
         }
         if mode.is_exclusive() {
@@ -565,7 +540,7 @@ impl BlockRegistry {
         let mut out: Vec<(u64, BlockId)> = Vec::new();
         for (i, slot) in self.slots.iter() {
             let m = slot.meta.lock();
-            if m.residency == Residency::Resident(node) {
+            if m.buf.as_ref().is_some_and(|b| b.node() == node) {
                 out.push((m.last_touch, BlockId(i as u32)));
             }
         }
@@ -738,7 +713,7 @@ mod tests {
         let (reg, id, _a) = registry_with_block(1024);
         let info = reg.info(id);
         assert_eq!(info.size, 1024);
-        assert_eq!(info.residency, Residency::Resident(DDR4));
+        assert_eq!(info.node, Some(DDR4));
         assert_eq!(info.refcount, 0);
         assert_eq!(reg.node_of(id), Some(DDR4));
         assert_eq!(reg.size_of(id), 1024);
@@ -892,6 +867,46 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(g); // releases the reader; the move can proceed
         assert_eq!(h.join().unwrap(), DDR4);
+    }
+
+    #[test]
+    fn of_two_moves_waiting_on_a_reader_one_takes_the_block() {
+        let (reg, id, _a) = registry_with_block(64);
+        let reg = Arc::new(reg);
+        let g = reg.access(id, AccessMode::ReadOnly);
+        let movers: Vec<_> = (0..2)
+            .map(|_| {
+                let reg = Arc::clone(&reg);
+                std::thread::spawn(move || reg.begin_move(id, HBM, false))
+            })
+            .collect();
+        // Both movers park on the slot before the reader lets go.
+        while reg.slot(id).meta.lock().waiters < 2 {
+            std::thread::yield_now();
+        }
+        drop(g);
+        let (won, lost): (Vec<_>, Vec<_>) = movers
+            .into_iter()
+            .map(|h| h.join().expect("a mover panicked"))
+            .partition(Result::is_ok);
+        assert_eq!((won.len(), lost.len()), (1, 1));
+        assert!(
+            matches!(
+                lost[0],
+                Err(crate::MemError::InvalidState {
+                    reason: "already moving",
+                    ..
+                })
+            ),
+            "{:?}",
+            lost[0]
+        );
+        let Some(Ok((src, from))) = won.into_iter().next() else {
+            unreachable!("partitioned above")
+        };
+        assert_eq!(from, DDR4);
+        reg.abort_move(id, src);
+        assert_eq!(reg.node_of(id), Some(DDR4));
     }
 
     /// What the stress test believes holds the block right now,

@@ -50,7 +50,6 @@ pub use alloc::{AlignedBuf, NodeAllocator};
 pub use bandwidth::{BandwidthRegulator, ChargeOutcome};
 pub use block::{
     AccessGuard, AccessMode, BlockEvent, BlockId, BlockInfo, BlockObserver, BlockRegistry, Pod,
-    Residency,
 };
 pub use checkpoint::{
     read_checkpoint, restore_into, write_checkpoint, BlockRecord, CheckpointImage,

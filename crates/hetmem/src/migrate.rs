@@ -390,8 +390,8 @@ mod tests {
             );
             for &id in &ids {
                 let info = mem.registry().info(id);
-                assert_eq!(mem.registry().node_of(id), info.residency.node(), "{id}");
-                assert!(info.residency.node().is_some(), "{id} left mid-move");
+                assert_eq!(mem.registry().node_of(id), info.node, "{id}");
+                assert!(info.node.is_some(), "{id} left mid-move");
             }
         }
         for m in movers {

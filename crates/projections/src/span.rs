@@ -25,7 +25,7 @@ pub enum SpanKind {
     /// exhausted, or drained by the stall watchdog) and ran from DDR4.
     Degraded,
     /// Quiescence-coordinated checkpoint: snapshotting block state to
-    /// disk while the schedulers are paused.
+    /// disk while the runtime is quiescent.
     Checkpoint,
     /// Restoring block state and runtime counters from a checkpoint.
     Restore,

@@ -7,8 +7,8 @@
 //! repeatable gates.
 
 use converse::{
-    ArrayId, Chare, Dep, EntryId, EntryOptions, Envelope, ExecCtx, ExecutedTask, Runtime,
-    RuntimeBuilder, SchedulerHook,
+    ArrayId, Chare, ChareIndex, Dep, EntryId, EntryOptions, Envelope, ExecCtx, ExecutedTask,
+    Runtime, RuntimeBuilder, SchedulerHook,
 };
 use hetmem::{AccessMode, Clock, Memory, NodeSpec, TimeNs, Topology, VirtualClock, DDR4, HBM};
 use hetrt_core::{IoHandle, OocConfig, OocHook, Placement, StrategyKind};
@@ -123,7 +123,8 @@ const EP_PLAIN: EntryId = EntryId(0);
 const EP_PREFETCH: EntryId = EntryId(1);
 
 /// Reads allowed beyond a per-envelope or per-task budget: a busy
-/// worker's only other read is its wake from the pause gate.
+/// worker's only other reads are its wake and the end of the burst
+/// envelope that queues the work.
 const WAKE_READS: u64 = 4;
 
 struct Noop;
@@ -150,16 +151,34 @@ impl SchedulerHook for Admit {
     }
 }
 
-/// Clock reads the single PE makes to process the messages `send`
-/// queues while the pause gate is closed, so the worker stays busy
-/// from its wake at the gate to the last one. Quiescence counts a
+/// Sends one `()` message to each target of its own message: one plain
+/// envelope that queues a whole burst before its worker takes the next.
+struct Burst;
+
+/// A [`Burst`] message: the `(array, index, entry)` of every send.
+type Targets = Vec<(ArrayId, ChareIndex, EntryId)>;
+
+impl Chare for Burst {
+    type Msg = Targets;
+    fn execute(&mut self, _entry: EntryId, targets: Targets, ctx: &mut ExecCtx<'_>) {
+        for (array, index, entry) in targets {
+            ctx.send(array, index, entry, ());
+        }
+    }
+}
+
+/// Clock reads the single PE makes to process a burst of messages to
+/// `targets`. One [`Burst`] envelope queues them all, so the worker
+/// stays busy from its wake to the last one. Quiescence counts a
 /// message only after the worker's last read for it, so everything is
 /// counted once it returns.
-fn busy_worker_reads(rt: &Runtime, clock: &CountingClock, send: impl FnOnce()) -> u64 {
+fn busy_worker_reads(rt: &Arc<Runtime>, clock: &CountingClock, targets: Targets) -> u64 {
+    let burst = rt
+        .array_builder::<Burst>()
+        .entry(EP_PLAIN, EntryOptions::default())
+        .build(1, |_| Burst);
     reads_of(clock, || {
-        rt.pause();
-        send();
-        rt.resume();
+        rt.send(burst, 0, EP_PLAIN, targets);
         assert!(rt.wait_quiescence_ms(10_000), "runtime never went quiet");
     })
 }
@@ -178,17 +197,10 @@ fn every_hand_off_on_a_busy_worker_costs_one_clock_read() {
         .entry(EP_PLAIN, EntryOptions::default())
         .entry(EP_PREFETCH, EntryOptions::prefetch())
         .build(1, |_| Noop);
-    let send = |entry| {
-        let rt = &rt;
-        move || {
-            for _ in 0..N {
-                rt.send(array, 0, entry, ());
-            }
-        }
-    };
+    let burst = |entry| vec![(array, 0, entry); N as usize];
 
     // A plain envelope reads only the end of its execution.
-    let plain = busy_worker_reads(&rt, &clock, send(EP_PLAIN));
+    let plain = busy_worker_reads(&rt, &clock, burst(EP_PLAIN));
     assert!(
         plain <= N + WAKE_READS,
         "{plain} reads for {N} plain envelopes"
@@ -196,7 +208,7 @@ fn every_hand_off_on_a_busy_worker_costs_one_clock_read() {
     // A [prefetch] message is handed off three times: intercepted, then
     // executed as an admitted envelope and post-processed. `Admit` reads
     // no clock, so the scheduler reads once after each.
-    let prefetch = busy_worker_reads(&rt, &clock, send(EP_PREFETCH));
+    let prefetch = busy_worker_reads(&rt, &clock, burst(EP_PREFETCH));
     assert!(
         prefetch <= 3 * N + WAKE_READS,
         "{prefetch} reads for {N} prefetch messages"
@@ -277,11 +289,8 @@ fn a_managed_task_stays_within_its_clock_budget() {
     .unwrap();
     rt.set_hook(hook.clone());
 
-    let reads = busy_worker_reads(&rt, &clock, || {
-        for i in 0..CHARES {
-            rt.send(array, i, EP_PREFETCH, ());
-        }
-    });
+    let targets = (0..CHARES).map(|i| (array, i, EP_PREFETCH)).collect();
+    let reads = busy_worker_reads(&rt, &clock, targets);
     let stats = hook.stats();
     assert_eq!(stats.completed, TASKS);
     assert_eq!((stats.fetches, stats.evictions), (TASKS, TASKS));
