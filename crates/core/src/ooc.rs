@@ -37,7 +37,7 @@ pub struct OocRuntime {
     checker: Option<Arc<Checker>>,
     config: OocConfig,
     /// Driver-maintained iteration counter, persisted in checkpoints so
-    /// a restored run knows where to resume.
+    /// a restored run knows where to continue.
     iteration: AtomicU64,
 }
 
@@ -164,7 +164,7 @@ impl OocRuntime {
     }
 
     /// Record the driver's progress: call after finishing iteration
-    /// `it` so a checkpoint taken now resumes from `it`.
+    /// `it`, so a restore from a checkpoint taken now continues after it.
     pub fn set_iteration(&self, it: u64) {
         self.iteration.store(it, Ordering::SeqCst);
     }
@@ -228,7 +228,7 @@ impl OocRuntime {
     /// boundary so cross-restart traces lint clean.
     ///
     /// Returns the iteration the checkpoint was taken at — the driver
-    /// resumes from the next one. Corrupt or version-mismatched files
+    /// continues from the next one. Corrupt or version-mismatched files
     /// come back as structured [`MemError`]s and leave the runtime
     /// usable (still empty, ready for a fresh run or another restore).
     pub fn restore(&self, path: &Path) -> Result<u64, MemError> {
