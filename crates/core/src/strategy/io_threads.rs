@@ -182,6 +182,8 @@ impl IoThreadPool {
         };
         stop(&self.shared.waitq, &self.bells);
         for h in handles {
+            // The supervisor waits out its tick parked: end the wait.
+            h.thread().unpark();
             if h.join().is_err() {
                 self.shared.stats.bump_io_panic();
             }
@@ -251,7 +253,9 @@ fn supervise(shared: &Shared, groups: usize) {
     let mut last_counts = (u64::MAX, u64::MAX);
     let mut last_progress = Instant::now();
     loop {
-        std::thread::sleep(Duration::from_millis(SUPERVISE_TICK_MS));
+        // Parked rather than asleep, so `IoThreadPool::shutdown`'s
+        // unpark ends the tick early.
+        std::thread::park_timeout(Duration::from_millis(SUPERVISE_TICK_MS));
         if shared.waitq.is_shutdown() {
             return;
         }

@@ -158,16 +158,19 @@ impl BandwidthRegulator {
 
     /// Reserve and sleep out each slice. The first slice is anchored at
     /// `issued_at` and carries the overhead; each later one is anchored
-    /// at the time its predecessor woke. So the `sleep_until`s are the
-    /// only clock reads, one per slice.
+    /// at its predecessor's reserved end, so on an idle pipe a charge's
+    /// slices lie end to end whatever the sleeps overshoot; the wake
+    /// time feeds only the outcome and the tally. The `sleep_until`s
+    /// are the only clock reads, one per slice.
     fn charge_scaled(&self, issued_at: TimeNs, bytes: u64, scale: f64) -> ChargeOutcome {
         let mut model = self.model;
-        let mut now = issued_at;
+        let mut anchor = issued_at;
+        let mut now;
         let mut remaining = bytes;
         loop {
             let slice = remaining.min(self.slice_bytes);
-            let end = self.reserve(&model, now, slice, scale);
-            now = self.clock.sleep_until(end);
+            anchor = self.reserve(&model, anchor, slice, scale);
+            now = self.clock.sleep_until(anchor);
             remaining -= slice;
             if remaining == 0 {
                 break;
@@ -281,6 +284,32 @@ mod tests {
         let r = BandwidthRegulator::new(1_000_000_000, 1 << 20, clock).with_overhead_ns(250);
         let out = r.charge(0);
         assert_eq!(out.duration_ns(), 250);
+    }
+
+    /// A virtual clock whose sleepers all wake 7 ns after their
+    /// deadline, as a real sleep overshoots.
+    struct LateClock(VirtualClock);
+
+    impl Clock for LateClock {
+        fn now(&self) -> TimeNs {
+            self.0.now()
+        }
+
+        fn sleep_until(&self, deadline: TimeNs) -> TimeNs {
+            self.0.sleep_until(deadline + 7)
+        }
+    }
+
+    #[test]
+    fn late_wakes_leave_an_idle_pipe_contiguous() {
+        let clock = Arc::new(LateClock(VirtualClock::new()));
+        let r = BandwidthRegulator::new(1_000_000_000, 100, clock);
+        // 10 slices of 100 ns: they lie end to end, and only the
+        // caller's wake is late.
+        let out = r.charge(1000);
+        assert_eq!(r.cursor.load(Ordering::Relaxed), 1000);
+        assert_eq!(out.completed_at, 1007);
+        assert_eq!(r.total_wait_ns(), 1007);
     }
 
     const GBPS: PipeModel = PipeModel {

@@ -56,6 +56,10 @@ impl Clock for MonotonicClock {
         self.origin.elapsed().as_nanos() as TimeNs
     }
 
+    /// Sleep to `WAKE_MARGIN_NS` before `deadline`, then poll the
+    /// clock, yielding between reads, until it is reached. The poll
+    /// yields rather than spins: runtime threads can outnumber cores,
+    /// and a waiter must not hold one from a thread with work.
     fn sleep_until(&self, deadline: TimeNs) -> TimeNs {
         loop {
             let now = self.now();
@@ -63,11 +67,20 @@ impl Clock for MonotonicClock {
                 return now;
             }
             let remaining = deadline - now;
-            // std::thread::sleep may undershoot on some platforms; loop.
-            std::thread::sleep(Duration::from_nanos(remaining));
+            if remaining > WAKE_MARGIN_NS {
+                std::thread::sleep(Duration::from_nanos(remaining - WAKE_MARGIN_NS));
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 }
+
+/// How long before its deadline [`MonotonicClock::sleep_until`] stops
+/// sleeping and starts polling: more than an OS sleep's usual overshoot
+/// (about 60 µs on Linux), so the last stretch is timed by the clock
+/// rather than by the timer's slack.
+const WAKE_MARGIN_NS: TimeNs = 150_000;
 
 /// Deterministic clock for tests.
 ///

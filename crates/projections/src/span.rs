@@ -45,6 +45,12 @@ impl SpanKind {
         SpanKind::Restore,
     ];
 
+    /// This kind's position in [`SpanKind::ALL`], which lists the kinds
+    /// in declaration order.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for the "red" categories of the paper's Figure 5: time that
     /// is neither useful compute nor plain idleness.
     pub fn is_overhead(self) -> bool {
@@ -180,6 +186,13 @@ mod tests {
         }
         for k in [SpanKind::Compute, SpanKind::Entry, SpanKind::Idle] {
             assert!(!k.is_overhead(), "{k} should not be overhead");
+        }
+    }
+
+    #[test]
+    fn each_kind_indexes_its_place_in_all() {
+        for (i, k) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i, "{k}");
         }
     }
 

@@ -1,7 +1,6 @@
 //! Trace analysis: per-lane and per-kind time breakdowns.
 
 use crate::span::{LaneId, Span, SpanKind};
-use std::collections::BTreeMap;
 
 /// All spans recorded by one lane, time-sorted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,31 +71,31 @@ impl Trace {
 /// Time per span kind, in nanoseconds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KindBreakdown {
-    map: BTreeMap<SpanKind, u64>,
+    /// Indexed by [`SpanKind::index`].
+    ns: [u64; SpanKind::ALL.len()],
 }
 
 impl KindBreakdown {
     /// Add `ns` to `kind`'s bucket.
     pub fn add(&mut self, kind: SpanKind, ns: u64) {
-        *self.map.entry(kind).or_insert(0) += ns;
+        self.ns[kind.index()] += ns;
     }
 
     /// Time recorded for `kind`.
     pub fn get(&self, kind: SpanKind) -> u64 {
-        self.map.get(&kind).copied().unwrap_or(0)
+        self.ns[kind.index()]
     }
 
     /// Sum over all kinds.
     pub fn total_ns(&self) -> u64 {
-        self.map.values().sum()
+        self.ns.iter().sum()
     }
 
     /// Sum over overhead kinds — the paper's "red portion".
     pub fn overhead_ns(&self) -> u64 {
-        self.map
-            .iter()
+        self.iter()
             .filter(|(k, _)| k.is_overhead())
-            .map(|(_, v)| v)
+            .map(|(_, ns)| ns)
             .sum()
     }
 
@@ -120,9 +119,12 @@ impl KindBreakdown {
         }
     }
 
-    /// Iterate non-zero kinds.
+    /// Iterate non-zero kinds, in [`SpanKind::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (SpanKind, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
+        SpanKind::ALL
+            .into_iter()
+            .zip(self.ns)
+            .filter(|&(_, ns)| ns > 0)
     }
 }
 
@@ -232,6 +234,57 @@ mod tests {
         let w = &s.lanes[0];
         assert_eq!(w.span_count, 3);
         assert!((w.breakdown.overhead_fraction() - 0.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_iterates_recorded_kinds_in_display_order() {
+        // Kinds recorded out of order, one of them on two lanes.
+        let t = Trace {
+            lanes: vec![
+                LaneTrace {
+                    lane: LaneId::worker(0),
+                    spans: vec![
+                        span(SpanKind::Restore, 0, 5),
+                        span(SpanKind::Idle, 5, 12),
+                        span(SpanKind::Compute, 12, 40),
+                        span(SpanKind::Entry, 40, 43),
+                    ],
+                },
+                LaneTrace {
+                    lane: LaneId::io(0),
+                    spans: vec![
+                        span(SpanKind::Evict, 0, 9),
+                        span(SpanKind::Fetch, 9, 20),
+                        span(SpanKind::Idle, 20, 21),
+                    ],
+                },
+            ],
+        };
+        let s = t.summarize();
+        let total: Vec<(SpanKind, u64)> = s.total.iter().collect();
+        assert_eq!(
+            total,
+            [
+                (SpanKind::Compute, 28),
+                (SpanKind::Entry, 3),
+                (SpanKind::Fetch, 11),
+                (SpanKind::Evict, 9),
+                (SpanKind::Idle, 8),
+                (SpanKind::Restore, 5),
+            ]
+        );
+        assert_eq!(s.total.total_ns(), 64);
+        assert_eq!(s.total.overhead_ns(), 25);
+        let io: Vec<(SpanKind, u64)> = s.lanes[1].breakdown.iter().collect();
+        assert_eq!(
+            io,
+            [
+                (SpanKind::Fetch, 11),
+                (SpanKind::Evict, 9),
+                (SpanKind::Idle, 1)
+            ]
+        );
+        assert_eq!(s.lanes[1].breakdown.get(SpanKind::Compute), 0);
     }
 
     #[test]
